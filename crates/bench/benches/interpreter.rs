@@ -1,7 +1,7 @@
 //! Hub-interpreter throughput: how many sensor samples per second the
 //! IR runtime sustains for each evaluation wake-up condition, plus the
-//! fusion ablation (shared vs separate instances for concurrent
-//! conditions).
+//! fusion ablation (two separate runtimes vs one optimized fused
+//! program for concurrent conditions).
 //!
 //! The suite bodies live in [`sidewinder_bench::suites`] so the
 //! `perfreport` binary can run the same definitions and capture the

@@ -6,7 +6,6 @@
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use sidewinder_apps::{MusicJournalApp, SirenDetectorApp, StepsApp};
-use sidewinder_core::fusion::{FusedPlan, FusedRuntime};
 use sidewinder_dsp::filter::{fft_highpass, MovingAverage};
 use sidewinder_dsp::window::WindowShape;
 use sidewinder_dsp::{fft, goertzel, stats, zcr};
@@ -78,8 +77,8 @@ pub fn bench_conditions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fusion ablation: two music-journal conditions with different
-/// recognizer thresholds, run as separate hubs vs one fused runtime.
+/// Fusion ablation: two music-journal conditions run as separate hubs
+/// vs one optimized fused program.
 pub fn bench_fusion(c: &mut Criterion) {
     let program = MusicJournalApp::new().wake_condition();
     let batch = INTERPRETER_BATCH;
@@ -105,26 +104,11 @@ pub fn bench_fusion(c: &mut Criterion) {
             wakes
         })
     });
-    group.bench_function("one_fused_runtime", |b| {
-        let plan = FusedPlan::fuse(&[&program, &program]).unwrap();
-        let mut fused = FusedRuntime::load(&plan, &ChannelRates::default()).unwrap();
-        b.iter(|| {
-            let mut wakes = 0usize;
-            for &s in &samples {
-                wakes += fused
-                    .push_sample(SensorChannel::Mic, black_box(s))
-                    .unwrap()
-                    .len();
-            }
-            wakes
-        })
-    });
     // The optimizing compiler's answer to the same workload: fuse the
     // two conditions into one IR program and let CSE collapse the
     // duplicated chain, so the hub interprets one condition plus an
     // `anyOf` join instead of two. The perf gate's ratio floor pins
-    // this row at >= 1.3x over `one_fused_runtime` — the fusion gap the
-    // optimizer exists to close.
+    // this row's win over `two_separate_runtimes`.
     group.bench_function("one_optimized_fused_runtime", |b| {
         let fused_ir = fuse_programs(&[program.clone(), program.clone()]);
         let (optimized, _) = optimize(

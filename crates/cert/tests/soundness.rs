@@ -2,9 +2,10 @@
 //! execution measures.
 //!
 //! For each golden fixture (and the fused-six suite), at both vector
-//! precisions, the program is certified, compiled, loaded into a core
-//! of the certificate's capacity class, and driven with a deterministic
-//! sample schedule under [`HighWaterProbe`]. The measured side — carved
+//! precisions, the program is certified, compiled, loaded into the host
+//! core (whose heap arenas are sized to the image's footprint), and
+//! driven with a deterministic sample schedule under
+//! [`HighWaterProbe`]. The measured side — carved
 //! arena elements, staging high-water marks, per-node emission counts —
 //! must sit at or under the certified side, with the arena carve
 //! *exactly* equal (the certificate is an exact accounting, not an
@@ -13,12 +14,12 @@
 
 use proptest::prelude::*;
 use sidewinder_cert::{certify_program, emission_bound, CertTarget, Precision, ResourceCert};
+use sidewinder_hub::compile_image;
 use sidewinder_hub::runtime::ChannelRates;
-use sidewinder_hub::{compile_image, McuCore};
 use sidewinder_ir::Program;
 use sidewinder_lint::testing::{accel_program, arb_program, audio_program};
 use sidewinder_mcu::image::MAX_CHANNELS;
-use sidewinder_mcu::{ArenaKind, HighWaterProbe, Sample};
+use sidewinder_mcu::{ArenaKind, HighWaterProbe, HostCore, Sample};
 
 const FIXTURES: [(&str, &str); 6] = [
     (
@@ -41,7 +42,8 @@ const FIXTURES: [(&str, &str); 6] = [
     ),
 ];
 
-/// Capacity class every fixture (and the fused suite) fits.
+/// The capacity the certificates are checked against: the fleet's
+/// core class, which every fixture (and the fused suite) fits.
 const ARENA: usize = 16_384;
 
 /// Samples per channel for the measured side — enough to cycle the
@@ -73,7 +75,7 @@ fn probe_sample(i: usize, ci: usize) -> f64 {
 fn check_measured_bounds<P: Sample>(name: &str, program: &Program, cert: &ResourceCert) -> f64 {
     let image = compile_image(program, &ChannelRates::default())
         .unwrap_or_else(|e| panic!("{name}: compiles: {e}"));
-    let mut core: McuCore<P, ARENA> = McuCore::new();
+    let mut core: HostCore<P> = HostCore::new();
     core.load(&image)
         .unwrap_or_else(|e| panic!("{name}: loads: {e}"));
 
@@ -131,20 +133,6 @@ fn check_measured_bounds<P: Sample>(name: &str, program: &Program, cert: &Resour
     worst_ratio
 }
 
-/// Runs `f` on a thread with stack room for a 16k-class core (~1 MiB of
-/// arenas), propagating any panic so assertion failures still fail the
-/// owning test or proptest case.
-fn with_big_stack<F: FnOnce() + Send>(f: F) {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(64 << 20)
-            .spawn_scoped(scope, f)
-            .expect("spawn soundness thread")
-            .join()
-    })
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-}
-
 fn certified(name: &str, program: &Program, precision: Precision) -> ResourceCert {
     let cert = certify_program(program, &ChannelRates::default(), precision, &target())
         .unwrap_or_else(|e| panic!("{name}: certifies: {e}"));
@@ -154,49 +142,35 @@ fn certified(name: &str, program: &Program, precision: Precision) -> ResourceCer
 
 #[test]
 fn measured_marks_never_exceed_certified_bounds_on_the_fixtures() {
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(|| {
-            for (name, text) in FIXTURES {
-                let program: Program = text.parse().unwrap();
-                let c64 = certified(name, &program, Precision::F64);
-                let r64 = check_measured_bounds::<f64>(name, &program, &c64);
-                let c32 = certified(name, &program, Precision::F32);
-                let r32 = check_measured_bounds::<f32>(name, &program, &c32);
-                println!(
-                    "tightness {name}: required {} elements, worst emission ratio \
-                     f64 {r64:.3} f32 {r32:.3}",
-                    c64.required_capacity
-                );
-            }
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    for (name, text) in FIXTURES {
+        let program: Program = text.parse().unwrap();
+        let c64 = certified(name, &program, Precision::F64);
+        let r64 = check_measured_bounds::<f64>(name, &program, &c64);
+        let c32 = certified(name, &program, Precision::F32);
+        let r32 = check_measured_bounds::<f32>(name, &program, &c32);
+        println!(
+            "tightness {name}: required {} elements, worst emission ratio \
+             f64 {r64:.3} f32 {r32:.3}",
+            c64.required_capacity
+        );
+    }
 }
 
 #[test]
 fn the_fused_six_suite_is_certified_and_sound() {
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(|| {
-            let programs: Vec<Program> = FIXTURES.iter().map(|(_, t)| t.parse().unwrap()).collect();
-            let fused = sidewinder_opt::fuse_programs(&programs);
-            let (optimized, _) = sidewinder_opt::optimize(
-                &fused,
-                &ChannelRates::default(),
-                &sidewinder_opt::OptOptions::aggressive(),
-            );
-            let cert = certified("fused_all_six", &optimized, Precision::F64);
-            let ratio = check_measured_bounds::<f64>("fused_all_six", &optimized, &cert);
-            println!(
-                "tightness fused_all_six: required {} elements, worst emission ratio {ratio:.3}",
-                cert.required_capacity
-            );
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    let programs: Vec<Program> = FIXTURES.iter().map(|(_, t)| t.parse().unwrap()).collect();
+    let fused = sidewinder_opt::fuse_programs(&programs);
+    let (optimized, _) = sidewinder_opt::optimize(
+        &fused,
+        &ChannelRates::default(),
+        &sidewinder_opt::OptOptions::aggressive(),
+    );
+    let cert = certified("fused_all_six", &optimized, Precision::F64);
+    let ratio = check_measured_bounds::<f64>("fused_all_six", &optimized, &cert);
+    println!(
+        "tightness fused_all_six: required {} elements, worst emission ratio {ratio:.3}",
+        cert.required_capacity
+    );
 }
 
 /// The acceptance criterion the conformance suites used to hardcode:
@@ -238,7 +212,7 @@ proptest! {
     fn generated_accel_programs_are_sound(program in accel_program()) {
         if let Ok(cert) = certify_program(&program, &ChannelRates::default(), Precision::F64, &target()) {
             if cert.fits_cap {
-                with_big_stack(|| { check_measured_bounds::<f64>("accel", &program, &cert); });
+                check_measured_bounds::<f64>("accel", &program, &cert);
             }
         }
     }
@@ -248,7 +222,7 @@ proptest! {
     fn generated_audio_programs_are_sound(program in audio_program()) {
         if let Ok(cert) = certify_program(&program, &ChannelRates::default(), Precision::F64, &target()) {
             if cert.fits_cap {
-                with_big_stack(|| { check_measured_bounds::<f64>("audio", &program, &cert); });
+                check_measured_bounds::<f64>("audio", &program, &cert);
             }
         }
     }

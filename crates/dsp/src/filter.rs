@@ -213,11 +213,16 @@ fn fft_bandfilter(
     keep: impl Fn(f64) -> bool,
 ) -> Result<Vec<f64>, NonPowerOfTwoError> {
     fft::with_plan(signal.len(), |plan| {
-        let mut spectrum = Vec::new();
-        let mut out = Vec::new();
         let mask = keep_mask(signal.len(), sample_rate_hz, keep);
-        apply_bandfilter(plan, &mask, signal, &mut spectrum, &mut out);
-        out
+        let mut spectrum = Vec::new();
+        plan.process_real_forward_into(signal, &mut spectrum);
+        for (z, &keep) in spectrum.iter_mut().zip(&mask) {
+            if !keep {
+                *z = Complex::ZERO;
+            }
+        }
+        plan.process_inverse(&mut spectrum);
+        spectrum.iter().map(|z| z.re).collect()
     })
 }
 
@@ -231,97 +236,6 @@ fn keep_mask(n: usize, sample_rate_hz: f64, keep: impl Fn(f64) -> bool) -> Vec<b
             keep(fft::bin_to_frequency(logical_bin, n, sample_rate_hz))
         })
         .collect()
-}
-
-/// Transform → zero masked bins → inverse transform, writing the filtered
-/// signal into `out` using caller-owned scratch storage.
-fn apply_bandfilter(
-    plan: &fft::FftPlan,
-    mask: &[bool],
-    signal: &[f64],
-    spectrum: &mut Vec<Complex>,
-    out: &mut Vec<f64>,
-) {
-    plan.process_real_forward_into(signal, spectrum);
-    for (z, &keep) in spectrum.iter_mut().zip(mask) {
-        if !keep {
-            *z = Complex::ZERO;
-        }
-    }
-    plan.process_inverse(spectrum);
-    out.clear();
-    out.extend(spectrum.iter().map(|z| z.re));
-}
-
-/// A cached FFT band filter: an [`fft::FftPlan`] plus the precomputed
-/// per-bin keep mask for one `(length, shape, sample-rate)` combination.
-///
-/// The hub's `lowPass`/`highPass` stages build one of these per window
-/// length and then filter every subsequent window without recomputing
-/// twiddles or bin frequencies — and, via [`BandFilterPlan::filter_into`],
-/// without allocating. Output is bit-identical to [`fft_lowpass`] /
-/// [`fft_highpass`] / [`fft_bandpass`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandFilterPlan {
-    plan: fft::FftPlan,
-    mask: Vec<bool>,
-    shape: BandShape,
-    sample_rate_hz: f64,
-}
-
-impl BandFilterPlan {
-    /// Builds a filter plan for `len`-sample windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonPowerOfTwoError`] if `len` is zero or not a power of
-    /// two.
-    pub fn new(
-        len: usize,
-        shape: BandShape,
-        sample_rate_hz: f64,
-    ) -> Result<BandFilterPlan, NonPowerOfTwoError> {
-        let plan = fft::FftPlan::new(len)?;
-        let mask = keep_mask(len, sample_rate_hz, |freq| shape.keeps(freq));
-        Ok(BandFilterPlan {
-            plan,
-            mask,
-            shape,
-            sample_rate_hz,
-        })
-    }
-
-    /// The window length this plan filters.
-    pub fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// `true` only for the degenerate one-point plan.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
-    /// The configured frequency response.
-    pub fn shape(&self) -> BandShape {
-        self.shape
-    }
-
-    /// The sample rate the mask was computed for.
-    pub fn sample_rate_hz(&self) -> f64 {
-        self.sample_rate_hz
-    }
-
-    /// Filters `signal` into `out`, using `spectrum` as scratch storage.
-    ///
-    /// Both buffers are cleared and refilled; once they have grown to the
-    /// plan length, steady-state calls perform no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal.len()` differs from the plan length.
-    pub fn filter_into(&self, signal: &[f64], spectrum: &mut Vec<Complex>, out: &mut Vec<f64>) {
-        apply_bandfilter(&self.plan, &self.mask, signal, spectrum, out);
-    }
 }
 
 #[cfg(test)]

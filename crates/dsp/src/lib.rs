@@ -5,9 +5,9 @@
 //! FFT/IFFT transforms, noise-reduction filters, FFT-based low/high-pass
 //! filters, feature extraction (vector magnitude, zero-crossing rate,
 //! statistics, dominant-frequency magnitude), and admission-control
-//! thresholds. This crate implements the numerical kernels behind those
-//! algorithms; the executable, stateful hub-side wrappers live in
-//! `sidewinder-hub`.
+//! thresholds. This crate is the host-side face of the numerical kernels
+//! behind those algorithms (most live in `sidewinder-mcu`, whose
+//! interpreter runs them per node).
 //!
 //! All kernels are implemented in-repo (no external DSP dependency) because
 //! the algorithms themselves are part of the system under study: the paper's
@@ -45,5 +45,5 @@ pub mod zcr;
 
 pub use complex::Complex;
 pub use fft::FftPlan;
-pub use filter::{BandFilterPlan, BandShape};
+pub use filter::BandShape;
 pub use sample::Sample;

@@ -17,8 +17,7 @@
 //!
 //! The trait itself lives in `sidewinder-mcu` so the on-device
 //! interpreter is generic over the same two precisions; this module
-//! re-exports it (the host `std` build adds the `Vec`/thread-local
-//! conveniences the hub runtime uses).
+//! re-exports it.
 
 pub use sidewinder_mcu::sample::*;
 
@@ -38,34 +37,6 @@ mod tests {
         let x = 0.1f64;
         assert_eq!(<f32 as Sample>::from_f64(x), 0.1f32);
         assert_ne!(<f32 as Sample>::from_f64(x).to_f64(), x);
-    }
-
-    #[test]
-    fn widen_into_is_a_borrow_for_f64() {
-        let src = [1.0f64, 2.0];
-        let mut scratch = Vec::new();
-        let wide = <f64 as Sample>::widen_into(&src, &mut scratch);
-        assert_eq!(wide.as_ptr(), src.as_ptr(), "f64 widening must not copy");
-        assert!(scratch.is_empty());
-    }
-
-    #[test]
-    fn widen_into_copies_for_f32() {
-        let src = [1.5f32, -2.0];
-        let mut scratch = Vec::new();
-        let wide = <f32 as Sample>::widen_into(&src, &mut scratch);
-        assert_eq!(wide, &[1.5f64, -2.0]);
-    }
-
-    #[test]
-    fn with_wide_out_narrows_for_f32() {
-        let mut dst: Vec<f32> = vec![9.0; 4];
-        let mut scratch = Vec::new();
-        <f32 as Sample>::with_wide_out(&mut dst, &mut scratch, |w| {
-            w.clear();
-            w.extend([0.5, 1.5]);
-        });
-        assert_eq!(dst, vec![0.5f32, 1.5]);
     }
 
     #[test]

@@ -1,200 +1,11 @@
-//! Window functions and streaming windowers.
+//! Window functions.
 //!
 //! The paper's hub provides "Partitioning sensor data into rectangular or
 //! Hamming windows" (§3.6). [`WindowShape`] carries the taper and lives in
-//! `sidewinder-mcu` (the on-device interpreter applies it too); this module
-//! re-exports it and adds [`Windower`], the streaming partitioner the host
-//! hub runtime uses: it accumulates samples and emits a tapered window
-//! every `hop` samples.
-
-use crate::sample::Sample;
+//! `sidewinder-mcu`, whose interpreter does the streaming partitioning;
+//! this module re-exports it for host-side signal processing.
 
 pub use sidewinder_mcu::window::WindowShape;
-
-/// A streaming window partitioner.
-///
-/// Feed samples one at a time with [`Windower::push`]; every `hop` samples
-/// (after the first full window) it returns a tapered window of the most
-/// recent `len` samples. With `hop == len` windows do not overlap, matching
-/// the paper's description of partitioning.
-///
-/// The sample precision is generic: `Windower<f64>` (the default) is the
-/// host-exact configuration, `Windower<f32>` stores the ring buffer at the
-/// width the paper's hub MCUs actually use.
-///
-/// # Example
-///
-/// ```
-/// use sidewinder_dsp::window::{Windower, WindowShape};
-///
-/// let mut w = Windower::new(4, 4, WindowShape::Rectangular)?;
-/// let mut emitted = Vec::new();
-/// for i in 0..8 {
-///     if let Some(win) = w.push(i as f64) {
-///         emitted.push(win);
-///     }
-/// }
-/// assert_eq!(emitted, vec![vec![0.0, 1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0, 7.0]]);
-/// # Ok::<(), sidewinder_dsp::window::InvalidWindowError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Windower<P: Sample = f64> {
-    len: usize,
-    hop: usize,
-    shape: WindowShape,
-    /// Taper coefficients tabulated once at construction; emission applies
-    /// them with a multiply per sample instead of recomputing the cosine.
-    coeffs: Vec<P>,
-    buf: std::collections::VecDeque<P>,
-    since_emit: usize,
-    primed: bool,
-}
-
-/// Error returned by [`Windower::new`] for degenerate window geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidWindowError {
-    /// Requested window length.
-    pub len: usize,
-    /// Requested hop.
-    pub hop: usize,
-}
-
-impl std::fmt::Display for InvalidWindowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid window geometry: len={}, hop={} (both must be non-zero and hop <= len)",
-            self.len, self.hop
-        )
-    }
-}
-
-impl std::error::Error for InvalidWindowError {}
-
-impl<P: Sample> Windower<P> {
-    /// Creates a windower emitting `len`-sample windows every `hop` samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidWindowError`] if `len` or `hop` is zero, or if
-    /// `hop > len` (which would silently drop samples).
-    pub fn new(len: usize, hop: usize, shape: WindowShape) -> Result<Self, InvalidWindowError> {
-        if len == 0 || hop == 0 || hop > len {
-            return Err(InvalidWindowError { len, hop });
-        }
-        Ok(Windower {
-            len,
-            hop,
-            shape,
-            coeffs: shape.coefficients_in(len),
-            buf: std::collections::VecDeque::with_capacity(len + 1),
-            since_emit: 0,
-            primed: false,
-        })
-    }
-
-    /// Convenience constructor for non-overlapping windows (`hop == len`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidWindowError`] if `len` is zero.
-    pub fn non_overlapping(len: usize, shape: WindowShape) -> Result<Self, InvalidWindowError> {
-        Windower::new(len, len, shape)
-    }
-
-    /// The window length in samples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no samples have been buffered yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The hop (stride) between emitted windows in samples.
-    pub fn hop(&self) -> usize {
-        self.hop
-    }
-
-    /// The taper shape applied to emitted windows.
-    pub fn shape(&self) -> WindowShape {
-        self.shape
-    }
-
-    /// Pushes one sample; returns a tapered window when one completes.
-    pub fn push(&mut self, sample: P) -> Option<Vec<P>> {
-        let mut window = Vec::new();
-        self.push_into(sample, &mut window).then_some(window)
-    }
-
-    /// Pushes one sample; when a window completes, writes the tapered
-    /// window into `out` (cleared first) and returns `true`.
-    ///
-    /// This is the allocation-free form of [`Windower::push`]: once `out`
-    /// has grown to the window length, steady-state emissions reuse its
-    /// storage.
-    pub fn push_into(&mut self, sample: P, out: &mut Vec<P>) -> bool {
-        if self.hop == self.len {
-            // Non-overlapping windows partition the stream, so accumulate
-            // and flush: no per-sample pop, no emission bookkeeping. The
-            // emitted windows are identical to the sliding path's.
-            self.buf.push_back(sample);
-            if self.buf.len() < self.len {
-                return false;
-            }
-            self.emit_into(out);
-            self.buf.clear();
-            return true;
-        }
-        if self.buf.len() == self.len {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(sample);
-        if self.buf.len() < self.len {
-            return false;
-        }
-        let emit = if !self.primed {
-            self.primed = true;
-            self.since_emit = 0;
-            true
-        } else {
-            self.since_emit += 1;
-            if self.since_emit == self.hop {
-                self.since_emit = 0;
-                true
-            } else {
-                false
-            }
-        };
-        if emit {
-            self.emit_into(out);
-        }
-        emit
-    }
-
-    /// Copies the buffered window into `out` (cleared first) and applies
-    /// the taper. Rectangular windows skip the multiply pass: every
-    /// coefficient is exactly 1, so the copy already is the emission.
-    fn emit_into(&self, out: &mut Vec<P>) {
-        let (front, back) = self.buf.as_slices();
-        out.clear();
-        out.extend_from_slice(front);
-        out.extend_from_slice(back);
-        if self.shape != WindowShape::Rectangular {
-            for (x, c) in out.iter_mut().zip(&self.coeffs) {
-                *x = *x * *c;
-            }
-        }
-    }
-
-    /// Clears buffered samples, restarting window accumulation.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.since_emit = 0;
-        self.primed = false;
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -288,96 +99,5 @@ mod tests {
         for (i, &got) in windowed.iter().enumerate() {
             assert_eq!(got, WindowShape::Hann.coefficient(i, 8) as f32);
         }
-    }
-
-    #[test]
-    fn windower_rejects_degenerate_geometry() {
-        assert!(Windower::<f64>::new(0, 1, WindowShape::Rectangular).is_err());
-        assert!(Windower::<f64>::new(4, 0, WindowShape::Rectangular).is_err());
-        assert!(Windower::<f64>::new(4, 5, WindowShape::Rectangular).is_err());
-        let err = Windower::<f64>::new(4, 5, WindowShape::Rectangular).unwrap_err();
-        assert!(err.to_string().contains("len=4"));
-    }
-
-    #[test]
-    fn non_overlapping_partitions_exactly() {
-        let mut w = Windower::non_overlapping(3, WindowShape::Rectangular).unwrap();
-        let mut out = Vec::new();
-        for i in 0..9 {
-            if let Some(win) = w.push(i as f64) {
-                out.push(win);
-            }
-        }
-        assert_eq!(
-            out,
-            vec![
-                vec![0.0, 1.0, 2.0],
-                vec![3.0, 4.0, 5.0],
-                vec![6.0, 7.0, 8.0]
-            ]
-        );
-    }
-
-    #[test]
-    fn overlapping_windows_slide_by_hop() {
-        let mut w = Windower::new(4, 2, WindowShape::Rectangular).unwrap();
-        let mut out = Vec::new();
-        for i in 0..8 {
-            if let Some(win) = w.push(i as f64) {
-                out.push(win);
-            }
-        }
-        assert_eq!(
-            out,
-            vec![
-                vec![0.0, 1.0, 2.0, 3.0],
-                vec![2.0, 3.0, 4.0, 5.0],
-                vec![4.0, 5.0, 6.0, 7.0]
-            ]
-        );
-    }
-
-    #[test]
-    fn reset_restarts_accumulation() {
-        let mut w = Windower::non_overlapping(2, WindowShape::Rectangular).unwrap();
-        assert!(w.push(1.0).is_none());
-        w.reset();
-        assert!(w.is_empty());
-        assert!(w.push(2.0).is_none());
-        assert_eq!(w.push(3.0), Some(vec![2.0, 3.0]));
-    }
-
-    #[test]
-    fn accessors_report_geometry() {
-        let w = Windower::<f64>::new(8, 4, WindowShape::Hamming).unwrap();
-        assert_eq!(w.len(), 8);
-        assert_eq!(w.hop(), 4);
-        assert_eq!(w.shape(), WindowShape::Hamming);
-    }
-
-    #[test]
-    fn tapered_stream_windows_match_apply() {
-        let mut w = Windower::non_overlapping(4, WindowShape::Hamming).unwrap();
-        let signal = [1.0, -2.0, 3.0, 0.5];
-        let mut emitted = None;
-        for &s in &signal {
-            if let Some(win) = w.push(s) {
-                emitted = Some(win);
-            }
-        }
-        assert_eq!(emitted.unwrap(), WindowShape::Hamming.apply(&signal));
-    }
-
-    #[test]
-    fn f32_windower_streams_at_single_precision() {
-        let mut w = Windower::<f32>::non_overlapping(4, WindowShape::Hamming).unwrap();
-        let signal = [1.0f32, -2.0, 3.0, 0.5];
-        let mut emitted = None;
-        for &s in &signal {
-            if let Some(win) = w.push(s) {
-                emitted = Some(win);
-            }
-        }
-        assert_eq!(emitted.unwrap(), WindowShape::Hamming.apply(&signal));
     }
 }

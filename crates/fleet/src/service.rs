@@ -118,11 +118,12 @@ impl FleetService {
     /// configured core, and describe where the submission landed.
     ///
     /// The certificate gate is transactional: a submission whose fused
-    /// suite certifiably overflows the configured arena capacity — or
-    /// misses its deadline on a pinned MCU — is rolled back, and the
-    /// previously served set keeps running untouched. A fused suite too
-    /// large to compile to an MCU image at all is served by the host
-    /// runtime uncertified (`cert_digest` 0 in the ack).
+    /// suite cannot be served — it does not compile to a hub image (more
+    /// than [`MAX_NODES`](sidewinder_hub::MAX_NODES) nodes, say),
+    /// certifiably overflows the configured arena capacity, or misses its
+    /// deadline on a pinned MCU — is rolled back, and the previously
+    /// served set keeps running untouched. Every served program carries
+    /// a certificate.
     ///
     /// # Errors
     ///
@@ -163,20 +164,16 @@ impl FleetService {
         Ok(ack)
     }
 
-    /// Certifies the suite's fused program against the configured core.
-    ///
-    /// Returns the certificate digest, or 0 when the fused suite does
-    /// not compile to an MCU image (it then runs on the host runtime
-    /// and no static bound applies). Rejections carry the certifier's
-    /// SW008/SW009 diagnostics as the error text.
+    /// Certifies the suite's fused program against the configured core
+    /// and returns the certificate digest. Rejections say why: the
+    /// compile error, or the certifier's SW008/SW009 diagnostics.
     fn certify_fused(&self, suite: &SuiteResult) -> Result<u64, String> {
-        let Some(fused) = suite.fused() else {
-            return Ok(0);
-        };
+        let fused = suite
+            .fused()
+            .ok_or_else(|| "the suite has no condition to serve".to_string())?;
         let rates = ChannelRates::default();
-        let Ok(cert) = certify_program(&fused, &rates, Precision::F64, &self.cert_target) else {
-            return Ok(0);
-        };
+        let cert = certify_program(&fused, &rates, Precision::F64, &self.cert_target)
+            .map_err(|e| format!("fused suite cannot run on the hub: {e}"))?;
         let overflows = !cert.fits_cap;
         let misses_deadline = self.cert_target.mcu.is_some() && cert.mcu.error.is_some();
         if overflows || misses_deadline {
@@ -366,6 +363,50 @@ mod tests {
         assert_eq!(svc.submissions().len(), 1);
         assert_eq!(svc.served_program().unwrap(), served_before);
         assert_eq!(svc.run().unwrap().digest(), rollup_before);
+    }
+
+    #[test]
+    fn ingest_rejects_suites_beyond_the_hub_node_limit() {
+        // Four-node conditions that share nothing: the fused suite grows
+        // by four nodes per submission, plus one `anyOf` join, and
+        // outgrows the hub's node table before the join runs out of
+        // ports.
+        let condition = |window: u32| -> Program {
+            format!(
+                "ACC_X -> movingAvg(id=1, params={{{window}}});
+                 1 -> expMovingAvg(id=2, params={{0.5}});
+                 2 -> movingAvg(id=3, params={{3}});
+                 3 -> minThreshold(id=4, params={{15}});
+                 4 -> OUT;"
+            )
+            .parse()
+            .unwrap()
+        };
+        let mut svc = tiny_service();
+        let mut rejected = None;
+        for window in 2..40 {
+            let served_before = svc.served_program();
+            let rollup_before = svc.run().ok().map(|r| r.digest());
+            let reply = svc.handle(&encode_submit(&condition(window)));
+            let (kind, payload) = decode_message(&reply).unwrap();
+            if kind == MessageType::SubmitAck {
+                let ack = crate::wire::decode_submit_ack(&payload).unwrap();
+                assert_ne!(ack.cert_digest, 0, "served without a certificate");
+                continue;
+            }
+            assert_eq!(kind, MessageType::ErrorReply);
+            let msg = String::from_utf8(payload).unwrap();
+            assert!(msg.contains("image nodes"), "reason missing from: {msg}");
+            // Transactional: the served set and rollup are untouched.
+            assert_eq!(svc.submissions().len(), (window - 2) as usize);
+            assert_eq!(svc.served_program(), served_before);
+            assert_eq!(svc.run().ok().map(|r| r.digest()), rollup_before);
+            rejected = Some(window);
+            break;
+        }
+        assert!(rejected.is_some(), "the suite must outgrow the hub");
+        let served = svc.served_program().unwrap();
+        assert!(served.nodes().count() <= sidewinder_hub::MAX_NODES);
     }
 
     #[test]

@@ -219,8 +219,8 @@ pub struct SubmitAck {
     /// Stable digest of the optimized program this submission runs.
     pub program_digest: u64,
     /// Digest of the fused suite's resource certificate against the
-    /// fleet's configured core (0 when the fused suite exceeds image
-    /// capacities and is served by the host runtime uncertified).
+    /// fleet's configured core. Never 0: a suite that does not certify
+    /// is rejected at ingest.
     pub cert_digest: u64,
 }
 

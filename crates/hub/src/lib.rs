@@ -2,19 +2,18 @@
 //!
 //! The paper's hub (§3.4–3.6) is a microcontroller (TI MSP430 or TI
 //! LM4F120) running a small interpreter over the intermediate language:
-//! each IR node becomes an algorithm instance holding its own data
-//! structure with a `hasResult` flag; the interpreter feeds sensor samples
-//! in, propagates flagged results along the dataflow edges, and reports a
-//! wake-up whenever a value reaches `OUT`.
+//! each IR node owns its own data structure with a `hasResult` flag; the
+//! interpreter feeds sensor samples in, propagates flagged results along
+//! the dataflow edges, and reports a wake-up whenever a value reaches
+//! `OUT`.
 //!
-//! This crate reproduces that substrate:
+//! This crate is the host side of that substrate. The interpreter itself
+//! is `sidewinder-mcu`'s core, the same code the hub runs:
 //!
-//! * [`value`] — the values flowing along edges (scalars, windows,
-//!   complex spectra), tagged with source-sample sequence numbers;
-//! * [`instance`] — executable algorithm instances (the paper's per-node
-//!   data structure), one per [`sidewinder_ir::AlgorithmKind`];
-//! * [`runtime`] — the interpreter ([`HubRuntime`]): loads a validated IR
-//!   program, accepts samples, and emits [`runtime::WakeEvent`]s;
+//! * [`mcu_image`] — compiles a validated IR program into the plain-data
+//!   image the core loads ([`compile_image`]);
+//! * [`runtime`] — [`HubRuntime`], the core's host wrapper: loads a
+//!   program, accepts samples, and emits [`WakeEvent`]s;
 //! * [`cost`] — a flop/memory cost model for pipelines;
 //! * [`mcu`] — microcontroller capability models; the MSP430 cannot run
 //!   FFT stages in real time, reproducing the paper's Table 2 footnote;
@@ -51,17 +50,15 @@
 pub mod cost;
 pub mod energy;
 pub mod fault;
-pub mod instance;
 pub mod link;
 pub mod mcu;
 pub mod mcu_image;
 pub mod runtime;
-pub mod value;
 
 pub use fault::{ChannelDropout, FaultPlan, FaultSchedule, FrameFate, RetryPolicy};
 pub use mcu::Mcu;
 pub use mcu_image::compile_image;
-pub use runtime::{HubError, HubRuntime, HubRuntime32, LoadError};
+pub use runtime::{HubError, HubRuntime, HubRuntime32, LoadError, WakeEvent};
 pub use sidewinder_dsp::Sample;
+pub use sidewinder_mcu::image::MAX_NODES;
 pub use sidewinder_mcu::{McuCore, McuExecError, McuImage, DEFAULT_ARENA};
-pub use value::{Tagged, Value, ValueRef};

@@ -4,12 +4,11 @@
 //! [`McuImage`] instead of walking the IR: parsing, validation, and this
 //! compilation step stay on the host (the paper's phone-side runtime),
 //! and only the fixed-capacity image crosses the serial link to the hub
-//! (DESIGN.md §6j). [`compile_image`] mirrors the host loader's
-//! traversal exactly — the same rate propagation, the same dense
-//! define-before-use indexing, the same single-channel direct-feed
-//! classification — so a [`McuCore`](sidewinder_mcu::McuCore) running
-//! the image is bit-identical to a [`HubRuntime`] running the program
-//! (pinned by `tests/mcu_equivalence.rs` on every golden fixture).
+//! (DESIGN.md §6j). [`compile_image`] resolves each node's rate (from
+//! its first source) and its dense define-before-use index. The
+//! [`HubRuntime`](crate::HubRuntime) runs the same image on a heap-backed
+//! core, so the host and an [`McuCore`](sidewinder_mcu::McuCore) are one
+//! interpreter.
 
 use crate::runtime::{ChannelRates, HubError, LoadError};
 use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, StatFn, WindowShapeParam};
@@ -32,8 +31,8 @@ pub fn compile_image(program: &Program, rates: &ChannelRates) -> Result<McuImage
     compile_validated(program, rates)
 }
 
-/// [`compile_image`] without the validation pass — the same split the
-/// host loader has, so the defensive paths stay testable.
+/// [`compile_image`] without the validation pass, so the defensive
+/// paths stay testable.
 pub(crate) fn compile_validated(
     program: &Program,
     rates: &ChannelRates,
@@ -49,8 +48,8 @@ pub(crate) fn compile_validated(
                 got: 0,
             }));
         };
-        // Rate propagation: a node inherits the rate of its first source,
-        // exactly as the host loader propagates it.
+        // Rate propagation: a node inherits the rate of its first source
+        // (joins merge branches of equal rate in practice).
         let rate = match first {
             Source::Channel(c) => rates.rate_of(*c),
             Source::Node(src) => *node_rates.get(src).ok_or(LoadError::UnknownSource {
@@ -213,6 +212,58 @@ mod tests {
         let err = compile_image(&program, &ChannelRates::default()).unwrap_err();
         assert!(matches!(err, HubError::Image(_)), "got {err:?}");
         assert!(err.to_string().contains("image nodes"));
+    }
+
+    #[test]
+    fn unvalidated_forward_rate_reference_is_a_typed_error() {
+        // Node 1's rate comes from node 2, which is defined later.
+        let mut program = Program::new();
+        program.push_node(
+            vec![Source::Node(NodeId(2))],
+            NodeId(1),
+            AlgorithmKind::AnyOf,
+        );
+        program.push_node(
+            vec![Source::Channel(SensorChannel::AccX)],
+            NodeId(2),
+            AlgorithmKind::MovingAvg { window: 4 },
+        );
+        program.push_out(NodeId(1));
+        let err = compile_validated(&program, &ChannelRates::default()).unwrap_err();
+        assert_eq!(
+            err,
+            HubError::Load(LoadError::UnknownSource {
+                at: NodeId(1),
+                source: NodeId(2),
+            })
+        );
+        assert!(err.to_string().contains("not defined before use"));
+    }
+
+    #[test]
+    fn unvalidated_undefined_port_source_is_a_typed_error() {
+        // A join whose second port (not the rate-defining first) is
+        // undefined exercises the dense-source lookup.
+        let mut program = Program::new();
+        program.push_node(
+            vec![Source::Channel(SensorChannel::AccX)],
+            NodeId(1),
+            AlgorithmKind::MovingAvg { window: 4 },
+        );
+        program.push_node(
+            vec![Source::Node(NodeId(1)), Source::Node(NodeId(9))],
+            NodeId(2),
+            AlgorithmKind::AllOf,
+        );
+        program.push_out(NodeId(2));
+        let err = compile_validated(&program, &ChannelRates::default()).unwrap_err();
+        assert_eq!(
+            err,
+            HubError::Load(LoadError::UnknownSource {
+                at: NodeId(2),
+                source: NodeId(9),
+            })
+        );
     }
 
     #[test]

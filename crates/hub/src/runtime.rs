@@ -9,18 +9,24 @@
 //! necessary sends the result to the next algorithm. … The final algorithm
 //! feeds into OUT, indicating that the main processor should be woken up."
 //!
-//! Because the textual IR is define-before-use, statement order is a
-//! topological order of the dataflow graph, and one pass over the node
-//! list per incoming sample propagates every derived result.
+//! There is one interpreter: `sidewinder-mcu`'s core, the code that runs
+//! on the hub MCU. [`HubRuntime`] is its host wrapper. It compiles a
+//! validated program into the image the hub loads ([`compile_image`]),
+//! loads that image into a [`HostCore`] whose arenas are sized to the
+//! image's exact footprint, and adapts the core's probe hooks to an
+//! [`EventSink`]. The host therefore runs the very code `swcert`
+//! certifies.
 
-use crate::instance::{AlgoInstance, ExecError};
-use crate::value::ValueRef;
+use crate::mcu_image::compile_image;
 use sidewinder_dsp::Sample;
-use sidewinder_ir::{NodeId, Program, Source, ValidateError};
+use sidewinder_ir::{NodeId, Program, ValidateError};
+use sidewinder_mcu::{ExecProbe, HostCore, McuExecError};
 use sidewinder_obs::{Event, EventSink, NullSink};
 use sidewinder_sensors::SensorChannel;
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+pub use sidewinder_mcu::WakeEvent;
 
 /// Per-channel sample rates used to configure frequency-aware stages.
 ///
@@ -65,50 +71,42 @@ impl ChannelRates {
     }
 }
 
-/// A wake-up raised by the hub: a value reached `OUT`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WakeEvent {
-    /// Sequence number (source-sample index) the triggering value derives
-    /// from.
-    pub seq: u64,
-    /// The scalar value delivered to `OUT`.
-    pub value: f64,
-}
-
 /// Errors raised while loading or running a program on the hub.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HubError {
     /// The program failed structural validation.
     Invalid(ValidateError),
-    /// The program passed (or bypassed) validation but could not be
-    /// assembled into a runnable pipeline.
+    /// The program bypassed validation and has a structural hole the
+    /// image compiler cannot resolve.
     Load(LoadError),
-    /// The program does not fit the MCU core's fixed-capacity image
-    /// (raised by [`compile_image`](crate::mcu_image::compile_image)).
+    /// The program does not fit the hub image: more than
+    /// [`MAX_NODES`](sidewinder_mcu::image::MAX_NODES) nodes, or too many
+    /// ports on one node (raised by [`compile_image`]).
     Image(sidewinder_mcu::ImageError),
-    /// An algorithm instance failed at run time.
-    Exec(ExecError),
+    /// The core rejected a node parameter at load, or a node failed at
+    /// run time.
+    Exec(McuExecError),
 }
 
-/// Errors raised while assembling a validated program into the loaded
-/// node table.
+/// Errors raised while resolving a program's edges to dense node
+/// indices.
 ///
 /// Validation makes these unreachable for programs that went through
-/// [`Program::validate`], but the loader must not *trust* that: a program
-/// assembled directly from [`Program::push_node`] (or a validator that
-/// drifts out of sync with the loader) has to surface a typed error, not
+/// [`Program::validate`], but the image compiler must not *trust* that:
+/// a program assembled directly from [`Program::push_node`] (or a
+/// validator that drifts out of sync) has to surface a typed error, not
 /// a `BTreeMap` indexing panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadError {
-    /// A node references a source node the loader has not yet indexed
-    /// (undefined or defined later — the IR is define-before-use).
+    /// A node references a source node not yet indexed (undefined or
+    /// defined later — the IR is define-before-use).
     UnknownSource {
         /// The consuming node.
         at: NodeId,
         /// The missing producer.
         source: NodeId,
     },
-    /// The `OUT` statement references a node the loader never indexed.
+    /// The `OUT` statement references a node never indexed.
     UnknownOut {
         /// The missing producer.
         source: NodeId,
@@ -173,52 +171,24 @@ impl From<sidewinder_mcu::ImageError> for HubError {
     }
 }
 
-impl From<ExecError> for HubError {
-    fn from(e: ExecError) -> Self {
+impl From<McuExecError> for HubError {
+    fn from(e: McuExecError) -> Self {
         HubError::Exec(e)
     }
 }
 
-/// An input edge resolved to the dense node index space: either a sensor
-/// channel or the position of the producing node in statement order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PortSource {
-    Channel(SensorChannel),
-    Node(usize),
-}
-
-/// One loaded node: its instance, its resolved input edges, and the dense
-/// indices of the nodes consuming its output (for readiness propagation).
-#[derive(Debug, Clone)]
-struct LoadedNode<P: Sample> {
-    instance: AlgoInstance<P>,
-    sources: Vec<PortSource>,
-    consumers: Vec<usize>,
-    /// `consumers` as a bitmask over dense indices; meaningful only when
-    /// the program fits [`MASK_BITS`] nodes (the mask-based fast pass).
-    consumer_mask: u128,
-}
-
-/// Node-count ceiling for the bitmask pass; larger programs fall back to
-/// the flag-vector scan.
-const MASK_BITS: usize = 128;
-
 /// The hub interpreter: a loaded wake-up condition ready to consume
 /// samples.
 ///
-/// Because the IR is define-before-use, statement order is a topological
-/// order of the dataflow graph, so nodes live in a dense `Vec` in that
-/// order and each pass walks it once: per-pass bookkeeping is two `bool`
-/// flags per node (`ready`, `fresh`) instead of a per-sample map, and
-/// values move between nodes as borrows of the producers' reusable result
-/// slots. After warm-up, a pass performs no heap allocation.
+/// The core walks a dense, topologically ordered node table: each sample
+/// runs the nodes it reaches, and every fresh result readies its
+/// consumers, down to `OUT`. Readiness lives in one bitmask word, and
+/// after `load` a pass performs no heap allocation.
 ///
 /// The runtime is generic over an observability [`EventSink`]. The
-/// default [`NullSink`] has `ENABLED = false`, and every instrumentation
-/// site is guarded on that associated constant, so the unobserved runtime
-/// compiles to exactly the uninstrumented interpreter — no timing calls,
-/// no event construction, no extra branches (pinned by
-/// `tests/zero_alloc.rs` and the sim conformance suites). Pass a
+/// default [`NullSink`] has `ENABLED = false`, which switches the core's
+/// probe off at compile time, so the unobserved runtime is exactly the
+/// uninstrumented interpreter (pinned by `tests/zero_alloc.rs`). Pass a
 /// [`CounterSink`](sidewinder_obs::CounterSink) or
 /// [`TimelineSink`](sidewinder_obs::TimelineSink) via
 /// [`HubRuntime::load_with_sink`] to observe node executions, wake
@@ -231,32 +201,11 @@ const MASK_BITS: usize = 128;
 /// hub mode, since the paper's MCUs have at most an f32 FPU — while
 /// sensor ingestion, scalar features, thresholds, and [`WakeEvent`]s
 /// stay `f64` end to end.
-#[derive(Debug, Clone)]
 pub struct HubRuntime<S: EventSink = NullSink, P: Sample = f64> {
-    nodes: Vec<LoadedNode<P>>,
-    /// Dense index of the node feeding `OUT`.
-    out_index: usize,
-    /// For each channel (by [`SensorChannel::index`]): the nodes with at
-    /// least one port fed directly by it.
-    channel_entries: [Vec<usize>; SensorChannel::COUNT],
-    /// Nodes whose only input is the channel itself (the common entry
-    /// shape: a window or moving average hanging off a sensor). The mask
-    /// pass feeds these directly, skipping the ready-set machinery.
-    direct_feeds: [Vec<usize>; SensorChannel::COUNT],
-    /// Remaining channel-fed nodes (joins, mixed sources) as bitmasks,
-    /// seeding the mask-based pass.
-    entry_masks: [u128; SensorChannel::COUNT],
-    /// Whether passes use the `u128` mask fast path. Set iff the program
-    /// fits [`MASK_BITS`] nodes — the guard that keeps `1u128 << i` from
-    /// ever seeing `i >= 128` — and clearable via
-    /// [`HubRuntime::force_dense_scan`] for conformance testing.
-    use_mask: bool,
-    channel_seq: [u64; SensorChannel::COUNT],
-    wake_count: u64,
-    /// Per-pass flag: node has at least one active input this pass.
-    ready: Vec<bool>,
-    /// Per-pass flag: node produced a result this pass.
-    fresh: Vec<bool>,
+    core: HostCore<P>,
+    /// IR id of each node by dense index; kept only for enabled sinks,
+    /// whose events name nodes.
+    ids: Vec<NodeId>,
     /// Wake events accumulated by the current `push_samples` batch.
     wake_buf: Vec<WakeEvent>,
     /// Observability sink; [`NullSink`] by default, in which case every
@@ -265,12 +214,12 @@ pub struct HubRuntime<S: EventSink = NullSink, P: Sample = f64> {
 }
 
 impl HubRuntime {
-    /// Validates `program` and allocates one algorithm instance per node,
-    /// with observability disabled ([`NullSink`]).
+    /// Validates `program` and loads it, with observability disabled
+    /// ([`NullSink`]).
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// As [`HubRuntime::load_generic`].
     pub fn load(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
         Self::load_with_sink(program, rates, NullSink)
     }
@@ -280,13 +229,13 @@ impl HubRuntime {
 pub type HubRuntime32<S = NullSink> = HubRuntime<S, f32>;
 
 impl HubRuntime32 {
-    /// Validates `program` and allocates instances whose vector payloads
-    /// (windows, magnitude spectra) live at `f32`, with observability
-    /// disabled ([`NullSink`]).
+    /// Validates `program` and loads it with vector payloads (windows,
+    /// magnitude spectra) at `f32`, with observability disabled
+    /// ([`NullSink`]).
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// As [`HubRuntime::load_generic`].
     pub fn load_f32(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
         Self::load_f32_with_sink(program, rates, NullSink)
     }
@@ -297,7 +246,7 @@ impl<S: EventSink> HubRuntime<S, f32> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// As [`HubRuntime::load_generic`].
     pub fn load_f32_with_sink(
         program: &Program,
         rates: &ChannelRates,
@@ -312,7 +261,7 @@ impl<S: EventSink> HubRuntime<S, f64> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// As [`HubRuntime::load_generic`].
     pub fn load_with_sink(
         program: &Program,
         rates: &ChannelRates,
@@ -324,128 +273,32 @@ impl<S: EventSink> HubRuntime<S, f64> {
 
 impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     /// The precision-generic loader behind [`HubRuntime::load_with_sink`]
-    /// and [`HubRuntime32::load_f32`]. Callers name the precision at the
-    /// type level (`HubRuntime::<_, f32>::load_generic(..)`); the named
-    /// loaders exist so ordinary call sites never need a turbofish.
+    /// and [`HubRuntime32::load_f32`]: validate, compile the image, load
+    /// it into a core. Callers name the precision at the type level
+    /// (`HubRuntime::<_, f32>::load_generic(..)`); the named loaders
+    /// exist so ordinary call sites never need a turbofish.
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Invalid`] if the program fails validation.
+    /// [`HubError::Invalid`] if the program fails validation,
+    /// [`HubError::Image`] if it exceeds the image limits, and
+    /// [`HubError::Exec`] if the core rejects a node parameter.
     pub fn load_generic(
         program: &Program,
         rates: &ChannelRates,
         sink: S,
     ) -> Result<Self, HubError> {
-        program.validate()?;
-        Self::load_validated(program, rates, sink)
-    }
-
-    /// Assembles the node table without re-validating. Split from
-    /// [`HubRuntime::load_generic`] so the defensive error paths below
-    /// (unreachable for validated programs) stay testable.
-    pub(crate) fn load_validated(
-        program: &Program,
-        rates: &ChannelRates,
-        sink: S,
-    ) -> Result<Self, HubError> {
-        // Propagate sample rates: a node inherits the rate of its first
-        // source (aggregators merge branches of equal rate in practice).
-        let mut node_rates: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut index_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut nodes: Vec<LoadedNode<P>> = Vec::new();
-        let mut channel_entries: [Vec<usize>; SensorChannel::COUNT] = Default::default();
-        for (sources, id, kind) in program.nodes() {
-            // Validation guarantees at least one source, but a program
-            // that bypasses it (e.g. assembled from a corrupted
-            // re-download) must surface a typed error, not panic.
-            let Some(first) = sources.first() else {
-                return Err(HubError::Invalid(ValidateError::BadArity {
-                    id,
-                    algorithm: kind.ir_name(),
-                    got: 0,
-                }));
-            };
-            let rate = match first {
-                Source::Channel(c) => rates.rate_of(*c),
-                Source::Node(src) => *node_rates.get(src).ok_or(LoadError::UnknownSource {
-                    at: id,
-                    source: *src,
-                })?,
-            };
-            node_rates.insert(id, rate);
-            let index = nodes.len();
-            let dense: Vec<PortSource> = sources
-                .iter()
-                .map(|s| match s {
-                    Source::Channel(c) => Ok(PortSource::Channel(*c)),
-                    // Define-before-use: the producer is already indexed.
-                    Source::Node(src) => index_of.get(src).map(|&i| PortSource::Node(i)).ok_or(
-                        LoadError::UnknownSource {
-                            at: id,
-                            source: *src,
-                        },
-                    ),
-                })
-                .collect::<Result<_, _>>()?;
-            for source in &dense {
-                match *source {
-                    PortSource::Channel(c) => {
-                        let entries = &mut channel_entries[c.index()];
-                        if !entries.contains(&index) {
-                            entries.push(index);
-                        }
-                    }
-                    PortSource::Node(src) => nodes[src].consumers.push(index),
-                }
-            }
-            index_of.insert(id, index);
-            nodes.push(LoadedNode {
-                instance: AlgoInstance::new(id, kind, sources.len(), rate)?,
-                sources: dense,
-                consumers: Vec::new(),
-                consumer_mask: 0,
-            });
-        }
-        let count = nodes.len();
-        if count <= MASK_BITS {
-            for node in &mut nodes {
-                for &consumer in &node.consumers {
-                    node.consumer_mask |= 1u128 << consumer;
-                }
-            }
-        }
-        let mut direct_feeds: [Vec<usize>; SensorChannel::COUNT] = Default::default();
-        let mut entry_masks = [0u128; SensorChannel::COUNT];
-        if count <= MASK_BITS {
-            for (i, node) in nodes.iter().enumerate() {
-                if let [PortSource::Channel(c)] = node.sources[..] {
-                    direct_feeds[c.index()].push(i);
-                } else {
-                    for source in &node.sources {
-                        if let PortSource::Channel(c) = source {
-                            entry_masks[c.index()] |= 1u128 << i;
-                        }
-                    }
-                }
-            }
-        }
-        let out_id = program
-            .out_source()
-            .ok_or(HubError::Invalid(ValidateError::MissingOut))?;
-        let out_index = *index_of
-            .get(&out_id)
-            .ok_or(LoadError::UnknownOut { source: out_id })?;
+        let image = compile_image(program, rates)?;
+        let mut core = HostCore::new();
+        core.load(&image)?;
+        let ids = if S::ENABLED {
+            program.nodes().map(|(_, id, _)| id).collect()
+        } else {
+            Vec::new()
+        };
         Ok(HubRuntime {
-            nodes,
-            out_index,
-            use_mask: count <= MASK_BITS,
-            channel_entries,
-            direct_feeds,
-            entry_masks,
-            channel_seq: [0; SensorChannel::COUNT],
-            wake_count: 0,
-            ready: vec![false; count],
-            fresh: vec![false; count],
+            core,
+            ids,
             wake_buf: Vec::new(),
             sink,
         })
@@ -461,14 +314,14 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         &mut self.sink
     }
 
-    /// Number of algorithm instances allocated.
+    /// Number of nodes loaded.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.core.image().node_count()
     }
 
     /// Total wake-ups raised since load (or the last [`HubRuntime::reset`]).
     pub fn wake_count(&self) -> u64 {
-        self.wake_count
+        self.core.wake_count()
     }
 
     /// Feeds one sensor sample and propagates it through the pipeline.
@@ -478,8 +331,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Exec`] if an instance fails; the runtime is
-    /// left in a consistent state and may continue receiving samples.
+    /// Returns [`HubError::Exec`] if a node fails; the runtime is left
+    /// in a consistent state and may continue receiving samples.
     pub fn push_sample(
         &mut self,
         channel: SensorChannel,
@@ -498,7 +351,7 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`HubError::Exec`] an instance reports; samples
+    /// Returns the first [`HubError::Exec`] a node reports; samples
     /// after the failing one are not consumed (wake events raised earlier
     /// in the batch are discarded with the failed call, exactly as if the
     /// caller had looped [`HubRuntime::push_sample`] and aborted on the
@@ -508,250 +361,81 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         channel: SensorChannel,
         samples: &[f64],
     ) -> Result<&[WakeEvent], HubError> {
-        self.wake_buf.clear();
-        if self.use_mask {
+        let HubRuntime {
+            core,
+            ids,
+            wake_buf,
+            sink,
+        } = self;
+        wake_buf.clear();
+        let channel = channel.index() as u8;
+        if S::ENABLED {
+            let out = ids[core.image().out_index()];
+            let mut probe = SinkProbe {
+                sink,
+                ids,
+                started: None,
+            };
             for &sample in samples {
-                self.run_pass_masked(channel, sample)?;
+                let before = wake_buf.len();
+                core.push_sample_probed(channel, sample, &mut |w| wake_buf.push(w), &mut probe)?;
+                for w in &wake_buf[before..] {
+                    probe.sink.record(Event::Wake {
+                        node: out,
+                        seq: w.seq,
+                        value: w.value,
+                    });
+                }
             }
         } else {
-            for &sample in samples {
-                self.run_pass_scan(channel, sample)?;
-            }
+            core.push_samples(channel, samples, &mut |w| wake_buf.push(w))?;
         }
-        Ok(&self.wake_buf)
+        Ok(wake_buf)
     }
 
-    /// Forces every subsequent pass onto the dense-scan fallback, even for
-    /// programs small enough for the `u128` mask path. The two paths must
-    /// produce identical wakes; conformance tests pin that equivalence at
-    /// the 128/129-node boundary.
-    pub fn force_dense_scan(&mut self) {
-        self.use_mask = false;
-    }
-
-    /// One interpreter pass for programs that fit [`MASK_BITS`] nodes: the
-    /// ready/fresh flags live in two `u128` registers and the pass visits
-    /// only ready nodes. `trailing_zeros` drains the ready set in
-    /// increasing-index (topological) order, and a node's consumers always
-    /// have larger indices, so newly-readied bits are still ahead of the
-    /// cursor — this visits exactly the nodes the full scan would.
-    fn run_pass_masked(&mut self, channel: SensorChannel, sample: f64) -> Result<(), HubError> {
-        let ci = channel.index();
-        let seq = self.channel_seq[ci];
-        self.channel_seq[ci] += 1;
-
-        let mut ready: u128 = self.entry_masks[ci];
-        let mut fresh: u128 = 0;
-        // Single-source entry nodes have no upstream producers and no
-        // port to select, so feed them without consulting the ready set.
-        // They sit ahead of their consumers in index order, so running
-        // them first matches the scan pass's results exactly.
-        for &i in &self.direct_feeds[ci] {
-            let node = &mut self.nodes[i];
-            node.instance.clear_result();
-            let started = if S::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            node.instance.feed_ref(0, seq, ValueRef::Scalar(sample))?;
-            let produced = node.instance.has_result();
-            if S::ENABLED {
-                self.sink.record(Event::NodeExecuted {
-                    index: i,
-                    node: node.instance.id(),
-                    elapsed_ns: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    produced,
-                });
-            }
-            if produced {
-                fresh |= 1u128 << i;
-                ready |= node.consumer_mask;
-                if i == self.out_index {
-                    let (out_seq, value) = node
-                        .instance
-                        .result_ref()
-                        .expect("has_result was just checked");
-                    if let Some(value) = value.as_scalar() {
-                        self.wake_buf.push(WakeEvent {
-                            seq: out_seq,
-                            value,
-                        });
-                        self.wake_count += 1;
-                        if S::ENABLED {
-                            self.sink.record(Event::Wake {
-                                node: node.instance.id(),
-                                seq: out_seq,
-                                value,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        while ready != 0 {
-            let i = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            // Producers precede consumers in statement order, so node i's
-            // active sources all live in `before`.
-            let (before, rest) = self.nodes.split_at_mut(i);
-            let node = &mut rest[0];
-            node.instance.clear_result();
-            let started = if S::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            for (port, source) in node.sources.iter().enumerate() {
-                match *source {
-                    PortSource::Channel(c) if c == channel => {
-                        node.instance
-                            .feed_ref(port, seq, ValueRef::Scalar(sample))?;
-                    }
-                    PortSource::Channel(_) => {}
-                    PortSource::Node(src) => {
-                        if fresh & (1u128 << src) != 0 {
-                            let (src_seq, value) = before[src]
-                                .instance
-                                .result_ref()
-                                .expect("fresh producer holds a result");
-                            node.instance.feed_ref(port, src_seq, value)?;
-                        }
-                    }
-                }
-            }
-            let produced = node.instance.has_result();
-            if S::ENABLED {
-                self.sink.record(Event::NodeExecuted {
-                    index: i,
-                    node: node.instance.id(),
-                    elapsed_ns: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    produced,
-                });
-            }
-            if produced {
-                fresh |= 1u128 << i;
-                ready |= node.consumer_mask;
-                if i == self.out_index {
-                    let (out_seq, value) = node
-                        .instance
-                        .result_ref()
-                        .expect("has_result was just checked");
-                    if let Some(value) = value.as_scalar() {
-                        self.wake_buf.push(WakeEvent {
-                            seq: out_seq,
-                            value,
-                        });
-                        self.wake_count += 1;
-                        if S::ENABLED {
-                            self.sink.record(Event::Wake {
-                                node: node.instance.id(),
-                                seq: out_seq,
-                                value,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One interpreter pass: feed `sample` and propagate results down the
-    /// topologically-ordered node list, appending any wake-ups to
-    /// `wake_buf`. Fallback for programs too large for the mask pass.
-    fn run_pass_scan(&mut self, channel: SensorChannel, sample: f64) -> Result<(), HubError> {
-        let seq = self.channel_seq[channel.index()];
-        self.channel_seq[channel.index()] += 1;
-
-        self.ready.fill(false);
-        self.fresh.fill(false);
-        for &entry in &self.channel_entries[channel.index()] {
-            self.ready[entry] = true;
-        }
-
-        for i in 0..self.nodes.len() {
-            if !self.ready[i] {
-                continue;
-            }
-            // Producers precede consumers in statement order, so node i's
-            // active sources all live in `before`.
-            let (before, rest) = self.nodes.split_at_mut(i);
-            let node = &mut rest[0];
-            node.instance.clear_result();
-            let started = if S::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            for (port, source) in node.sources.iter().enumerate() {
-                match *source {
-                    PortSource::Channel(c) if c == channel => {
-                        node.instance
-                            .feed_ref(port, seq, ValueRef::Scalar(sample))?;
-                    }
-                    PortSource::Channel(_) => {}
-                    PortSource::Node(src) => {
-                        if self.fresh[src] {
-                            let (src_seq, value) = before[src]
-                                .instance
-                                .result_ref()
-                                .expect("fresh producer holds a result");
-                            node.instance.feed_ref(port, src_seq, value)?;
-                        }
-                    }
-                }
-            }
-            let produced = node.instance.has_result();
-            if S::ENABLED {
-                self.sink.record(Event::NodeExecuted {
-                    index: i,
-                    node: node.instance.id(),
-                    elapsed_ns: started.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    produced,
-                });
-            }
-            if produced {
-                self.fresh[i] = true;
-                for &consumer in &node.consumers {
-                    self.ready[consumer] = true;
-                }
-                if i == self.out_index {
-                    let (out_seq, value) = node
-                        .instance
-                        .result_ref()
-                        .expect("has_result was just checked");
-                    if let Some(value) = value.as_scalar() {
-                        self.wake_buf.push(WakeEvent {
-                            seq: out_seq,
-                            value,
-                        });
-                        self.wake_count += 1;
-                        if S::ENABLED {
-                            self.sink.record(Event::Wake {
-                                node: node.instance.id(),
-                                seq: out_seq,
-                                value,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Clears all instance state and counters, keeping the configuration.
+    /// Clears all node state and counters, keeping the configuration.
     pub fn reset(&mut self) {
-        for node in &mut self.nodes {
-            node.instance.reset();
-        }
-        self.channel_seq = [0; SensorChannel::COUNT];
-        self.wake_count = 0;
+        self.core.reset();
         self.wake_buf.clear();
         if S::ENABLED {
             self.sink.record(Event::HubReset);
         }
+    }
+}
+
+impl<S: EventSink, P: Sample> std::fmt::Debug for HubRuntime<S, P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HubRuntime")
+            .field("nodes", &self.node_count())
+            .field("wake_count", &self.wake_count())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Turns the core's node-run hooks into [`Event::NodeExecuted`]s.
+struct SinkProbe<'a, S: EventSink> {
+    sink: &'a mut S,
+    ids: &'a [NodeId],
+    started: Option<Instant>,
+}
+
+impl<S: EventSink> ExecProbe for SinkProbe<'_, S> {
+    const ENABLED: bool = S::ENABLED;
+
+    fn node_start(&mut self, _node: u16) {
+        self.started = Some(Instant::now());
+    }
+
+    fn node_end(&mut self, node: u16, produced: bool) {
+        self.sink.record(Event::NodeExecuted {
+            index: node as usize,
+            node: self.ids[node as usize],
+            elapsed_ns: self
+                .started
+                .take()
+                .map_or(0, |t| t.elapsed().as_nanos() as u64),
+            produced,
+        });
     }
 }
 
@@ -773,87 +457,168 @@ mod tests {
         assert!(err.to_string().contains("OUT"));
     }
 
-    // The next three tests feed the loader programs that bypass
-    // validation (assembled with `Program::push_node` directly). Each
-    // used to panic on a `BTreeMap` index; now each must produce the
-    // matching typed `LoadError`.
-
-    #[test]
-    fn unvalidated_forward_rate_reference_is_a_typed_error() {
-        use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
-        // Node 1's rate comes from node 2, which is defined later.
-        program.push_node(
-            vec![Source::Node(NodeId(2))],
-            NodeId(1),
-            AlgorithmKind::AnyOf,
-        );
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(2),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        program.push_out(NodeId(1));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownSource {
-                at: NodeId(1),
-                source: NodeId(2),
+    /// Wake values, one entry per pushed sample, of `text` fed
+    /// `samples` on `channel`.
+    fn wake_values(text: &str, channel: SensorChannel, samples: &[f64]) -> Vec<Option<f64>> {
+        let mut hub = load(text);
+        samples
+            .iter()
+            .map(|&x| {
+                hub.push_sample(channel, x)
+                    .unwrap()
+                    .first()
+                    .map(|w| w.value)
             })
-        );
-        assert!(err.to_string().contains("not defined before use"));
+            .collect()
     }
 
     #[test]
-    fn unvalidated_undefined_port_source_is_a_typed_error() {
-        use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(1),
-            AlgorithmKind::MovingAvg { window: 4 },
-        );
-        // A join whose *second* port (not the rate-defining first) is
-        // undefined exercises the dense-source lookup.
-        program.push_node(
-            vec![Source::Node(NodeId(1)), Source::Node(NodeId(9))],
-            NodeId(2),
-            AlgorithmKind::AllOf,
-        );
-        program.push_out(NodeId(2));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
+    fn threshold_gates_pass_only_their_band() {
+        let gate = |kind: &str| {
+            wake_values(
+                &format!("ACC_X -> {kind}; 1 -> OUT;"),
+                SensorChannel::AccX,
+                &[-5.0, -1.0, 0.0, 2.0, 3.0, 5.0],
+            )
+        };
         assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownSource {
-                at: NodeId(2),
-                source: NodeId(9),
-            })
+            gate("minThreshold(id=1, params={2})"),
+            [None, None, None, Some(2.0), Some(3.0), Some(5.0)]
+        );
+        assert_eq!(
+            gate("maxThreshold(id=1, params={-3.75})"),
+            [Some(-5.0), None, None, None, None, None]
+        );
+        assert_eq!(
+            gate("bandThreshold(id=1, params={2.5, 4.5})"),
+            [None, None, None, None, Some(3.0), None]
+        );
+        assert_eq!(
+            gate("outsideThreshold(id=1, params={-1, 1})"),
+            [Some(-5.0), None, None, Some(2.0), Some(3.0), Some(5.0)]
         );
     }
 
     #[test]
-    fn unvalidated_undefined_out_is_a_typed_error() {
-        use sidewinder_ir::{AlgorithmKind, NodeId, Source};
-        let mut program = Program::new();
-        program.push_node(
-            vec![Source::Channel(SensorChannel::AccX)],
-            NodeId(1),
-            AlgorithmKind::MovingAvg { window: 4 },
+    fn stats_reduce_windows() {
+        let cases = [
+            ("mean", 2.5),
+            ("variance", 1.25),
+            ("stdDev", 1.25f64.sqrt()),
+            ("meanAbs", 2.5),
+            ("rms", 7.5f64.sqrt()),
+            ("energy", 30.0),
+            ("min", 1.0),
+            ("max", 4.0),
+            ("peakToPeak", 3.0),
+        ];
+        for (stat, expected) in cases {
+            let text =
+                format!("ACC_X -> window(id=1, params={{4, 4, 0}}); 1 -> {stat}(id=2); 2 -> OUT;");
+            let wakes = wake_values(&text, SensorChannel::AccX, &[1.0, 2.0, 3.0, 4.0]);
+            let got = wakes[3].unwrap_or_else(|| panic!("{stat}: the full window must emit"));
+            assert!((got - expected).abs() < 1e-9, "{stat}: {got} != {expected}");
+        }
+    }
+
+    #[test]
+    fn dominant_freq_finds_the_tone() {
+        let rate = 8000.0;
+        let tone: Vec<f64> = (0..256)
+            .map(|i| (2.0 * std::f64::consts::PI * 1000.0 * i as f64 / rate).sin())
+            .collect();
+        let wakes = wake_values(
+            "MIC -> window(id=1, params={256, 256, 0});
+             1 -> fft(id=2);
+             2 -> spectralMagnitude(id=3);
+             3 -> dominantFreq(id=4);
+             4 -> OUT;",
+            SensorChannel::Mic,
+            &tone,
         );
-        program.push_out(NodeId(7));
-        let err =
-            HubRuntime::<_, f64>::load_validated(&program, &ChannelRates::default(), NullSink)
-                .unwrap_err();
-        assert_eq!(
-            err,
-            HubError::Load(LoadError::UnknownOut { source: NodeId(7) })
+        let f = wakes[255].expect("a full window must yield a dominant frequency");
+        assert!((f - 1000.0).abs() < rate / 256.0, "freq = {f}");
+    }
+
+    #[test]
+    fn zero_crossing_features_see_modulation() {
+        // Half alternating, half constant.
+        let mut samples: Vec<f64> = (0..32)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        samples.extend(std::iter::repeat_n(1.0, 32));
+        let window = "MIC -> window(id=1, params={64, 64, 0});";
+        let zcr = wake_values(
+            &format!("{window} 1 -> zcr(id=2); 2 -> OUT;"),
+            SensorChannel::Mic,
+            &samples,
         );
-        assert!(err.to_string().contains("undefined node 7"));
+        // 31 crossings in the alternating half, one into the constant one.
+        let rate = zcr[63].expect("zcr emits per window");
+        assert!((rate - 32.0 / 63.0).abs() < 1e-9, "zcr = {rate}");
+        let var = wake_values(
+            &format!("{window} 1 -> zcrVariance(id=2, params={{4}}); 2 -> OUT;"),
+            SensorChannel::Mic,
+            &samples,
+        );
+        assert!(var[63].expect("zcrVariance emits per window") > 0.0);
+    }
+
+    #[test]
+    fn goertzel_probes_match_the_fft_chain_on_bin_tones() {
+        let rate = 8000.0;
+        let n = 1024;
+        // A strong tone on bin 128 (1000 Hz) and a weaker one on bin 130.
+        let tone: Vec<f64> = (0..n)
+            .map(|i| {
+                let t = i as f64 / rate;
+                (2.0 * std::f64::consts::PI * 1000.0 * t).sin()
+                    + 0.3 * (2.0 * std::f64::consts::PI * 1015.625 * t).sin()
+            })
+            .collect();
+        let spectrum = sidewinder_dsp::fft::real_fft(&tone).unwrap();
+        let in_band: Vec<f64> = (1..=n / 2)
+            .filter(|&k| (980.0..=1020.0).contains(&(k as f64 * rate / n as f64)))
+            .map(|k| spectrum[k].magnitude())
+            .collect();
+        let peak = in_band.iter().copied().fold(0.0f64, f64::max);
+        let head = |kind: &str| {
+            wake_values(
+                &format!("MIC -> window(id=1, params={{1024, 1024, 0}}); 1 -> {kind}(id=2, params={{980, 1020}}); 2 -> OUT;"),
+                SensorChannel::Mic,
+                &tone,
+            )[n - 1]
+            .unwrap_or_else(|| panic!("{kind} must emit on the full window"))
+        };
+        let magnitude = head("goertzel");
+        assert!(
+            (magnitude - peak).abs() / peak < 1e-9,
+            "{magnitude} vs {peak}"
+        );
+        assert!((head("goertzelFreq") - 1000.0).abs() < 1e-9);
+        let ratio = head("goertzelRatio");
+        let expected = peak / (in_band.iter().sum::<f64>() / (n / 2) as f64);
+        assert!(
+            (ratio - expected).abs() / expected < 1e-6,
+            "{ratio} vs {expected}"
+        );
+    }
+
+    #[test]
+    fn goertzel_heads_never_probe_dc_or_empty_bands() {
+        let dc = vec![1.0; 64];
+        let window = "MIC -> window(id=1, params={64, 64, 0});";
+        // The DC-only band covers bin 0, which the dominant-feature
+        // probes skip; 100–101 Hz holds no 125 Hz-spaced bin center.
+        for head in [
+            "goertzelFreq(id=2, params={0, 100})",
+            "goertzelRatio(id=2, params={0, 100})",
+            "goertzel(id=2, params={100, 101})",
+        ] {
+            let text = format!("{window} 1 -> {head}; 2 -> OUT;");
+            let wakes = wake_values(&text, SensorChannel::Mic, &dc);
+            assert!(wakes.iter().all(Option::is_none), "{head} emitted");
+        }
     }
 
     #[test]
@@ -1175,7 +940,7 @@ mod tests {
         for i in 0..64u64 {
             match hub.push_sample(SensorChannel::Mic, (i as f64 * 0.1).sin()) {
                 Ok(_) => {}
-                Err(HubError::Exec(ExecError::BadTransformLength { len: 33, .. })) => {
+                Err(HubError::Exec(McuExecError::BadTransformLength { len: 33, .. })) => {
                     saw_error = true;
                 }
                 Err(e) => panic!("unexpected error {e}"),

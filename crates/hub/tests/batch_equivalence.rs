@@ -7,9 +7,9 @@
 //! conformance suite replays; between them they cover windows, FFT-backed
 //! filters, ZCR features, joins, and sustained streaks.
 
-use sidewinder_hub::instance::ExecError;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
 use sidewinder_hub::HubError;
+use sidewinder_hub::McuExecError;
 use sidewinder_ir::Program;
 use sidewinder_sensors::SensorChannel;
 
@@ -179,7 +179,7 @@ fn batched_ingestion_reports_the_same_error_as_serial() {
     let (serial_at, serial_err) = serial_err.expect("serial loop must hit the error");
     assert!(matches!(
         serial_err,
-        HubError::Exec(ExecError::BadTransformLength { len: 33, .. })
+        HubError::Exec(McuExecError::BadTransformLength { len: 33, .. })
     ));
 
     let mut batch_hub = load(text);

@@ -1,14 +1,16 @@
-//! Pins the `u128` ready-queue boundary.
+//! Pins the program-size boundary.
 //!
-//! The interpreter runs a bitmask fast pass for programs that fit 128
-//! nodes and a dense `Vec<bool>` scan above that. Two things must hold at
-//! the boundary: a 128-node program produces identical wakes on either
-//! path, and a 129-node program never reaches `1u128 << i` with
-//! `i >= 128` (which would panic in debug builds and silently wrap in
-//! release).
+//! Host and hub run one interpreter, whose ready set is a single
+//! [`Mask`] word: [`MAX_NODES`] is the one program-size limit. Two things
+//! must hold at the boundary: a program of exactly `MAX_NODES` nodes, with
+//! every bit of the mask live on every pass, computes the right wakes; and
+//! one node more is refused at load with a typed image error, never run.
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
+use sidewinder_hub::HubError;
 use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source};
+use sidewinder_mcu::image::{Mask, MAX_NODES};
+use sidewinder_mcu::ImageError;
 use sidewinder_sensors::SensorChannel;
 
 const ALPHA: f64 = 0.5;
@@ -16,7 +18,7 @@ const ALPHA: f64 = 0.5;
 /// Builds a `node_count`-long chain: `ACC_X -> ema -> ema -> … -> OUT`.
 /// Every EMA emits on every sample, so all nodes are live and the ready
 /// set is saturated each pass — the densest possible mask traffic.
-fn ema_chain(node_count: u32) -> Program {
+fn ema_chain(node_count: usize) -> Program {
     assert!(node_count >= 1);
     let mut program = Program::new();
     program.push_node(
@@ -24,14 +26,14 @@ fn ema_chain(node_count: u32) -> Program {
         NodeId(1),
         AlgorithmKind::ExpMovingAvg { alpha: ALPHA },
     );
-    for id in 2..=node_count {
+    for id in 2..=node_count as u32 {
         program.push_node(
             vec![Source::Node(NodeId(id - 1))],
             NodeId(id),
             AlgorithmKind::ExpMovingAvg { alpha: ALPHA },
         );
     }
-    program.push_out(NodeId(node_count));
+    program.push_out(NodeId(node_count as u32));
     program
 }
 
@@ -68,24 +70,16 @@ fn reference_chain(depth: usize) -> Vec<f64> {
 }
 
 #[test]
-fn mask_and_scan_paths_agree_at_128_nodes() {
-    let program = ema_chain(128);
-    let rates = ChannelRates::default();
-    let mut masked = HubRuntime::load(&program, &rates).unwrap();
-    let mut scanned = masked.clone();
-    scanned.force_dense_scan();
-
-    let mask_wakes = run(&mut masked);
-    let scan_wakes = run(&mut scanned);
-    assert_eq!(mask_wakes.len(), signal().len());
-    assert_eq!(mask_wakes, scan_wakes);
+fn the_limit_fills_the_mask_word() {
+    assert_eq!(MAX_NODES, Mask::BITS as usize);
 }
 
 #[test]
-fn mask_path_matches_reference_at_128_nodes() {
-    let mut hub = HubRuntime::load(&ema_chain(128), &ChannelRates::default()).unwrap();
+fn full_mask_chain_matches_reference_at_max_nodes() {
+    let mut hub = HubRuntime::load(&ema_chain(MAX_NODES), &ChannelRates::default()).unwrap();
+    assert_eq!(hub.node_count(), MAX_NODES);
     let wakes = run(&mut hub);
-    let expected = reference_chain(128);
+    let expected = reference_chain(MAX_NODES);
     assert_eq!(wakes.len(), expected.len());
     for (i, (wake, want)) in wakes.iter().zip(&expected).enumerate() {
         assert_eq!(wake.seq, i as u64);
@@ -98,24 +92,21 @@ fn mask_path_matches_reference_at_128_nodes() {
 }
 
 #[test]
-fn dense_scan_handles_129_nodes_without_shift_overflow() {
-    // One past the mask ceiling: this must take the scan fallback. If any
-    // path computed `1u128 << 128`, this test would panic in debug builds.
-    let mut hub = HubRuntime::load(&ema_chain(129), &ChannelRates::default()).unwrap();
-    assert_eq!(hub.node_count(), 129);
-    let wakes = run(&mut hub);
-    let expected = reference_chain(129);
-    assert_eq!(wakes.len(), expected.len());
-    for (wake, want) in wakes.iter().zip(&expected) {
-        assert!((wake.value - want).abs() < 1e-12);
+fn one_node_past_the_limit_is_refused_at_load() {
+    let err = HubRuntime::load(&ema_chain(MAX_NODES + 1), &ChannelRates::default()).unwrap_err();
+    match err {
+        HubError::Image(ImageError::Capacity(c)) => {
+            assert_eq!(c.what, "image nodes");
+            assert_eq!(c.needed, MAX_NODES + 1);
+            assert_eq!(c.capacity, MAX_NODES);
+        }
+        other => panic!("expected an image capacity error, got {other:?}"),
     }
 }
 
 #[test]
 fn boundary_chains_differ_by_exactly_one_smoothing_stage() {
-    // Sanity: the 129-deep chain is genuinely one fold deeper, so the two
-    // tests above are not comparing identical pipelines.
-    let a = reference_chain(128);
-    let b = reference_chain(129);
-    assert_ne!(a, b);
+    // Sanity: the chain one past the limit is genuinely one fold deeper,
+    // so the two tests above are not about identical pipelines.
+    assert_ne!(reference_chain(MAX_NODES), reference_chain(MAX_NODES + 1));
 }

@@ -1,21 +1,21 @@
-//! Host-vs-MCU interpreter equivalence on the six golden fixtures.
+//! Host-vs-firmware equivalence on the six golden fixtures.
 //!
-//! The acceptance bar for the `no_std` core (DESIGN.md §6j): each golden
-//! wake-up condition, compiled to an [`McuImage`] and replayed through
-//! [`McuCore`] on the perf gate's synthetic conformance input, must
-//! produce the *bit-identical* wake sequence — same count, same sequence
-//! tags, same `f64` result bits — as [`HubRuntime`] running the same
-//! program. The f64 trace is additionally hashed and checked against the
-//! committed goldens in `results/wake_digests.json`, so host and core
-//! are both pinned to the same frozen stream. A second tier replays the
-//! single-precision core (`McuCore<f32, _>`) and holds it to the same
-//! wake schedule within the perf gate's f32 tolerance.
+//! Host and hub run one interpreter: [`HubRuntime`] wraps the core with
+//! heap arenas sized to each image, and the firmware [`McuCore`] holds
+//! the same arenas inline. This suite pins the two storage forms to one
+//! wake stream (DESIGN.md §6j): each golden wake-up condition, replayed
+//! on the perf gate's synthetic conformance input, produces the
+//! *bit-identical* wake sequence — same count, same sequence tags, same
+//! result bits — on both, and the f64 trace hashes to the committed
+//! goldens in `results/wake_digests.json`. A second tier holds the
+//! single-precision pipeline to the f64 wake schedule within the perf
+//! gate's f32 tolerance.
 
 use sidewinder_cert::{certify_program, CertTarget, Precision};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
-use sidewinder_hub::{compile_image, McuCore, McuExecError, Sample};
+use sidewinder_hub::{compile_image, McuCore, McuExecError, Sample, DEFAULT_ARENA};
 use sidewinder_ir::Program;
-use sidewinder_sensors::SensorChannel;
+use sidewinder_obs::NullSink;
 
 /// The six golden wake-up conditions, as committed under `crates/ir`.
 const FIXTURES: [(&str, &str); 6] = [
@@ -40,40 +40,19 @@ const FIXTURES: [(&str, &str); 6] = [
 ];
 
 /// The committed f64 goldens the perf gate checks; replaying them here
-/// pins the MCU core to the same frozen stream, not merely to whatever
-/// the host currently produces.
+/// pins the interpreter to the frozen stream, not merely to itself.
 const GOLDEN_DIGESTS: &str = include_str!("../../../results/wake_digests.json");
 
 /// Samples per channel — the perf gate's `DIGEST_SAMPLES`.
 const DIGEST_SAMPLES: usize = 16_384;
 
-/// The two core capacity classes the suite deploys to. Which class a
-/// fixture needs is *derived from its resource certificate* (the
-/// music/phrase conditions hold a 512- and a 2048-sample window
-/// concurrently, certifying at 7688 elements — past the default class),
-/// not hardcoded per fixture.
-const DEFAULT_CORE: usize = sidewinder_hub::DEFAULT_ARENA;
-const BIG_CORE: usize = 16_384;
-
-/// Certifies `program` against the big core class and returns its
-/// certificate; every fixture must fit there.
-fn fixture_cert(program: &Program) -> sidewinder_cert::ResourceCert {
-    let cert = certify_program(
-        program,
-        &ChannelRates::default(),
-        Precision::F64,
-        &CertTarget {
-            mcu: None,
-            cap: BIG_CORE,
-        },
-    )
-    .expect("fixture certifies");
-    assert!(
-        cert.fits_cap,
-        "fixture needs {} elements, past the biggest deployed core",
-        cert.required_capacity
-    );
-    cert
+fn fixtures() -> impl Iterator<Item = (&'static str, Program)> {
+    FIXTURES.into_iter().map(|(name, text)| {
+        let program = text
+            .parse()
+            .unwrap_or_else(|e| panic!("fixture {name} does not parse: {e}"));
+        (name, program)
+    })
 }
 
 /// The conformance input from the perf gate (`sidewinder-bench`):
@@ -93,12 +72,9 @@ fn digest_sample(i: usize, ci: usize) -> f64 {
 /// Replays the conformance input through the host runtime at vector
 /// precision `P` and collects `(seq, value)` wake pairs.
 fn host_trace<P: Sample>(program: &Program) -> Vec<(u64, f64)> {
-    let mut hub = HubRuntime::<sidewinder_obs::NullSink, P>::load_generic(
-        program,
-        &ChannelRates::default(),
-        sidewinder_obs::NullSink,
-    )
-    .expect("fixture loads on the host");
+    let mut hub =
+        HubRuntime::<NullSink, P>::load_generic(program, &ChannelRates::default(), NullSink)
+            .expect("fixture loads on the host");
     let channels = program.channels();
     let mut trace = Vec::new();
     for i in 0..DIGEST_SAMPLES {
@@ -114,25 +90,19 @@ fn host_trace<P: Sample>(program: &Program) -> Vec<(u64, f64)> {
     trace
 }
 
-/// Replays the same input through the MCU core at vector precision `P`,
-/// on the capacity class the program's certificate demands.
-///
-/// A big-class core is ~1 MiB of arenas, so the caller runs this on a
-/// thread with a large stack (test threads default to 2 MiB).
-fn mcu_trace<P: Sample>(program: &Program) -> Vec<(u64, f64)> {
-    if fixture_cert(program).required_capacity <= DEFAULT_CORE {
-        run_core::<P, DEFAULT_CORE>(program)
-    } else {
-        run_core::<P, BIG_CORE>(program)
-    }
-}
-
-fn run_core<P: Sample, const ARENA: usize>(program: &Program) -> Vec<(u64, f64)> {
+/// Replays the same input through an inline-arena firmware core of the
+/// default class at vector precision `P`, or returns `None` when the
+/// program does not fit that class.
+fn firmware_trace<P: Sample>(program: &Program) -> Option<Vec<(u64, f64)>> {
     let image =
         compile_image(program, &ChannelRates::default()).expect("fixture compiles to an image");
-    let mut core: McuCore<P, ARENA> = McuCore::new();
-    core.load(&image).expect("image fits the certified arena");
-    let channels: Vec<SensorChannel> = program.channels();
+    let mut core: McuCore<P, DEFAULT_ARENA> = McuCore::new();
+    match core.load(&image) {
+        Ok(()) => {}
+        Err(McuExecError::ArenaOverflow { .. }) => return None,
+        Err(e) => panic!("fixture fails to load: {e}"),
+    }
+    let channels = program.channels();
     let mut trace = Vec::new();
     for i in 0..DIGEST_SAMPLES {
         for (ci, &channel) in channels.iter().enumerate() {
@@ -142,7 +112,20 @@ fn run_core<P: Sample, const ARENA: usize>(program: &Program) -> Vec<(u64, f64)>
             .expect("fixture executes on the core");
         }
     }
-    trace
+    Some(trace)
+}
+
+/// Asserts two wake traces are equal wake for wake, bit for bit.
+fn assert_bit_identical(name: &str, a: &[(u64, f64)], b: &[(u64, f64)]) {
+    assert_eq!(a.len(), b.len(), "fixture {name}: wake count diverged");
+    for (k, (&(sa, va), &(sb, vb))) in a.iter().zip(b.iter()).enumerate() {
+        assert_eq!(sa, sb, "fixture {name}: wake #{k} moved");
+        assert_eq!(
+            va.to_bits(),
+            vb.to_bits(),
+            "fixture {name}: wake #{k} (seq {sa}) bits diverged: {va:?} vs {vb:?}"
+        );
+    }
 }
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
@@ -181,142 +164,108 @@ fn golden_digest(name: &str) -> u64 {
     panic!("no committed wake digest for fixture {name}");
 }
 
-/// Runs `f` on a thread with stack room for the fixture-sized core.
-fn with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    std::thread::Builder::new()
-        .stack_size(32 << 20)
-        .spawn(f)
-        .expect("spawn test thread")
-        .join()
-        .expect("test thread panicked")
-}
-
-/// Bit-exact tier: on every fixture the core's f64 wake trace equals the
-/// host's, wake for wake, and both hash to the committed golden digest.
+/// The host's f64 wake trace hashes to the committed golden digest on
+/// every fixture.
 #[test]
-fn f64_core_is_bit_identical_to_the_host_on_all_fixtures() {
-    with_big_stack(|| {
-        for (name, text) in FIXTURES {
-            let program: Program = text
-                .parse()
-                .unwrap_or_else(|e| panic!("fixture {name} does not parse: {e}"));
-            let host = host_trace::<f64>(&program);
-            let core = mcu_trace::<f64>(&program);
-            assert!(!host.is_empty(), "fixture {name} never woke on the host");
-            assert_eq!(
-                host.len(),
-                core.len(),
-                "fixture {name}: wake count diverged (host {} vs core {})",
-                host.len(),
-                core.len()
-            );
-            for (k, (&(hs, hv), &(cs, cv))) in host.iter().zip(core.iter()).enumerate() {
-                assert_eq!(hs, cs, "fixture {name}: wake #{k} moved");
-                assert_eq!(
-                    hv.to_bits(),
-                    cv.to_bits(),
-                    "fixture {name}: wake #{k} (seq {hs}) bits diverged: {hv:?} vs {cv:?}"
-                );
-            }
-            let digest = trace_digest(&core);
-            let golden = golden_digest(name);
-            assert_eq!(
-                digest, golden,
-                "fixture {name}: core digest {digest:#018x} != committed {golden:#018x}"
-            );
-        }
-    });
-}
-
-/// Tolerance tier: the single-precision core holds the f64 reference's
-/// wake schedule, values within the perf gate's f32 budget (DESIGN.md
-/// §6h: 1e-3 relative, floored at an absolute scale of 1.0).
-#[test]
-fn f32_core_holds_the_wake_schedule_within_tolerance() {
-    const F32_RELATIVE_TOLERANCE: f64 = 1e-3;
-    with_big_stack(|| {
-        for (name, text) in FIXTURES {
-            let program: Program = text
-                .parse()
-                .unwrap_or_else(|e| panic!("fixture {name} does not parse: {e}"));
-            let wide = host_trace::<f64>(&program);
-            let narrow = mcu_trace::<f32>(&program);
-            assert_eq!(
-                wide.len(),
-                narrow.len(),
-                "fixture {name}: wake count diverged at f32"
-            );
-            for (k, (&(s64, v64), &(s32, v32))) in wide.iter().zip(narrow.iter()).enumerate() {
-                assert_eq!(s64, s32, "fixture {name}: wake #{k} moved at f32");
-                let scale = v64.abs().max(1.0);
-                assert!(
-                    (v64 - v32).abs() <= F32_RELATIVE_TOLERANCE * scale,
-                    "fixture {name}: wake #{k} (seq {s64}) off at f32: {v64:.9} vs {v32:.9}"
-                );
-            }
-        }
-    });
-}
-
-/// Oversize regression: the certificate's capacity-class verdict is the
-/// loader's. A fixture the certifier places past the default class
-/// (music: two concurrent windows) really does overflow a default-arena
-/// core — with a typed error naming the arena — and really does load on
-/// the big class the certificate assigns. This keeps the suite honest
-/// after the hardcoded 16k constant became certificate-derived.
-#[test]
-fn certificates_and_the_loader_agree_on_the_capacity_class() {
-    with_big_stack(|| {
-        let music: Program = include_str!("../../ir/tests/fixtures/music.swir")
-            .parse()
-            .unwrap();
-        let cert = fixture_cert(&music);
-        assert!(
-            cert.required_capacity > DEFAULT_CORE,
-            "music certifies at {} elements; expected past the default {DEFAULT_CORE}",
-            cert.required_capacity
+fn f64_host_reproduces_the_committed_digests() {
+    for (name, program) in fixtures() {
+        let host = host_trace::<f64>(&program);
+        assert!(!host.is_empty(), "fixture {name} never woke");
+        let digest = trace_digest(&host);
+        let golden = golden_digest(name);
+        assert_eq!(
+            digest, golden,
+            "fixture {name}: digest {digest:#018x} != committed {golden:#018x}"
         );
-        let image = compile_image(&music, &ChannelRates::default()).unwrap();
-        let mut small: McuCore<f64, DEFAULT_CORE> = McuCore::new();
-        match small.load(&image) {
-            Err(McuExecError::ArenaOverflow { .. }) => {}
-            other => panic!("undersized load should name the overflowing arena, got {other:?}"),
-        }
-        // The failed load is not sticky: the same core accepts a
-        // program that fits its class.
-        let steps: Program = include_str!("../../ir/tests/fixtures/steps.swir")
-            .parse()
-            .unwrap();
-        let steps_image = compile_image(&steps, &ChannelRates::default()).unwrap();
-        small
-            .load(&steps_image)
-            .expect("core is reusable after a failed load");
-        let mut big: McuCore<f64, BIG_CORE> = McuCore::new();
-        big.load(&image)
-            .expect("the certified class loads the image");
-    });
+    }
 }
 
-/// The single-precision core also matches the host's own f32 pipeline
-/// bit for bit — the narrowing points are mirrored, not merely close.
+/// Bit-exact tier: wherever a fixture fits the default firmware class,
+/// the inline-arena core's wake trace equals the host's, at both
+/// precisions.
 #[test]
-fn f32_core_is_bit_identical_to_the_host_f32_pipeline() {
-    with_big_stack(|| {
-        for (name, text) in FIXTURES {
-            let program: Program = text
-                .parse()
-                .unwrap_or_else(|e| panic!("fixture {name} does not parse: {e}"));
-            let host = host_trace::<f32>(&program);
-            let core = mcu_trace::<f32>(&program);
-            assert_eq!(host.len(), core.len(), "fixture {name}: f32 count diverged");
-            for (k, (&(hs, hv), &(cs, cv))) in host.iter().zip(core.iter()).enumerate() {
-                assert_eq!(hs, cs, "fixture {name}: f32 wake #{k} moved");
-                assert_eq!(
-                    hv.to_bits(),
-                    cv.to_bits(),
-                    "fixture {name}: f32 wake #{k} (seq {hs}) bits diverged"
-                );
-            }
+fn firmware_core_is_bit_identical_to_the_host() {
+    let mut compared = 0;
+    for (name, program) in fixtures() {
+        if let Some(core) = firmware_trace::<f64>(&program) {
+            assert_bit_identical(name, &host_trace::<f64>(&program), &core);
+            let core32 = firmware_trace::<f32>(&program).expect("f32 fits where f64 does");
+            assert_bit_identical(name, &host_trace::<f32>(&program), &core32);
+            compared += 1;
         }
-    });
+    }
+    // Sirens, music and phrase certify past the default class.
+    assert_eq!(compared, 3, "fixtures fitting the default core");
+}
+
+/// Tolerance tier: the single-precision pipeline holds the f64 wake
+/// schedule, values within the perf gate's f32 budget (DESIGN.md §6h:
+/// 1e-3 relative, floored at an absolute scale of 1.0).
+#[test]
+fn f32_holds_the_wake_schedule_within_tolerance() {
+    const F32_RELATIVE_TOLERANCE: f64 = 1e-3;
+    for (name, program) in fixtures() {
+        let wide = host_trace::<f64>(&program);
+        let narrow = host_trace::<f32>(&program);
+        assert_eq!(
+            wide.len(),
+            narrow.len(),
+            "fixture {name}: wake count diverged at f32"
+        );
+        for (k, (&(s64, v64), &(s32, v32))) in wide.iter().zip(narrow.iter()).enumerate() {
+            assert_eq!(s64, s32, "fixture {name}: wake #{k} moved at f32");
+            let scale = v64.abs().max(1.0);
+            assert!(
+                (v64 - v32).abs() <= F32_RELATIVE_TOLERANCE * scale,
+                "fixture {name}: wake #{k} (seq {s64}) off at f32: {v64:.9} vs {v32:.9}"
+            );
+        }
+    }
+}
+
+/// The certificate's verdict is the firmware loader's: a fixture the
+/// certifier places past the default class (music: two concurrent
+/// windows) really does overflow a default-arena core, with a typed
+/// error naming the arena, while the host sizes its arenas to the image
+/// and runs it. The failed load is not sticky.
+#[test]
+fn certificates_and_the_firmware_loader_agree_on_fit() {
+    for (name, program) in fixtures() {
+        let cert = certify_program(
+            &program,
+            &ChannelRates::default(),
+            Precision::F64,
+            &CertTarget {
+                mcu: None,
+                cap: DEFAULT_ARENA,
+            },
+        )
+        .expect("fixture certifies");
+        let image = compile_image(&program, &ChannelRates::default()).unwrap();
+        let mut core: McuCore<f64, DEFAULT_ARENA> = McuCore::new();
+        match core.load(&image) {
+            Ok(()) => assert!(cert.fits_cap, "fixture {name} loaded past its certificate"),
+            Err(McuExecError::ArenaOverflow { .. }) => {
+                assert!(!cert.fits_cap, "fixture {name} certified but overflowed");
+                HubRuntime::load(&program, &ChannelRates::default())
+                    .expect("the host sizes its arenas to the image");
+                let steps: Program = FIXTURES[0].1.parse().unwrap();
+                core.load(&compile_image(&steps, &ChannelRates::default()).unwrap())
+                    .expect("core is reusable after a failed load");
+            }
+            Err(e) => panic!("fixture {name} failed to load: {e}"),
+        }
+    }
+    let music: Program = FIXTURES[4].1.parse().unwrap();
+    let cert = certify_program(
+        &music,
+        &ChannelRates::default(),
+        Precision::F64,
+        &CertTarget {
+            mcu: None,
+            cap: DEFAULT_ARENA,
+        },
+    )
+    .unwrap();
+    assert!(!cert.fits_cap, "music must exercise the overflow path");
 }

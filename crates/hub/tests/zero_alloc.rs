@@ -1,31 +1,42 @@
 //! Steady-state allocation audit of the hub hot path.
 //!
-//! The interpreter promises that once every instance's scratch buffers
-//! have warmed up, feeding samples performs no heap allocation at all —
-//! the property that makes the hot path cache-friendly and its latency
-//! flat. This test pins it with a counting global allocator: replaying
-//! the steps wake-up condition (including wake emissions) after warm-up
-//! must leave the allocation counter untouched.
+//! The interpreter promises that once a program is loaded (and the wake
+//! buffer has grown to a batch's wake count), feeding samples performs no
+//! heap allocation at all — the property that makes the hot path
+//! cache-friendly and its latency flat. These tests pin it with a
+//! counting global allocator.
 //!
-//! Lives in its own integration-test binary because `#[global_allocator]`
-//! is process-wide.
+//! The count is per thread, so each test sees only its own allocations
+//! and the file gives the same result under the default parallel test
+//! runner. Lives in its own integration-test binary because
+//! `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Mutex;
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
-use sidewinder_hub::{compile_image, McuCore};
+use sidewinder_hub::{compile_image, McuCore, Sample};
 use sidewinder_ir::Program;
-use sidewinder_obs::CounterSink;
+use sidewinder_obs::{CounterSink, EventSink};
 use sidewinder_sensors::SensorChannel;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when there is nothing left to count into.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -34,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -47,8 +58,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations this thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn fixture(text: &str) -> Program {
+    text.parse().unwrap()
+}
+
+fn steps() -> Program {
+    fixture(include_str!("../../ir/tests/fixtures/steps.swir"))
+}
+
+fn music() -> Program {
+    fixture(include_str!("../../ir/tests/fixtures/music.swir"))
 }
 
 /// The steps accelerometer drive: walking bursts (outside the ±2 band,
@@ -59,38 +83,36 @@ fn step_signal(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// A tone whose windows pass the music condition's variance and ZCR
+/// gates.
+fn music_signal(n: usize) -> Vec<f64> {
+    (0..n).map(|i| (i as f64 * 0.785).sin()).collect()
+}
+
+/// Replays `samples` twice through `hub` and returns the second batch's
+/// allocation count and wake count. The first batch grows the wake
+/// buffer to the batch's wake count; everything else was sized at load.
+fn steady_state<S: EventSink, P: Sample>(
+    hub: &mut HubRuntime<S, P>,
+    channel: SensorChannel,
+    samples: &[f64],
+) -> (u64, usize) {
+    hub.push_samples(channel, samples).unwrap();
+    let before = allocations();
+    let wakes = hub.push_samples(channel, samples).unwrap().len();
+    (allocations() - before, wakes)
+}
+
 #[test]
 fn steps_steady_state_performs_zero_allocations() {
-    let program: Program = include_str!("../../ir/tests/fixtures/steps.swir")
-        .parse()
-        .unwrap();
-    let mut hub = HubRuntime::load(&program, &ChannelRates::default()).unwrap();
+    let mut hub = HubRuntime::load(&steps(), &ChannelRates::default()).unwrap();
     let samples = step_signal(8192);
-
-    // Warm-up: fills the moving-average buffer and grows the wake buffer
-    // to this batch's wake count.
-    let warm_wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    assert!(
-        warm_wakes > 0,
-        "warm-up must raise wakes to size the buffer"
-    );
-
-    // Steady state: the same batch again must not touch the allocator.
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (allocated, wakes) = steady_state(&mut hub, SensorChannel::AccX, &samples);
     assert!(wakes > 0, "steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "steady-state push_samples allocated {} times over {} samples",
-        after - before,
+        "steady-state push_samples allocated {allocated} times over {} samples",
         samples.len()
     );
 }
@@ -98,35 +120,23 @@ fn steps_steady_state_performs_zero_allocations() {
 /// The zero-allocation promise holds with observability enabled too: a
 /// preallocated [`CounterSink`] tallies every execution, wake, and
 /// timing observation into fixed slots, so the instrumented hot path
-/// still never touches the allocator after warm-up.
+/// still never touches the allocator.
 #[test]
 fn steps_with_counters_enabled_performs_zero_allocations() {
-    let program: Program = include_str!("../../ir/tests/fixtures/steps.swir")
-        .parse()
-        .unwrap();
-    let node_count = program.nodes().count();
+    let program = steps();
     let mut hub = HubRuntime::load_with_sink(
         &program,
         &ChannelRates::default(),
-        CounterSink::with_nodes(node_count),
+        CounterSink::with_nodes(program.nodes().count()),
     )
     .unwrap();
     let samples = step_signal(8192);
-
-    hub.push_samples(SensorChannel::AccX, &samples).unwrap();
-
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (allocated, wakes) = steady_state(&mut hub, SensorChannel::AccX, &samples);
     assert!(wakes > 0, "steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "counter-instrumented push_samples allocated {} times over {} samples",
-        after - before,
+        "counter-instrumented push_samples allocated {allocated} times over {} samples",
         samples.len()
     );
     // The sink really was recording while the allocator stayed idle.
@@ -136,129 +146,85 @@ fn steps_with_counters_enabled_performs_zero_allocations() {
     assert!(sink.total_timing().count() > 0);
 }
 
-/// The windowed music condition also reaches an allocation-free steady
-/// state for its per-sample work; only the per-window ZCR feature (a
-/// handful of sub-window rates every 2048 samples) may allocate. Assert
-/// the per-sample path stays clean by bounding the whole batch to the
-/// four window emissions.
+/// The windowed music condition runs its per-window work (variance,
+/// the ZCR sub-window rates) in arenas carved at load, so it is as
+/// allocation-free as the scalar chain — at both precisions and with
+/// counters on.
 #[test]
-fn music_per_sample_path_does_not_allocate() {
-    let program: Program = include_str!("../../ir/tests/fixtures/music.swir")
-        .parse()
-        .unwrap();
-    let mut hub = HubRuntime::load(&program, &ChannelRates::default()).unwrap();
-    let samples: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.785).sin()).collect();
-
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
-
-    let before = allocations();
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
-    let after = allocations();
-    // 8192 samples, 4 zcrVariance windows: two small vectors each.
-    assert!(
-        after - before <= 8,
-        "music batch allocated {} times (expected only per-window ZCR scratch)",
-        after - before
+fn music_steady_state_performs_zero_allocations() {
+    fn check<S: EventSink, P: Sample>(mut hub: HubRuntime<S, P>, label: &str) {
+        let samples = music_signal(8192);
+        let (allocated, wakes) = steady_state(&mut hub, SensorChannel::Mic, &samples);
+        assert!(wakes > 0, "{label}: the tone must wake the music condition");
+        assert_eq!(
+            allocated, 0,
+            "{label}: music batch allocated {allocated} times"
+        );
+    }
+    let program = music();
+    let rates = ChannelRates::default();
+    check(HubRuntime::load(&program, &rates).unwrap(), "f64");
+    check(HubRuntime32::load_f32(&program, &rates).unwrap(), "f32");
+    check(
+        HubRuntime::load_with_sink(&program, &rates, CounterSink::with_nodes(8)).unwrap(),
+        "f64 with counters",
+    );
+    check(
+        HubRuntime::<_, f32>::load_generic(&program, &rates, CounterSink::with_nodes(8)).unwrap(),
+        "f32 with counters",
     );
 }
 
-/// The `no_std` core's promise is stronger than the host's: *zero*
-/// allocations total, from `new` through `load` through the entire
-/// replay — no warm-up exemption, and no per-window ZCR scratch either
-/// (the arena carve-out covers what the host runtime's instances still
-/// take from the heap). Only compiling the image — a host-side,
-/// load-time step — may allocate.
+/// The precision parameter does not change the allocation story on the
+/// scalar steps chain either.
 #[test]
-fn mcu_core_performs_zero_allocations_total() {
-    let steps: Program = include_str!("../../ir/tests/fixtures/steps.swir")
-        .parse()
-        .unwrap();
-    let music: Program = include_str!("../../ir/tests/fixtures/music.swir")
-        .parse()
-        .unwrap();
-    let steps_image = compile_image(&steps, &ChannelRates::default()).unwrap();
-    let music_image = compile_image(&music, &ChannelRates::default()).unwrap();
-    let step_samples = step_signal(8192);
-
-    // The music fixture's 2048-sample window outgrows the default arena;
-    // a fixture-sized core is ~1 MiB, so give it stack room.
-    std::thread::Builder::new()
-        .stack_size(32 << 20)
-        .spawn(move || {
-            let before = allocations();
-
-            let mut core: McuCore<f64, 16_384> = McuCore::new();
-            core.load(&steps_image).unwrap();
-            let mut wakes = 0u64;
-            for &x in &step_samples {
-                core.push_sample(SensorChannel::AccX.index() as u8, x, &mut |_| wakes += 1)
-                    .unwrap();
-            }
-            assert!(wakes > 0, "steps must wake on the core");
-
-            core.load(&music_image).unwrap();
-            for i in 0..8192 {
-                core.push_sample(
-                    SensorChannel::Mic.index() as u8,
-                    (i as f64 * 0.785).sin(),
-                    &mut |_| {},
-                )
-                .unwrap();
-            }
-            let after = allocations();
-            assert_eq!(
-                after - before,
-                0,
-                "mcu core allocated {} times across new + load + 16384 samples",
-                after - before
-            );
-        })
-        .unwrap()
-        .join()
-        .unwrap();
-}
-
-/// The precision parameter does not change the allocation story: the
-/// `f32` pipeline (ring buffers and vector scratch at single precision)
-/// reaches the same allocation-free steady state on the scalar steps
-/// chain and the same per-window bound on the windowed music condition.
-#[test]
-fn f32_pipelines_hold_the_same_allocation_bounds() {
-    let steps: Program = include_str!("../../ir/tests/fixtures/steps.swir")
-        .parse()
-        .unwrap();
-    let mut hub = HubRuntime32::load_f32(&steps, &ChannelRates::default()).unwrap();
+fn f32_steps_steady_state_performs_zero_allocations() {
+    let mut hub = HubRuntime32::load_f32(&steps(), &ChannelRates::default()).unwrap();
     let samples = step_signal(8192);
-    hub.push_samples(SensorChannel::AccX, &samples).unwrap();
-
-    let before = allocations();
-    let wakes = hub
-        .push_samples(SensorChannel::AccX, &samples)
-        .unwrap()
-        .len();
-    let after = allocations();
+    let (allocated, wakes) = steady_state(&mut hub, SensorChannel::AccX, &samples);
     assert!(wakes > 0, "f32 steady-state batch must still raise wakes");
     assert_eq!(
-        after - before,
+        allocated,
         0,
-        "f32 steps steady state allocated {} times over {} samples",
-        after - before,
+        "f32 steps steady state allocated {allocated} times over {} samples",
         samples.len()
     );
+}
 
-    let music: Program = include_str!("../../ir/tests/fixtures/music.swir")
-        .parse()
-        .unwrap();
-    let mut hub = HubRuntime32::load_f32(&music, &ChannelRates::default()).unwrap();
-    let samples: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.785).sin()).collect();
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
+/// The firmware core, held in a `static` as on the hub: it never
+/// allocates, from `load` through the entire replay, with no warm-up
+/// exemption. Only compiling the image — a host-side step — may.
+static CORE: Mutex<McuCore<f64, 16_384>> = Mutex::new(McuCore::new());
+
+#[test]
+fn mcu_core_performs_zero_allocations_total() {
+    let rates = ChannelRates::default();
+    let steps_image = compile_image(&steps(), &rates).unwrap();
+    let music_image = compile_image(&music(), &rates).unwrap();
+    let step_samples = step_signal(8192);
+    let music_samples = music_signal(8192);
+    let mut core = CORE.lock().unwrap();
 
     let before = allocations();
-    hub.push_samples(SensorChannel::Mic, &samples).unwrap();
-    let after = allocations();
-    assert!(
-        after - before <= 8,
-        "f32 music batch allocated {} times (expected only per-window ZCR scratch)",
-        after - before
+    core.load(&steps_image).unwrap();
+    let mut wakes = 0u64;
+    core.push_samples(
+        SensorChannel::AccX.index() as u8,
+        &step_samples,
+        &mut |_| wakes += 1,
+    )
+    .unwrap();
+    assert!(wakes > 0, "steps must wake on the core");
+    core.load(&music_image).unwrap();
+    core.push_samples(
+        SensorChannel::Mic.index() as u8,
+        &music_samples,
+        &mut |_| {},
+    )
+    .unwrap();
+    let allocated = allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "mcu core allocated {allocated} times across load + 16384 samples"
     );
 }

@@ -1,28 +1,31 @@
-//! The fixed-capacity wake-condition interpreter — the MCU core proper.
+//! The wake-condition interpreter — the hub core, and the one
+//! interpreter every host path runs as well.
 //!
-//! [`McuCore`] executes an [`McuImage`] with zero allocation: every
-//! buffer the host runtime's `Vec`-backed node instances would grow on
-//! demand is carved at `load` time out of a handful of const-generic
-//! arenas (samples, scalars, complex values, swap tables, keep masks).
-//! The steady-state pass is the exact mirror of the host runtime's
-//! masked interpreter pass — same feed order, same per-node arithmetic,
-//! same emission guards — so on valid programs the `f64` instantiation
-//! produces bit-identical wake sequences to `sidewinder-hub`, which
-//! `hub/tests/mcu_equivalence.rs` pins fixture by fixture.
+//! [`ExecCore`] executes an [`McuImage`] without allocating after
+//! `load`: every buffer a node needs is carved at load time out of seven
+//! arenas (samples, scalars, complex values, swap tables, keep masks,
+//! and the two staging buffers payloads are copied through). Where those
+//! arenas live is the core's [`ArenaStorage`] parameter:
 //!
-//! Capacity model: one `CAP`-element arena per element type, shared by
-//! all nodes through bump allocation at `load`. Programs that do not
-//! fit report a typed [`CapacityError`] instead of failing at runtime;
-//! after a successful `load`, steady-state execution touches no
-//! allocator and no `std`.
+//! * [`McuCore<P, CAP>`](McuCore) keeps them inline as `[T; CAP]`
+//!   arrays — the firmware form, const-constructible into a `static`.
+//!   A program that does not fit is refused at `load` with a typed
+//!   [`McuExecError::ArenaOverflow`].
+//! * [`HostCore<P>`](HostCore) (`std` feature) allocates exactly the
+//!   image's [`image_footprint`](crate::image_footprint) per arena at
+//!   `load`. `sidewinder-hub`'s `HubRuntime` wraps it, so a program's
+//!   resource certificate is an exact account of what the host runs.
+//!
+//! Either way, steady-state execution touches no allocator and no
+//! `std`.
 
 use crate::complex::Complex;
 use crate::fft;
 use crate::filter::{self, BandShape};
 use crate::goertzel;
 use crate::image::{
-    CapacityError, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS, MAX_NODES,
-    MAX_PORTS,
+    CapacityError, Mask, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS,
+    MAX_NODES, MAX_PORTS,
 };
 use crate::math;
 use crate::sample::Sample;
@@ -32,9 +35,9 @@ use crate::window::WindowShape;
 use crate::zcr;
 use core::ops::Range;
 
-/// Default arena capacity (elements per arena). Sized for host-side
-/// equivalence testing; MCU deployments instantiate `McuCore<f32, N>`
-/// with `N` matched to their program and RAM budget.
+/// Default arena capacity (elements per arena) of an inline
+/// [`McuCore`]. MCU deployments instantiate `McuCore<f32, N>` with `N`
+/// matched to their program and RAM budget.
 pub const DEFAULT_ARENA: usize = 4096;
 
 /// A wake-up event: the triggering sample's per-channel sequence number
@@ -47,30 +50,34 @@ pub struct WakeEvent {
     pub value: f64,
 }
 
-/// Execution-time observability hooks for the soundness harness.
+/// Execution-time observability hooks.
 ///
-/// The interpreter threads an `ExecProbe` through its staging and
-/// result paths so a harness can measure what a run *actually* touched
-/// and compare it against the statically certified bounds. The same
-/// statically-dispatched `const ENABLED` pattern as the host `obs`
-/// crate's `EventSink` makes the hooks zero-cost when disabled: with
-/// [`NoProbe`] every call site constant-folds away, which is what keeps
-/// `push_sample` on the frozen-digest fast path byte-for-byte intact.
+/// The interpreter threads an `ExecProbe` through every node run and
+/// staging copy, so a harness can measure what a run *actually* touched
+/// (the soundness pins compare it against the certified bounds) and the
+/// host runtime can turn node runs into observability events. The
+/// statically-dispatched `const ENABLED` makes the hooks zero-cost when
+/// disabled: with [`NoProbe`] every call site constant-folds away, which
+/// keeps `push_sample` on the frozen-digest fast path intact.
 pub trait ExecProbe {
     /// Whether the probe is live. `false` lets the compiler delete
     /// every hook.
     const ENABLED: bool;
 
+    /// Node `node` is about to run.
+    fn node_start(&mut self, _node: u16) {}
+
+    /// Node `node` has run; `produced` says whether it left a fresh
+    /// result.
+    fn node_end(&mut self, _node: u16, _produced: bool) {}
+
     /// A vector payload of `len` elements was copied through the
     /// sample staging arena from `node`'s result slot.
-    fn staged_vector(&mut self, node: u16, len: usize);
+    fn staged_vector(&mut self, _node: u16, _len: usize) {}
 
     /// A spectrum payload of `len` elements was copied through the
     /// spectrum staging arena from `node`'s result slot.
-    fn staged_spectrum(&mut self, node: u16, len: usize);
-
-    /// Node `node` produced a fresh result during this pass.
-    fn emitted(&mut self, node: u16);
+    fn staged_spectrum(&mut self, _node: u16, _len: usize) {}
 }
 
 /// The default probe: observes nothing, costs nothing.
@@ -79,9 +86,6 @@ pub struct NoProbe;
 
 impl ExecProbe for NoProbe {
     const ENABLED: bool = false;
-    fn staged_vector(&mut self, _node: u16, _len: usize) {}
-    fn staged_spectrum(&mut self, _node: u16, _len: usize) {}
-    fn emitted(&mut self, _node: u16) {}
 }
 
 /// Records staging high-water marks and per-node emission counts — the
@@ -116,6 +120,12 @@ impl Default for HighWaterProbe {
 impl ExecProbe for HighWaterProbe {
     const ENABLED: bool = true;
 
+    fn node_end(&mut self, node: u16, produced: bool) {
+        if produced {
+            self.emissions[node as usize] += 1;
+        }
+    }
+
     fn staged_vector(&mut self, _node: u16, len: usize) {
         if len > self.stage_sample_peak {
             self.stage_sample_peak = len;
@@ -127,17 +137,10 @@ impl ExecProbe for HighWaterProbe {
             self.stage_spectrum_peak = len;
         }
     }
-
-    fn emitted(&mut self, node: u16) {
-        self.emissions[node as usize] += 1;
-    }
 }
 
-/// Errors raised while loading or executing an image.
-///
-/// The `Display` strings of the execution-time variants mirror the host
-/// runtime's `ExecError`, with the dense node index in place of the IR
-/// identifier.
+/// Errors raised while loading or executing an image. Nodes are named
+/// by their dense image index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum McuExecError {
     /// `push_sample` before a successful `load`.
@@ -233,6 +236,143 @@ impl From<CapacityError> for McuExecError {
     }
 }
 
+/// Mutable views of a core's seven arenas, in
+/// [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order.
+pub struct ArenaViews<'a, P: Sample> {
+    /// Window rings, taper tables, vector payloads.
+    pub p: &'a mut [P],
+    /// Moving-average rings, probe tables, widening scratch.
+    pub f: &'a mut [f64],
+    /// Twiddle tables and spectrum payloads.
+    pub c: &'a mut [Complex],
+    /// Bit-reversal swap tables.
+    pub s: &'a mut [(u32, u32)],
+    /// Band-filter keep masks.
+    pub b: &'a mut [bool],
+    /// Staging copy of a producer's vector payload while it is fed.
+    pub stage_p: &'a mut [P],
+    /// Staging copy of a producer's spectrum payload while it is fed.
+    pub stage_c: &'a mut [Complex],
+}
+
+/// Where an [`ExecCore`] keeps its arenas.
+pub trait ArenaStorage {
+    /// Vector-payload precision (`f64` for host bit-equivalence, `f32`
+    /// for hardware-faithful deployments).
+    type Sample: Sample;
+
+    /// Readies the arenas for `image`, before `load` carves them.
+    ///
+    /// # Errors
+    ///
+    /// [`McuExecError::BadParameter`] on the parameters `load` rejects,
+    /// [`McuExecError::ArenaOverflow`] when fixed storage is too small.
+    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError>;
+
+    /// The arenas, each as long as the storage provides.
+    fn views(&mut self) -> ArenaViews<'_, Self::Sample>;
+}
+
+/// Fixed `[T; CAP]` arenas held inline — the firmware storage.
+pub struct InlineArenas<P: Sample, const CAP: usize> {
+    p: [P; CAP],
+    f: [f64; CAP],
+    c: [Complex; CAP],
+    s: [(u32, u32); CAP],
+    b: [bool; CAP],
+    stage_p: [P; CAP],
+    stage_c: [Complex; CAP],
+}
+
+impl<P: Sample, const CAP: usize> InlineArenas<P, CAP> {
+    /// Zeroed arenas.
+    pub const fn new() -> Self {
+        InlineArenas {
+            p: [P::ZERO; CAP],
+            f: [0.0; CAP],
+            c: [Complex::ZERO; CAP],
+            s: [(0, 0); CAP],
+            b: [false; CAP],
+            stage_p: [P::ZERO; CAP],
+            stage_c: [Complex::ZERO; CAP],
+        }
+    }
+}
+
+impl<P: Sample, const CAP: usize> Default for InlineArenas<P, CAP> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<P: Sample, const CAP: usize> ArenaStorage for InlineArenas<P, CAP> {
+    type Sample = P;
+
+    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError> {
+        crate::footprint::check_fit(image, CAP).map(|_| ())
+    }
+
+    fn views(&mut self) -> ArenaViews<'_, P> {
+        ArenaViews {
+            p: &mut self.p,
+            f: &mut self.f,
+            c: &mut self.c,
+            s: &mut self.s,
+            b: &mut self.b,
+            stage_p: &mut self.stage_p,
+            stage_c: &mut self.stage_c,
+        }
+    }
+}
+
+/// Heap arenas sized to each loaded image's exact footprint — the host
+/// storage.
+#[cfg(feature = "std")]
+#[derive(Debug, Clone, Default)]
+pub struct HeapArenas<P: Sample> {
+    p: std::vec::Vec<P>,
+    f: std::vec::Vec<f64>,
+    c: std::vec::Vec<Complex>,
+    s: std::vec::Vec<(u32, u32)>,
+    b: std::vec::Vec<bool>,
+    stage_p: std::vec::Vec<P>,
+    stage_c: std::vec::Vec<Complex>,
+}
+
+#[cfg(feature = "std")]
+impl<P: Sample> ArenaStorage for HeapArenas<P> {
+    type Sample = P;
+
+    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError> {
+        use crate::footprint::ArenaKind;
+        use std::vec;
+        let fp = crate::footprint::image_footprint(image)?;
+        let n = |kind: ArenaKind| fp.arena(kind).elements;
+        *self = HeapArenas {
+            p: vec![P::ZERO; n(ArenaKind::Sample)],
+            f: vec![0.0; n(ArenaKind::Scalar)],
+            c: vec![Complex::ZERO; n(ArenaKind::Complex)],
+            s: vec![(0, 0); n(ArenaKind::Swap)],
+            b: vec![false; n(ArenaKind::Mask)],
+            stage_p: vec![P::ZERO; n(ArenaKind::StageSample)],
+            stage_c: vec![Complex::ZERO; n(ArenaKind::StageSpectrum)],
+        };
+        Ok(())
+    }
+
+    fn views(&mut self) -> ArenaViews<'_, P> {
+        ArenaViews {
+            p: &mut self.p,
+            f: &mut self.f,
+            c: &mut self.c,
+            s: &mut self.s,
+            b: &mut self.b,
+            stage_p: &mut self.stage_p,
+            stage_c: &mut self.stage_c,
+        }
+    }
+}
+
 /// A `[start, start + cap)` slice of one arena, assigned at load time.
 #[derive(Debug, Clone, Copy)]
 struct Span {
@@ -281,7 +421,7 @@ struct NodeState {
     /// Widening scratch for `f32` pipelines (scalar arena).
     wide_in: Span,
     /// Planned transform length / probed window length; `u32::MAX`
-    /// until first planned (mirrors the host's lazily built plans).
+    /// until first planned (plans are built on the first window).
     planned_len: u32,
     /// Live probe count in `aux_f` for Goertzel kinds.
     probe_len: u32,
@@ -339,8 +479,7 @@ impl NodeState {
     };
 
     /// Clears the mutable execution state while keeping spans and plans
-    /// — the per-node half of [`McuCore::reset`], mirroring the host
-    /// instances' `reset`.
+    /// — the per-node half of [`ExecCore::reset`].
     fn reset(&mut self) {
         self.head = 0;
         self.fill = 0;
@@ -366,8 +505,8 @@ enum SlotKind {
     Spectrum,
 }
 
-/// One node's result slot: the fixed-capacity twin of the host
-/// runtime's `ResultSlot`.
+/// One node's result slot: the latest value it produced and the
+/// sequence tag of the sample it derives from.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     kind: SlotKind,
@@ -399,15 +538,7 @@ impl Slot {
     }
 }
 
-/// A staged input on its way into a node: scalars by value, payloads by
-/// length into the staging arrays they were copied to.
-enum Staged {
-    Scalar(f64),
-    Vector(usize),
-    Spectrum(usize),
-}
-
-/// A borrowed input value, the mirror of the host's `ValueRef`.
+/// A borrowed input value on its way into a node.
 enum In<'a, P: Sample> {
     Scalar(f64),
     Vector(&'a [P]),
@@ -437,7 +568,8 @@ impl<'a, P: Sample> In<'a, P> {
     }
 }
 
-/// Mutable views over every arena, handed to the per-kind executor.
+/// Mutable views over the carved arenas, handed to the per-kind
+/// executor.
 struct Arenas<'a, P: Sample> {
     p: &'a mut [P],
     f: &'a mut [f64],
@@ -461,15 +593,13 @@ struct PlanNeeds {
     band: Option<(BandShape, f64)>,
 }
 
-/// The `no_std` hub interpreter: loads an [`McuImage`] into
-/// fixed-capacity arenas and executes it sample by sample.
+/// The interpreter: loads an [`McuImage`] into the arenas of its
+/// [`ArenaStorage`] and executes it sample by sample.
 ///
-/// `P` is the vector-payload precision (`f64` for host bit-equivalence,
-/// `f32` for hardware-faithful deployments); `CAP` is the per-arena
-/// element capacity. The struct is large (roughly `7 * CAP * 8` bytes
-/// at `P = f64`); embed it in a `static` or a `Box` rather than the
-/// stack for big capacities.
-pub struct McuCore<P: Sample = f64, const CAP: usize = DEFAULT_ARENA> {
+/// Use it through [`McuCore`] (inline arenas) or [`HostCore`] (heap
+/// arenas sized per image). The node and slot tables are fixed at
+/// [`MAX_NODES`] entries, the image's own limit.
+pub struct ExecCore<A: ArenaStorage> {
     image: McuImage,
     loaded: bool,
     states: [NodeState; MAX_NODES],
@@ -479,33 +609,81 @@ pub struct McuCore<P: Sample = f64, const CAP: usize = DEFAULT_ARENA> {
     /// Elements `load` carved from each bump arena (sample, scalar,
     /// complex, swap, mask) — pinned against the static footprint.
     arena_used: [u32; 5],
-    /// Sample-typed arena: window rings, taper tables, vector payloads.
-    arena_p: [P; CAP],
-    /// f64 arena: moving-average rings, probe tables, widening scratch.
-    arena_f: [f64; CAP],
-    /// Complex arena: twiddle tables and spectrum payloads.
-    arena_c: [Complex; CAP],
-    /// Bit-reversal swap tables.
-    arena_s: [(u32, u32); CAP],
-    /// Band-filter keep masks.
-    arena_b: [bool; CAP],
-    /// Staging copy of a producer's vector payload while it is fed.
-    stage_p: [P; CAP],
-    /// Staging copy of a producer's spectrum payload while it is fed.
-    stage_c: [Complex; CAP],
+    arenas: A,
 }
 
-impl<P: Sample, const CAP: usize> Default for McuCore<P, CAP> {
+/// The firmware core: `CAP`-element arenas held inline. The struct is
+/// large (roughly `7 * CAP * 8` bytes at `P = f64`); embed it in a
+/// `static` or a `Box` rather than the stack for big capacities.
+pub type McuCore<P = f64, const CAP: usize = DEFAULT_ARENA> = ExecCore<InlineArenas<P, CAP>>;
+
+/// The host core: heap arenas sized exactly to each loaded image.
+#[cfg(feature = "std")]
+pub type HostCore<P = f64> = ExecCore<HeapArenas<P>>;
+
+impl<P: Sample, const CAP: usize> ExecCore<InlineArenas<P, CAP>> {
+    /// Creates an empty core. `const`, so a core can live in a
+    /// `static` — the zero-heap deployment shape for MCU targets.
+    pub const fn new() -> Self {
+        Self::with_arenas(InlineArenas::new())
+    }
+}
+
+impl<P: Sample, const CAP: usize> Default for ExecCore<InlineArenas<P, CAP>> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
-    /// Creates an empty core. `const`, so a core can live in a
-    /// `static` — the zero-heap deployment shape for MCU targets.
-    pub const fn new() -> Self {
-        McuCore {
+#[cfg(feature = "std")]
+impl<P: Sample> ExecCore<HeapArenas<P>> {
+    /// Creates an empty core; `load` allocates its arenas.
+    pub fn new() -> Self {
+        Self::with_arenas(HeapArenas::default())
+    }
+}
+
+#[cfg(feature = "std")]
+impl<P: Sample> Default for ExecCore<HeapArenas<P>> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Removes and returns the lowest set bit's index.
+#[inline]
+fn take_lowest(mask: &mut Mask) -> usize {
+    let i = mask.trailing_zeros() as usize;
+    *mask &= *mask - 1;
+    i
+}
+
+/// `i + 1`, wrapped to `0` at `len`.
+#[inline]
+fn next_index(i: usize, len: usize) -> usize {
+    if i + 1 == len {
+        0
+    } else {
+        i + 1
+    }
+}
+
+/// `head + offset` on a ring of `len`, for `head < len` and
+/// `offset <= len`.
+#[inline]
+fn ring_index(head: usize, offset: usize, len: usize) -> usize {
+    let k = head + offset;
+    if k >= len {
+        k - len
+    } else {
+        k
+    }
+}
+
+impl<A: ArenaStorage> ExecCore<A> {
+    /// An empty core over `arenas`.
+    const fn with_arenas(arenas: A) -> Self {
+        ExecCore {
             image: McuImage::EMPTY,
             loaded: false,
             states: [NodeState::EMPTY; MAX_NODES],
@@ -513,13 +691,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
             channel_seq: [0; MAX_CHANNELS],
             wake_count: 0,
             arena_used: [0; 5],
-            arena_p: [P::ZERO; CAP],
-            arena_f: [0.0; CAP],
-            arena_c: [Complex::ZERO; CAP],
-            arena_s: [(0, 0); CAP],
-            arena_b: [false; CAP],
-            stage_p: [P::ZERO; CAP],
-            stage_c: [Complex::ZERO; CAP],
+            arenas,
         }
     }
 
@@ -543,13 +715,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
     /// (sample, scalar, complex, swap, mask). The soundness harness
     /// pins these against [`image_footprint`](crate::image_footprint).
     pub fn arena_used(&self) -> [usize; 5] {
-        [
-            self.arena_used[0] as usize,
-            self.arena_used[1] as usize,
-            self.arena_used[2] as usize,
-            self.arena_used[3] as usize,
-            self.arena_used[4] as usize,
-        ]
+        self.arena_used.map(|n| n as usize)
     }
 
     /// Loads an image: validates node parameters and carves every
@@ -557,16 +723,15 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
     ///
     /// Buffer sizes come from a forward pass over the dense node list
     /// (producers precede consumers, so each node's payload length is
-    /// known from its first source). Parameter validation mirrors the
-    /// host loader's checks and messages.
+    /// known from its first source).
     ///
     /// # Errors
     ///
     /// [`McuExecError::BadParameter`] on invalid node parameters,
     /// [`McuExecError::ArenaOverflow`] when the program's certified
-    /// footprint exceeds `CAP` — raised by a pre-flight
-    /// [`check_fit`](crate::footprint::check_fit) pass, naming the
-    /// arena and the offending node, before any arena is touched.
+    /// footprint exceeds fixed storage — raised by the storage's
+    /// pre-flight [`fit`](ArenaStorage::fit), naming the arena and the
+    /// offending node, before any arena is touched.
     pub fn load(&mut self, image: &McuImage) -> Result<(), McuExecError> {
         self.loaded = false;
         self.states = [NodeState::EMPTY; MAX_NODES];
@@ -579,7 +744,9 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         // against the carve below by the equivalence tests), so a
         // rejected image leaves the core exactly as unloaded as a
         // never-loaded one, and the carve below cannot fail.
-        crate::footprint::check_fit(image, CAP)?;
+        self.arenas.fit(image)?;
+        let ar = self.arenas.views();
+        let cap = [ar.p.len(), ar.f.len(), ar.c.len(), ar.s.len(), ar.b.len()];
 
         let mut used_p = 0usize;
         let mut used_f = 0usize;
@@ -606,29 +773,39 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
                             what: "window size and hop must be positive",
                         });
                     }
-                    st.aux_p = bump(&mut used_p, CAP, size, "sample arena")?;
-                    st.coeffs = bump(&mut used_p, CAP, size, "sample arena")?;
-                    shape.fill_coefficients(&mut self.arena_p[st.coeffs.full()]);
-                    slot.vec = bump(&mut used_p, CAP, size, "sample arena")?;
+                    st.aux_p = bump(&mut used_p, cap[0], size, "sample arena")?;
+                    st.coeffs = bump(&mut used_p, cap[0], size, "sample arena")?;
+                    shape.fill_coefficients(&mut ar.p[st.coeffs.full()]);
+                    slot.vec = bump(&mut used_p, cap[0], size, "sample arena")?;
                     lens[i] = size;
                 }
                 NodeKind::Fft => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.wide_in = bump(&mut used_f, CAP, in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
+                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
+                    st.fwd = bump(
+                        &mut used_c,
+                        cap[2],
+                        plan_twiddle_cap(in_len),
+                        "complex arena",
+                    )?;
+                    st.wide_in = bump(&mut used_f, cap[1], in_len, "scalar arena")?;
+                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
                     lens[i] = in_len;
                 }
                 NodeKind::Ifft => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.inv = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, CAP, in_len, "sample arena")?;
+                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
+                    st.inv = bump(
+                        &mut used_c,
+                        cap[2],
+                        plan_twiddle_cap(in_len),
+                        "complex arena",
+                    )?;
+                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
+                    slot.vec = bump(&mut used_p, cap[0], in_len, "sample arena")?;
                     lens[i] = in_len;
                 }
                 NodeKind::SpectralMagnitude => {
                     let m = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    slot.vec = bump(&mut used_p, CAP, m, "sample arena")?;
+                    slot.vec = bump(&mut used_p, cap[0], m, "sample arena")?;
                     lens[i] = m;
                 }
                 NodeKind::MovingAvg { window } => {
@@ -638,7 +815,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
                             what: "moving-average window must be positive",
                         });
                     }
-                    st.aux_f = bump(&mut used_f, CAP, window as usize, "scalar arena")?;
+                    st.aux_f = bump(&mut used_f, cap[1], window as usize, "scalar arena")?;
                 }
                 NodeKind::ExpMovingAvg { alpha } => {
                     if !(alpha > 0.0 && alpha <= 1.0) {
@@ -649,17 +826,18 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
                     }
                 }
                 NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
-                    st.swaps = bump(&mut used_s, CAP, plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.inv = bump(&mut used_c, CAP, plan_twiddle_cap(in_len), "complex arena")?;
-                    st.mask = bump(&mut used_b, CAP, in_len, "mask arena")?;
-                    st.wide_in = bump(&mut used_f, CAP, in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, CAP, in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, CAP, in_len, "sample arena")?;
+                    let twiddles = plan_twiddle_cap(in_len);
+                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
+                    st.fwd = bump(&mut used_c, cap[2], twiddles, "complex arena")?;
+                    st.inv = bump(&mut used_c, cap[2], twiddles, "complex arena")?;
+                    st.mask = bump(&mut used_b, cap[4], in_len, "mask arena")?;
+                    st.wide_in = bump(&mut used_f, cap[1], in_len, "scalar arena")?;
+                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
+                    slot.vec = bump(&mut used_p, cap[0], in_len, "sample arena")?;
                     lens[i] = in_len;
                 }
                 NodeKind::ZcrVariance { sub_windows } => {
-                    st.aux_p = bump(&mut used_p, CAP, sub_windows as usize, "sample arena")?;
+                    st.aux_p = bump(&mut used_p, cap[0], sub_windows as usize, "sample arena")?;
                 }
                 NodeKind::Goertzel { lo_hz, hi_hz }
                 | NodeKind::GoertzelFreq { lo_hz, hi_hz }
@@ -671,7 +849,7 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
                         });
                     }
                     let probes = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    st.aux_f = bump(&mut used_f, CAP, probes, "scalar arena")?;
+                    st.aux_f = bump(&mut used_f, cap[1], probes, "scalar arena")?;
                 }
                 NodeKind::VectorMagnitude
                 | NodeKind::Zcr
@@ -703,13 +881,13 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
     }
 
     /// Ingests one sample on a channel, running a full interpreter pass
-    /// and invoking `on_wake` for each wake-up it produces — the mirror
-    /// of the host runtime's masked pass.
+    /// and invoking `on_wake` for each wake-up it produces.
     ///
     /// # Errors
     ///
     /// [`McuExecError::NotLoaded`] before a `load`, otherwise the
-    /// execution errors of the nodes the sample reaches.
+    /// execution errors of the nodes the sample reaches. The core stays
+    /// usable after an execution error.
     pub fn push_sample(
         &mut self,
         channel: u8,
@@ -720,8 +898,8 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
     }
 
     /// [`push_sample`](Self::push_sample) with an [`ExecProbe`]
-    /// observing staging copies and fresh results. With [`NoProbe`]
-    /// this *is* `push_sample` — the hooks compile away.
+    /// observing node runs and staging copies. With [`NoProbe`] this
+    /// *is* `push_sample` — the hooks compile away.
     ///
     /// # Errors
     ///
@@ -733,52 +911,11 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         on_wake: &mut impl FnMut(WakeEvent),
         probe: &mut Pr,
     ) -> Result<(), McuExecError> {
-        if !self.loaded {
-            return Err(McuExecError::NotLoaded);
-        }
-        let ci = channel as usize;
-        if ci >= MAX_CHANNELS {
-            return Err(McuExecError::BadChannel { channel });
-        }
-        let seq = self.channel_seq[ci];
-        self.channel_seq[ci] += 1;
-
-        let mut ready = self.image.entry_mask(ci);
-        let mut fresh: u128 = 0;
-        // Single-source entry nodes first, in increasing index order,
-        // without consulting the ready set — exactly the host pass.
-        let mut direct = self.image.direct_feed_mask(ci);
-        while direct != 0 {
-            let i = direct.trailing_zeros() as usize;
-            direct &= direct - 1;
-            self.slots[i].kind = SlotKind::Empty;
-            self.dispatch(i, 0, seq, Staged::Scalar(sample))?;
-            self.note_result(i, &mut ready, &mut fresh, on_wake, probe);
-        }
-        while ready != 0 {
-            let i = ready.trailing_zeros() as usize;
-            ready &= ready - 1;
-            self.slots[i].kind = SlotKind::Empty;
-            let spec = self.image.nodes()[i];
-            for port in 0..spec.port_count as usize {
-                match spec.sources[port] {
-                    PortSource::Channel(c) if c == channel => {
-                        self.dispatch(i, port, seq, Staged::Scalar(sample))?;
-                    }
-                    PortSource::Channel(_) => {}
-                    PortSource::Node(src) => {
-                        if fresh & (1u128 << src) != 0 {
-                            self.feed_from(i, port, src as usize, probe)?;
-                        }
-                    }
-                }
-            }
-            self.note_result(i, &mut ready, &mut fresh, on_wake, probe);
-        }
-        Ok(())
+        self.push_samples_probed(channel, core::slice::from_ref(&sample), on_wake, probe)
     }
 
-    /// Ingests a batch of samples on one channel.
+    /// Ingests a batch of samples on one channel, exactly as if each
+    /// were pushed in turn.
     ///
     /// # Errors
     ///
@@ -789,13 +926,16 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         samples: &[f64],
         on_wake: &mut impl FnMut(WakeEvent),
     ) -> Result<(), McuExecError> {
-        for &x in samples {
-            self.push_sample(channel, x, on_wake)?;
-        }
-        Ok(())
+        self.push_samples_probed(channel, samples, on_wake, &mut NoProbe)
     }
 
     /// [`push_samples`](Self::push_samples) with an [`ExecProbe`].
+    ///
+    /// Each sample runs one pass: the single-source entry nodes of
+    /// `channel` first, in increasing index order, then the ready set
+    /// drains in index (topological) order — a node's consumers always
+    /// have larger indices, so newly readied bits are still ahead of the
+    /// cursor.
     ///
     /// # Errors
     ///
@@ -807,16 +947,131 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         on_wake: &mut impl FnMut(WakeEvent),
         probe: &mut Pr,
     ) -> Result<(), McuExecError> {
-        for &x in samples {
-            self.push_sample_probed(channel, x, on_wake, probe)?;
+        if !self.loaded {
+            return Err(McuExecError::NotLoaded);
+        }
+        let ci = channel as usize;
+        if ci >= MAX_CHANNELS {
+            return Err(McuExecError::BadChannel { channel });
+        }
+        let ExecCore {
+            image,
+            states,
+            slots,
+            channel_seq,
+            wake_count,
+            arenas,
+            ..
+        } = self;
+        let ArenaViews {
+            p,
+            f,
+            c,
+            s,
+            b,
+            stage_p,
+            stage_c,
+        } = arenas.views();
+        let nodes = image.nodes();
+        let out = image.out_index();
+        for &sample in samples {
+            let seq = channel_seq[ci];
+            channel_seq[ci] += 1;
+            let mut direct = image.direct_feed_mask(ci);
+            let mut ready = image.entry_mask(ci);
+            let mut fresh: Mask = 0;
+            loop {
+                let i = if direct != 0 {
+                    take_lowest(&mut direct)
+                } else if ready != 0 {
+                    take_lowest(&mut ready)
+                } else {
+                    break;
+                };
+                let spec = &nodes[i];
+                // Producers precede consumers, so node i's sources all
+                // live in `done`.
+                let (done, rest) = slots.split_at_mut(i);
+                let slot = &mut rest[0];
+                slot.kind = SlotKind::Empty;
+                if Pr::ENABLED {
+                    probe.node_start(i as u16);
+                }
+                for (port, &source) in spec.sources[..spec.port_count as usize].iter().enumerate() {
+                    let (seq, input) = match source {
+                        PortSource::Channel(ch) if ch == channel => (seq, In::Scalar(sample)),
+                        PortSource::Channel(_) => continue,
+                        PortSource::Node(src) if fresh & (1 << src) != 0 => {
+                            // Payloads are copied through staging so the
+                            // consumer can borrow its input while it
+                            // writes its own spans of the same arena.
+                            let from = &done[src as usize];
+                            let input = match from.kind {
+                                SlotKind::Empty => continue,
+                                SlotKind::Scalar => In::Scalar(from.scalar),
+                                SlotKind::Vector => {
+                                    let len = from.vec_len as usize;
+                                    if Pr::ENABLED {
+                                        probe.staged_vector(src, len);
+                                    }
+                                    stage_p[..len].copy_from_slice(&p[from.vec.range(len)]);
+                                    In::Vector(&stage_p[..len])
+                                }
+                                SlotKind::Spectrum => {
+                                    let len = from.spec_len as usize;
+                                    if Pr::ENABLED {
+                                        probe.staged_spectrum(src, len);
+                                    }
+                                    stage_c[..len].copy_from_slice(&c[from.spec.range(len)]);
+                                    In::Spectrum(&stage_c[..len])
+                                }
+                            };
+                            (from.seq, input)
+                        }
+                        PortSource::Node(_) => continue,
+                    };
+                    exec_kind(
+                        FeedCtx {
+                            node: i as u16,
+                            port,
+                            seq,
+                        },
+                        spec,
+                        &mut states[i],
+                        slot,
+                        Arenas {
+                            p: &mut *p,
+                            f: &mut *f,
+                            c: &mut *c,
+                            s: &mut *s,
+                            b: &mut *b,
+                        },
+                        input,
+                    )?;
+                }
+                let produced = slot.kind != SlotKind::Empty;
+                if Pr::ENABLED {
+                    probe.node_end(i as u16, produced);
+                }
+                if produced {
+                    fresh |= 1 << i;
+                    ready |= spec.consumer_mask;
+                    if i == out && slot.kind == SlotKind::Scalar {
+                        *wake_count += 1;
+                        on_wake(WakeEvent {
+                            seq: slot.seq,
+                            value: slot.scalar,
+                        });
+                    }
+                }
+            }
         }
         Ok(())
     }
 
     /// Resets all mutable execution state (rings, averages, streaks,
     /// sequence counters) while keeping the image, arena layout, and
-    /// built transform plans — the mirror of the host runtime's
-    /// `reset`.
+    /// built transform plans.
     pub fn reset(&mut self) {
         for st in self.states.iter_mut() {
             st.reset();
@@ -826,115 +1081,6 @@ impl<P: Sample, const CAP: usize> McuCore<P, CAP> {
         }
         self.channel_seq = [0; MAX_CHANNELS];
         self.wake_count = 0;
-    }
-
-    /// Books node `i`'s result into the ready/fresh sets and fires the
-    /// wake callback when it is the scalar-producing output node.
-    fn note_result<Pr: ExecProbe>(
-        &mut self,
-        i: usize,
-        ready: &mut u128,
-        fresh: &mut u128,
-        on_wake: &mut impl FnMut(WakeEvent),
-        probe: &mut Pr,
-    ) {
-        let slot = self.slots[i];
-        if slot.kind == SlotKind::Empty {
-            return;
-        }
-        if Pr::ENABLED {
-            probe.emitted(i as u16);
-        }
-        *fresh |= 1u128 << i;
-        *ready |= self.image.nodes()[i].consumer_mask;
-        if i == self.image.out_index() && slot.kind == SlotKind::Scalar {
-            self.wake_count += 1;
-            on_wake(WakeEvent {
-                seq: slot.seq,
-                value: slot.scalar,
-            });
-        }
-    }
-
-    /// Copies producer `src`'s result into the staging arrays and feeds
-    /// it to node `i` on `port`, tagged with the producer's sequence.
-    fn feed_from<Pr: ExecProbe>(
-        &mut self,
-        i: usize,
-        port: usize,
-        src: usize,
-        probe: &mut Pr,
-    ) -> Result<(), McuExecError> {
-        let slot = self.slots[src];
-        let staged = match slot.kind {
-            SlotKind::Empty => return Ok(()),
-            SlotKind::Scalar => Staged::Scalar(slot.scalar),
-            SlotKind::Vector => {
-                let len = slot.vec_len as usize;
-                if Pr::ENABLED {
-                    probe.staged_vector(src as u16, len);
-                }
-                self.stage_p[..len].copy_from_slice(&self.arena_p[slot.vec.range(len)]);
-                Staged::Vector(len)
-            }
-            SlotKind::Spectrum => {
-                let len = slot.spec_len as usize;
-                if Pr::ENABLED {
-                    probe.staged_spectrum(src as u16, len);
-                }
-                self.stage_c[..len].copy_from_slice(&self.arena_c[slot.spec.range(len)]);
-                Staged::Spectrum(len)
-            }
-        };
-        self.dispatch(i, port, slot.seq, staged)
-    }
-
-    /// Resolves the staged input into a borrowed value and runs the
-    /// node's kind over the arenas.
-    fn dispatch(
-        &mut self,
-        i: usize,
-        port: usize,
-        seq: u64,
-        staged: Staged,
-    ) -> Result<(), McuExecError> {
-        let McuCore {
-            image,
-            states,
-            slots,
-            arena_p,
-            arena_f,
-            arena_c,
-            arena_s,
-            arena_b,
-            stage_p,
-            stage_c,
-            ..
-        } = self;
-        let spec = image.nodes()[i];
-        let input = match staged {
-            Staged::Scalar(x) => In::Scalar(x),
-            Staged::Vector(len) => In::Vector(&stage_p[..len]),
-            Staged::Spectrum(len) => In::Spectrum(&stage_c[..len]),
-        };
-        exec_kind(
-            FeedCtx {
-                node: i as u16,
-                port,
-                seq,
-            },
-            &spec,
-            &mut states[i],
-            &mut slots[i],
-            Arenas {
-                p: &mut arena_p[..],
-                f: &mut arena_f[..],
-                c: &mut arena_c[..],
-                s: &mut arena_s[..],
-                b: &mut arena_b[..],
-            },
-            input,
-        )
     }
 }
 
@@ -1011,8 +1157,7 @@ fn tri_ranges<T>(
 }
 
 /// (Re)builds a node's transform tables when the incoming window length
-/// differs from the planned length — the fixed-capacity mirror of the
-/// host's `ensure_fft_plan` / `ensure_band_plan`.
+/// differs from the planned length.
 fn ensure_plan(
     node: u16,
     st: &mut NodeState,
@@ -1073,7 +1218,7 @@ fn ensure_plan(
 }
 
 /// Rebuilds a Goertzel node's probe table when the window length
-/// changes — the mirror of the host's `replan_probes`.
+/// changes.
 fn replan_probes(
     st: &mut NodeState,
     f: &mut [f64],
@@ -1115,8 +1260,7 @@ fn arena_overflow(what: &'static str, needed: usize, capacity: usize) -> McuExec
 }
 
 /// Copies the window ring (in logical order starting at `head`) into
-/// the node's output span and applies the tabulated taper — the mirror
-/// of the host `Windower::emit_into`.
+/// the node's output span and applies the tabulated taper.
 fn emit_window<P: Sample>(
     p: &mut [P],
     st: &NodeState,
@@ -1131,9 +1275,9 @@ fn emit_window<P: Sample>(
         st.coeffs.range(len),
         slot.vec.range(len),
     );
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = ring[(head + k) % len];
-    }
+    let (newer, older) = ring.split_at(head);
+    out[..older.len()].copy_from_slice(older);
+    out[older.len()..].copy_from_slice(newer);
     if shape != WindowShape::Rectangular {
         for (x, &cf) in out.iter_mut().zip(coeffs.iter()) {
             *x = *x * cf;
@@ -1141,8 +1285,10 @@ fn emit_window<P: Sample>(
     }
 }
 
-/// Executes one feed against one node — every per-kind body is the
-/// operation-for-operation mirror of the host `AlgoInstance::feed_ref`.
+/// Executes one feed against one node. Inlined into the pass, its one
+/// call site: an out-of-line call per node run costs more than the
+/// simple kinds' own work.
+#[inline(always)]
 fn exec_kind<P: Sample>(
     ctx: FeedCtx,
     spec: &NodeSpec,
@@ -1159,7 +1305,7 @@ fn exec_kind<P: Sample>(
         NodeKind::Window { size, hop, shape } => {
             let x = input.as_scalar().ok_or(type_err)?;
             // The precision boundary: samples narrow to `P` as they
-            // enter the ring, exactly like the host windower.
+            // enter the ring.
             let x = P::from_f64(x);
             let (len, hop) = (size as usize, hop as usize);
             let ring_start = st.aux_p.start as usize;
@@ -1175,10 +1321,10 @@ fn exec_kind<P: Sample>(
                 st.fill = 0;
             } else {
                 if st.fill as usize == len {
-                    st.head = ((st.head as usize + 1) % len) as u32;
+                    st.head = next_index(st.head as usize, len) as u32;
                     st.fill -= 1;
                 }
-                p[ring_start + (st.head as usize + st.fill as usize) % len] = x;
+                p[ring_start + ring_index(st.head as usize, st.fill as usize, len)] = x;
                 st.fill += 1;
                 if (st.fill as usize) < len {
                     return Ok(());
@@ -1294,17 +1440,22 @@ fn exec_kind<P: Sample>(
             let w = window as usize;
             let ring = &mut f[st.aux_f.range(w)];
             if st.fill as usize == w {
-                st.head = ((st.head as usize + 1) % w) as u32;
+                st.head = next_index(st.head as usize, w) as u32;
                 st.fill -= 1;
             }
-            ring[(st.head as usize + st.fill as usize) % w] = x;
+            ring[ring_index(st.head as usize, st.fill as usize, w)] = x;
             st.fill += 1;
             if st.fill as usize == w {
-                // Oldest-to-newest sum from zero, then divide: the
-                // exact reduction order of the host moving average.
+                // Oldest-to-newest sum from zero, then divide: the ring
+                // from `head` on is the oldest run, the prefix before it
+                // the newest.
+                let (newer, older) = ring.split_at(st.head as usize);
                 let mut sum = 0.0;
-                for k in 0..w {
-                    sum += ring[(st.head as usize + k) % w];
+                for &v in older {
+                    sum += v;
+                }
+                for &v in newer {
+                    sum += v;
                 }
                 slot.set_scalar(seq, sum / w as f64);
             }
@@ -1552,8 +1703,8 @@ mod tests {
     use std::string::ToString;
     use std::vec::Vec;
 
-    fn collect_wakes<P: Sample, const CAP: usize>(
-        core: &mut McuCore<P, CAP>,
+    fn collect_wakes<A: ArenaStorage>(
+        core: &mut ExecCore<A>,
         channel: u8,
         samples: &[f64],
     ) -> Vec<WakeEvent> {
@@ -2115,6 +2266,90 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn host_core_sizes_its_arenas_to_the_footprint() {
+        use crate::footprint::{image_footprint, ArenaKind};
+        let mut b = ImageBuilder::new();
+        let win = b
+            .push_node(
+                NodeKind::Window {
+                    size: 16,
+                    hop: 8,
+                    shape: WindowShape::Hann,
+                },
+                &[PortSource::Channel(0)],
+                64.0,
+            )
+            .unwrap();
+        let hp = b
+            .push_node(
+                NodeKind::HighPass { cutoff_hz: 8.0 },
+                &[PortSource::Node(win)],
+                64.0,
+            )
+            .unwrap();
+        let fft = b
+            .push_node(NodeKind::Fft, &[PortSource::Node(hp)], 64.0)
+            .unwrap();
+        let mag = b
+            .push_node(NodeKind::SpectralMagnitude, &[PortSource::Node(fft)], 64.0)
+            .unwrap();
+        let max = b
+            .push_node(
+                NodeKind::Stat(StatKind::Max),
+                &[PortSource::Node(mag)],
+                64.0,
+            )
+            .unwrap();
+        let image = b.finish(max).unwrap();
+        let fp = image_footprint(&image).unwrap();
+
+        let mut host: HostCore = HostCore::new();
+        host.load(&image).unwrap();
+        let ar = host.arenas.views();
+        let lens = [
+            ar.p.len(),
+            ar.f.len(),
+            ar.c.len(),
+            ar.s.len(),
+            ar.b.len(),
+            ar.stage_p.len(),
+            ar.stage_c.len(),
+        ];
+        for kind in ArenaKind::ALL {
+            assert_eq!(
+                lens[kind.index()],
+                fp.arena(kind).elements,
+                "{} is not sized to the footprint",
+                kind.name()
+            );
+        }
+        assert_eq!(host.arena_used(), lens[..5]);
+
+        // Same wakes as the inline firmware form.
+        let samples: Vec<f64> = (0..64).map(|i| (i as f64 * 1.7).sin()).collect();
+        let mut firmware: McuCore<f64, 256> = McuCore::new();
+        firmware.load(&image).unwrap();
+        assert_eq!(
+            collect_wakes(&mut host, 0, &samples),
+            collect_wakes(&mut firmware, 0, &samples)
+        );
+    }
+
+    #[test]
+    fn type_errors_name_the_node() {
+        let mut b = ImageBuilder::new();
+        b.push_node(NodeKind::Fft, &[PortSource::Channel(0)], 50.0)
+            .unwrap();
+        let image = b.finish(0).unwrap();
+        let mut core: McuCore<f64, 16> = McuCore::new();
+        core.load(&image).unwrap();
+        let err = core.push_sample(0, 1.0, &mut |_| {}).unwrap_err();
+        assert_eq!(err, McuExecError::TypeError { node: 0 });
+        assert!(err.to_string().contains("node 0"));
     }
 
     #[test]

@@ -10,11 +10,16 @@
 
 use crate::window::WindowShape;
 
-/// Maximum number of nodes an image can hold. Kept at or below the hub's
-/// 128-bit readiness-mask width so the mask-based interpreter pass always
-/// applies; 32 covers every fixture and fleet program with slack on an
-/// MCU-sized budget.
+/// Maximum number of nodes an image can hold — the one program-size
+/// limit of every interpreter, host and hub alike. 32 covers every
+/// fixture and fleet program with slack on an MCU-sized budget, and lets
+/// one [`Mask`] word carry a readiness set.
 pub const MAX_NODES: usize = 32;
+
+/// A set of nodes, one bit per dense image index.
+pub type Mask = u32;
+
+const _: () = assert!(MAX_NODES <= Mask::BITS as usize);
 
 /// Maximum input ports per node (aggregators like `vectorMagnitude` and
 /// `allOf` use one port per joined branch).
@@ -267,7 +272,7 @@ pub struct NodeSpec {
     /// Sample rate of the data arriving on the node's input path.
     pub rate_hz: f64,
     /// Bitmask over image indices of the nodes consuming this output.
-    pub consumer_mask: u128,
+    pub consumer_mask: Mask,
 }
 
 const EMPTY_SPEC: NodeSpec = NodeSpec {
@@ -285,11 +290,10 @@ pub struct McuImage {
     node_count: u16,
     out_index: u16,
     /// Per channel: nodes whose only input is the channel itself, fed
-    /// directly by the pass (bits drain in increasing index order,
-    /// matching the host's insertion order).
-    direct_feed_masks: [u128; MAX_CHANNELS],
+    /// directly by the pass (bits drain in increasing index order).
+    direct_feed_masks: [Mask; MAX_CHANNELS],
     /// Per channel: remaining channel-fed nodes, seeding the ready set.
-    entry_masks: [u128; MAX_CHANNELS],
+    entry_masks: [Mask; MAX_CHANNELS],
 }
 
 impl McuImage {
@@ -319,12 +323,12 @@ impl McuImage {
     }
 
     /// The direct-feed mask for a channel index.
-    pub fn direct_feed_mask(&self, channel: usize) -> u128 {
+    pub fn direct_feed_mask(&self, channel: usize) -> Mask {
         self.direct_feed_masks[channel]
     }
 
     /// The ready-set seed mask for a channel index.
-    pub fn entry_mask(&self, channel: usize) -> u128 {
+    pub fn entry_mask(&self, channel: usize) -> Mask {
         self.entry_masks[channel]
     }
 }
@@ -410,8 +414,7 @@ impl ImageBuilder {
     }
 
     /// Finalizes the image: computes consumer masks and the per-channel
-    /// direct-feed / entry masks, exactly as the host runtime's loader
-    /// does.
+    /// direct-feed / entry masks the interpreter pass runs on.
     ///
     /// # Errors
     ///
@@ -427,20 +430,20 @@ impl ImageBuilder {
             let node = self.nodes[i];
             for &source in &node.sources[..node.port_count as usize] {
                 if let PortSource::Node(src) = source {
-                    self.nodes[src as usize].consumer_mask |= 1u128 << i;
+                    self.nodes[src as usize].consumer_mask |= 1 << i;
                 }
             }
         }
-        let mut direct_feed_masks = [0u128; MAX_CHANNELS];
-        let mut entry_masks = [0u128; MAX_CHANNELS];
+        let mut direct_feed_masks = [0; MAX_CHANNELS];
+        let mut entry_masks = [0; MAX_CHANNELS];
         for (i, node) in self.nodes[..count].iter().enumerate() {
             let ports = &node.sources[..node.port_count as usize];
             if let [PortSource::Channel(c)] = *ports {
-                direct_feed_masks[c as usize] |= 1u128 << i;
+                direct_feed_masks[c as usize] |= 1 << i;
             } else {
                 for &source in ports {
                     if let PortSource::Channel(c) = source {
-                        entry_masks[c as usize] |= 1u128 << i;
+                        entry_masks[c as usize] |= 1 << i;
                     }
                 }
             }

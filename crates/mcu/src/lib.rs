@@ -2,24 +2,26 @@
 //!
 //! This crate is the part of the Sidewinder reproduction that actually
 //! runs on the hub MCU (the paper's TI MSP430 / LM4F120 class parts):
-//! the flat `Sample`-generic DSP kernels and the steady-state
-//! wake-condition interpreter, behind fixed-capacity storage. Nothing
-//! in here allocates after `McuCore::load`; with the `std` feature off
+//! the flat `Sample`-generic DSP kernels and the wake-condition
+//! interpreter. It is the *only* interpreter: the firmware form
+//! ([`McuCore`], inline fixed-capacity arenas) runs on the hub, and the
+//! host form ([`HostCore`], `std` feature, heap arenas sized per image)
+//! runs behind `sidewinder-hub`'s `HubRuntime` in every simulation.
+//! Nothing in here allocates after `load`; with the `std` feature off
 //! the crate does not even link `std` or `alloc`, which is what the CI
 //! `embedded-build` job proves by cross-compiling it for
 //! `thumbv7em-none-eabi`.
 //!
 //! The host crates (`sidewinder-dsp`, `sidewinder-hub`) depend on this
-//! crate **with the `std` feature on** and re-export everything, so the
-//! host API is unchanged and — because the `std` build routes all float
-//! math through the platform libm exactly like the pre-split kernels —
-//! the frozen wake digests stay bit-identical.
+//! crate **with the `std` feature on** and re-export it; the `std` build
+//! routes all float math through the platform libm, which keeps the
+//! frozen wake digests bit-identical.
 //!
 //! What stays host-side (see DESIGN.md §6j): IR parsing, validation,
 //! lints, the optimizer, observability sinks, plan caches, and the
 //! `Vec`-returning conveniences. The boundary artifact is
 //! [`image::McuImage`]: the host compiles a validated program into that
-//! plain-data image and the MCU core executes it.
+//! plain-data image and the core executes it.
 #![no_std]
 #![deny(unsafe_code)]
 
@@ -42,11 +44,15 @@ pub mod zcr;
 
 pub use complex::Complex;
 pub use exec::{
-    ExecProbe, HighWaterProbe, McuCore, McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA,
+    ArenaStorage, ArenaViews, ExecCore, ExecProbe, HighWaterProbe, InlineArenas, McuCore,
+    McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA,
 };
+#[cfg(feature = "std")]
+pub use exec::{HeapArenas, HostCore};
 pub use footprint::{check_fit, image_footprint, ArenaKind, ArenaUse, ImageFootprint};
 pub use image::{
-    CapacityError, ImageBuilder, ImageError, McuImage, NodeKind, NodeSpec, PortSource, StatKind,
+    CapacityError, ImageBuilder, ImageError, Mask, McuImage, NodeKind, NodeSpec, PortSource,
+    StatKind,
 };
 pub use sample::Sample;
 pub use window::WindowShape;

@@ -15,10 +15,9 @@
 //! is where the paper's memory table says the hub stores f32 anyway
 //! ("one f32 ring buffer" per window — see `hub::cost`).
 //!
-//! The `Vec`-backed conveniences (`widen_into`, `extend_from_f64`,
-//! `with_wide_out`) and the taper-coefficient cache are host-side and
-//! gated on the `std` feature; the `no_std` interpreter uses the
-//! slice-based `widen_slice_into` / `narrow_from_f64` instead.
+//! The taper-coefficient cache is host-side and gated on the `std`
+//! feature; the interpreter widens through caller-provided slices
+//! (`widen_slice_into`).
 
 use crate::math;
 use core::fmt::Debug;
@@ -110,23 +109,6 @@ pub trait Sample:
     /// fixed-capacity interpreter sizes it at load time).
     fn widen_slice_into<'a>(src: &'a [Self], scratch: &'a mut [f64]) -> &'a [f64];
 
-    /// Presents `src` as an `f64` slice: a no-op borrow for `f64`, a
-    /// widening copy through `scratch` for `f32`. The hub uses this to
-    /// feed precision-generic windows into the f64-only FFT kernels.
-    #[cfg(any(test, feature = "std"))]
-    fn widen_into<'a>(src: &'a [Self], scratch: &'a mut Vec<f64>) -> &'a [f64];
-
-    /// Appends narrowed values to `dst` (a plain `extend` for `f64`).
-    #[cfg(any(test, feature = "std"))]
-    fn extend_from_f64(dst: &mut Vec<Self>, src: impl Iterator<Item = f64>);
-
-    /// Runs `f` with an `f64` output buffer and leaves the result in
-    /// `dst`: for `f64` the closure writes `dst` directly; for `f32` it
-    /// writes `scratch`, which is then narrowed into `dst`. Steady-state
-    /// calls reuse both buffers' capacity and perform no allocation.
-    #[cfg(any(test, feature = "std"))]
-    fn with_wide_out(dst: &mut Vec<Self>, scratch: &mut Vec<f64>, f: impl FnOnce(&mut Vec<f64>));
-
     /// The per-precision window-taper coefficient cache; implementation
     /// detail of `WindowShape::apply` in the host crate.
     #[cfg(any(test, feature = "std"))]
@@ -185,24 +167,6 @@ impl Sample for f64 {
     }
 
     #[cfg(any(test, feature = "std"))]
-    #[inline(always)]
-    fn widen_into<'a>(src: &'a [Self], _scratch: &'a mut Vec<f64>) -> &'a [f64] {
-        src
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[inline]
-    fn extend_from_f64(dst: &mut Vec<Self>, src: impl Iterator<Item = f64>) {
-        dst.extend(src);
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[inline]
-    fn with_wide_out(dst: &mut Vec<Self>, _scratch: &mut Vec<f64>, f: impl FnOnce(&mut Vec<f64>)) {
-        f(dst);
-    }
-
-    #[cfg(any(test, feature = "std"))]
     fn taper_cache() -> &'static LocalKey<RefCell<TaperCacheEntry<Self>>> {
         &TAPER_F64
     }
@@ -255,28 +219,6 @@ impl Sample for f32 {
     }
 
     #[cfg(any(test, feature = "std"))]
-    #[inline]
-    fn widen_into<'a>(src: &'a [Self], scratch: &'a mut Vec<f64>) -> &'a [f64] {
-        scratch.clear();
-        scratch.extend(src.iter().map(|&x| f64::from(x)));
-        scratch
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[inline]
-    fn extend_from_f64(dst: &mut Vec<Self>, src: impl Iterator<Item = f64>) {
-        dst.extend(src.map(|x| x as f32));
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[inline]
-    fn with_wide_out(dst: &mut Vec<Self>, scratch: &mut Vec<f64>, f: impl FnOnce(&mut Vec<f64>)) {
-        f(scratch);
-        dst.clear();
-        dst.extend(scratch.iter().map(|&x| x as f32));
-    }
-
-    #[cfg(any(test, feature = "std"))]
     fn taper_cache() -> &'static LocalKey<RefCell<TaperCacheEntry<Self>>> {
         &TAPER_F32
     }
@@ -285,8 +227,6 @@ impl Sample for f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::vec;
-    use std::vec::Vec;
 
     #[test]
     fn f64_round_trips_exactly() {
@@ -302,25 +242,6 @@ mod tests {
         assert_ne!(<f32 as Sample>::from_f64(x).to_f64(), x);
     }
 
-    #[cfg(any(test, feature = "std"))]
-    #[test]
-    fn widen_into_is_a_borrow_for_f64() {
-        let src = [1.0f64, 2.0];
-        let mut scratch = Vec::new();
-        let wide = <f64 as Sample>::widen_into(&src, &mut scratch);
-        assert_eq!(wide.as_ptr(), src.as_ptr(), "f64 widening must not copy");
-        assert!(scratch.is_empty());
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[test]
-    fn widen_into_copies_for_f32() {
-        let src = [1.5f32, -2.0];
-        let mut scratch = Vec::new();
-        let wide = <f32 as Sample>::widen_into(&src, &mut scratch);
-        assert_eq!(wide, &[1.5f64, -2.0]);
-    }
-
     #[test]
     fn widen_slice_into_borrows_for_f64_and_copies_for_f32() {
         let src = [1.0f64, 2.0];
@@ -332,18 +253,6 @@ mod tests {
         let mut scratch = [0.0f64; 4];
         let wide = <f32 as Sample>::widen_slice_into(&src32, &mut scratch);
         assert_eq!(wide, &[1.5f64, -2.0]);
-    }
-
-    #[cfg(any(test, feature = "std"))]
-    #[test]
-    fn with_wide_out_narrows_for_f32() {
-        let mut dst: Vec<f32> = vec![9.0; 4];
-        let mut scratch = Vec::new();
-        <f32 as Sample>::with_wide_out(&mut dst, &mut scratch, |w| {
-            w.clear();
-            w.extend([0.5, 1.5]);
-        });
-        assert_eq!(dst, vec![0.5f32, 1.5]);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_hub::{HubError, Sample};
 use sidewinder_ir::Program;
 use sidewinder_obs::{Event, EventSink, FrameOutcome, NullSink};
-use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
+use sidewinder_sensors::{Micros, SensorChannel, SensorTrace, TimeSeries};
+use std::ops::Range;
 
 /// Tunable simulation constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -495,6 +496,75 @@ fn batching(
     )
 }
 
+/// One program input: a channel and its series in the trace.
+type Input<'t> = (SensorChannel, &'t TimeSeries);
+
+/// The program's input channels resolved against the trace, and hub
+/// channel rates taken from the trace itself.
+fn hub_inputs<'t>(
+    trace: &'t SensorTrace,
+    program: &Program,
+) -> Result<(Vec<Input<'t>>, ChannelRates), SimError> {
+    let mut rates = ChannelRates::default();
+    let mut inputs = Vec::new();
+    for channel in program.channels() {
+        let series = trace
+            .channel(channel)
+            .ok_or(SimError::MissingChannel(channel))?;
+        rates = rates.with_rate(channel, series.rate_hz());
+        inputs.push((channel, series));
+    }
+    Ok((inputs, rates))
+}
+
+/// Cuts the next run off the serial replay of `inputs`, where
+/// `cursors[i]` is the next unread sample of input `i`.
+///
+/// The serial replay feeds the hub the earliest next sample across all
+/// inputs, the first input winning ties. A run is the longest stretch of
+/// one input that keeps winning that pick: its samples must stay
+/// strictly earlier than the next sample of every input before it and no
+/// later than that of every input after it. Returns the input's index
+/// and the run's sample range, and advances its cursor past the run;
+/// `None` once every input is drained.
+fn next_run(inputs: &[Input<'_>], cursors: &mut [usize]) -> Option<(usize, Range<usize>)> {
+    let next = |j: usize| {
+        let (_, series) = inputs[j];
+        (cursors[j] < series.len()).then(|| series.time_of(cursors[j]))
+    };
+    let mut best: Option<(usize, Micros)> = None;
+    for j in 0..inputs.len() {
+        if let Some(t) = next(j) {
+            if best.is_none_or(|(_, bt)| t < bt) {
+                best = Some((j, t));
+            }
+        }
+    }
+    let (i, _) = best?;
+    // The other inputs' next-sample times are fixed while this one runs.
+    let mut before_min: Option<Micros> = None;
+    let mut after_min: Option<Micros> = None;
+    for j in (0..inputs.len()).filter(|&j| j != i) {
+        if let Some(t) = next(j) {
+            let slot = if j < i {
+                &mut before_min
+            } else {
+                &mut after_min
+            };
+            *slot = Some(slot.map_or(t, |m| m.min(t)));
+        }
+    }
+    let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
+    let series = inputs[i].1;
+    let start = cursors[i];
+    let mut end = start + 1;
+    while end < series.len() && wins(series.time_of(end)) {
+        end += 1;
+    }
+    cursors[i] = end;
+    Some((i, start..end))
+}
+
 /// Hub-resident wake-up condition (Predefined Activity or Sidewinder),
 /// interpreted at vector precision `P`.
 fn hub_wake<S: EventSink, P: Sample>(
@@ -504,67 +574,18 @@ fn hub_wake<S: EventSink, P: Sample>(
     config: &SimConfig,
     sink: &mut S,
 ) -> Result<(IntervalSet, Vec<Micros>), SimError> {
-    // Configure hub channel rates from the trace itself.
-    let mut rates = ChannelRates::default();
-    let channels = program.channels();
-    for &channel in &channels {
-        let series = trace
-            .channel(channel)
-            .ok_or(SimError::MissingChannel(channel))?;
-        rates = rates.with_rate(channel, series.rate_hz());
-    }
+    let (inputs, rates) = hub_inputs(trace, program)?;
     let mut hub = HubRuntime::<_, P>::load_generic(program, &rates, &mut *sink)?;
 
     // Replay samples in time order across the program's channels and
-    // collect wake times. Consecutive samples from one channel are pushed
-    // as a single batch; the batch boundary reproduces the serial pick
-    // exactly (first channel index with a strictly minimal time wins), so
-    // the hub sees the samples in the identical order.
+    // collect wake times. Each run of consecutive samples from one
+    // channel is pushed as a single batch; `next_run` cuts runs exactly
+    // where the serial pick would switch channels, so the hub sees the
+    // samples in the identical order.
     let mut wake_times: Vec<Micros> = Vec::new();
-    let mut cursors: Vec<(sidewinder_sensors::SensorChannel, usize)> =
-        channels.iter().map(|&c| (c, 0usize)).collect();
-    loop {
-        // Pick the channel whose next sample is earliest.
-        let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let series = trace.channel(channel).expect("checked above");
-        // The other channels' next-sample times are fixed while this
-        // channel runs, so the run extends as long as this channel keeps
-        // winning the serial pick: strictly earlier than channels at a
-        // smaller index, no later than channels at a larger index.
-        let mut before_min: Option<Micros> = None;
-        let mut after_min: Option<Micros> = None;
-        for (j, &(other, jdx)) in cursors.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let other_series = trace.channel(other).expect("checked above");
-            if jdx < other_series.len() {
-                let tj = other_series.time_of(jdx);
-                let slot = if j < i {
-                    &mut before_min
-                } else {
-                    &mut after_min
-                };
-                *slot = Some(slot.map_or(tj, |m| m.min(tj)));
-            }
-        }
-        let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-        let mut end = idx + 1;
-        while end < series.len() && wins(series.time_of(end)) {
-            end += 1;
-        }
-        cursors[i].1 = end;
+    let mut cursors = vec![0usize; inputs.len()];
+    while let Some((i, run)) = next_run(&inputs, &mut cursors) {
+        let (channel, series) = inputs[i];
         // Within one channel, a sample's sequence number is its series
         // index, so each wake's trigger time is recoverable from its tag.
         if S::ENABLED {
@@ -572,7 +593,7 @@ fn hub_wake<S: EventSink, P: Sample>(
             // with its sample's trace time, and report each wake's frame
             // crossing the link. Batch-equivalence of the two paths is
             // pinned by the hub's conformance tests.
-            for s in idx..end {
+            for s in run {
                 hub.sink_mut().set_time(series.time_of(s));
                 let wakes = hub.push_sample(channel, series.samples()[s])?;
                 for w in &wakes {
@@ -586,7 +607,7 @@ fn hub_wake<S: EventSink, P: Sample>(
                 }
             }
         } else {
-            let wakes = hub.push_samples(channel, &series.samples()[idx..end])?;
+            let wakes = hub.push_samples(channel, &series.samples()[run])?;
             wake_times.extend(wakes.iter().map(|w| series.time_of(w.seq as usize)));
         }
     }
@@ -626,14 +647,7 @@ fn hub_wake_faulted<S: EventSink>(
     sink: &mut S,
 ) -> Result<(IntervalSet, Vec<Micros>, FaultCounters), SimError> {
     let duration = trace.duration();
-    let mut rates = ChannelRates::default();
-    let channels = program.channels();
-    for &channel in &channels {
-        let series = trace
-            .channel(channel)
-            .ok_or(SimError::MissingChannel(channel))?;
-        rates = rates.with_rate(channel, series.rate_hz());
-    }
+    let (inputs, rates) = hub_inputs(trace, program)?;
     let mut hub = HubRuntime::load_with_sink(program, &rates, &mut *sink)?;
 
     // Link-cost model: every transfer is CRC-framed; a health probe is a
@@ -656,51 +670,15 @@ fn hub_wake_faulted<S: EventSink>(
     // consumed since its last reset: a wake's `seq` tag indexes this map
     // to recover the trigger time. Cleared on reset, exactly as the hub
     // clears its per-channel sequence counters.
-    let mut consumed: Vec<Vec<usize>> = vec![Vec::new(); channels.len()];
+    let mut consumed: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
     let mut next_reset = 0usize;
 
-    // Same time-ordered serial pick as `hub_wake`, but samples feed the
-    // hub one at a time so each can be checked against the fault plan.
-    let mut cursors: Vec<(SensorChannel, usize)> = channels.iter().map(|&c| (c, 0usize)).collect();
-    loop {
-        let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let series = trace.channel(channel).expect("checked above");
-        let mut before_min: Option<Micros> = None;
-        let mut after_min: Option<Micros> = None;
-        for (j, &(other, jdx)) in cursors.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            let other_series = trace.channel(other).expect("checked above");
-            if jdx < other_series.len() {
-                let tj = other_series.time_of(jdx);
-                let slot = if j < i {
-                    &mut before_min
-                } else {
-                    &mut after_min
-                };
-                *slot = Some(slot.map_or(tj, |m| m.min(tj)));
-            }
-        }
-        let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-        let mut end = idx + 1;
-        while end < series.len() && wins(series.time_of(end)) {
-            end += 1;
-        }
-        cursors[i].1 = end;
-
-        for s in idx..end {
+    // Same runs as `hub_wake`, but samples feed the hub one at a time so
+    // each can be checked against the fault plan.
+    let mut cursors = vec![0usize; inputs.len()];
+    while let Some((i, run)) = next_run(&inputs, &mut cursors) {
+        let (channel, series) = inputs[i];
+        for s in run {
             let t = series.time_of(s);
             // Fire any watchdog reset that has come due: the hub loses
             // all filter state and its sequence counters, and the phone
@@ -885,6 +863,42 @@ mod tests {
         fn wake_condition_hub_mw(&self) -> f64 {
             3.6
         }
+    }
+
+    #[test]
+    fn runs_merge_the_serial_pick_exactly() {
+        // Rates whose sample times collide often, so ties (first input
+        // wins) decide many picks.
+        let series: Vec<TimeSeries> = [100.0, 40.0, 50.0]
+            .iter()
+            .map(|&rate| TimeSeries::from_samples(rate, vec![0.0; 37]).unwrap())
+            .collect();
+        let channels = [
+            SensorChannel::AccX,
+            SensorChannel::AccY,
+            SensorChannel::AccZ,
+        ];
+        let inputs: Vec<Input<'_>> = channels.iter().copied().zip(series.iter()).collect();
+
+        // The serial pick, one sample at a time, merged into runs.
+        let mut cursors = vec![0usize; inputs.len()];
+        let mut expected: Vec<(usize, Range<usize>)> = Vec::new();
+        loop {
+            let pick = (0..inputs.len())
+                .filter(|&j| cursors[j] < inputs[j].1.len())
+                .min_by_key(|&j| (inputs[j].1.time_of(cursors[j]), j));
+            let Some(j) = pick else { break };
+            match expected.last_mut() {
+                Some((last, run)) if *last == j => run.end += 1,
+                _ => expected.push((j, cursors[j]..cursors[j] + 1)),
+            }
+            cursors[j] += 1;
+        }
+
+        let mut cursors = vec![0usize; inputs.len()];
+        let runs: Vec<_> = std::iter::from_fn(|| next_run(&inputs, &mut cursors)).collect();
+        assert_eq!(runs, expected);
+        assert!(runs.len() < 3 * 37, "runs must batch some samples");
     }
 
     /// 120 s at 50 Hz with bursts of 10 at [30,32) and [90,92).

@@ -17,9 +17,6 @@
 //!   be bit-identical to the reference transform;
 //! * [`targets::ingest_differential`] — batched sample ingestion must
 //!   be bit-identical to pushing the same samples one at a time;
-//! * [`targets::mcu_equivalence`] — the `no_std` MCU core must be
-//!   bit-identical to the host interpreter on the same program and
-//!   sample stream;
 //! * [`targets::cert_soundness`] — the static resource certificate must
 //!   agree with the loader about what fits and dominate every measured
 //!   arena high-water mark and emission count.
@@ -118,11 +115,10 @@ pub fn mutate(base: &[u8], corpus: &[Vec<u8>], rng: &mut SplitMix64) -> Vec<u8> 
 pub type Target = fn(&[u8]);
 
 /// The registered targets, in the order `fuzzsmoke` runs them.
-pub const TARGETS: [(&str, Target); 5] = [
+pub const TARGETS: [(&str, Target); 4] = [
     ("ir_totality", targets::ir_totality),
     ("fft_differential", targets::fft_differential),
     ("ingest_differential", targets::ingest_differential),
-    ("mcu_equivalence", targets::mcu_equivalence),
     ("cert_soundness", targets::cert_soundness),
 ];
 

@@ -10,7 +10,6 @@ use sidewinder_hub::{compile_image, McuCore};
 use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
 use sidewinder_mcu::{ArenaKind, HighWaterProbe, McuExecError};
-use sidewinder_sensors::SensorChannel;
 
 /// The six golden fixtures double as structured seeds: mutated wake
 /// conditions for the totality target, program choices for the
@@ -27,9 +26,6 @@ pub const FIXTURES: [&str; 6] = [
 /// Samples each interpreter differential expands its input to — enough
 /// to fill the fixtures' 2048-sample windows twice over.
 const SAMPLE_BUDGET: usize = 4096;
-
-/// Arena capacity covering every fixture (see `hub/tests/mcu_equivalence.rs`).
-const ARENA: usize = 16_384;
 
 /// Totality: the parser must accept or reject arbitrary bytes without
 /// panicking, and everything downstream of a successful parse — the
@@ -150,23 +146,6 @@ pub fn ingest_differential(data: &[u8]) {
     }
 }
 
-/// Differential interpreters: the `no_std` MCU core must reproduce the
-/// host runtime's wake stream bit for bit on the same program and
-/// sample schedule.
-pub fn mcu_equivalence(data: &[u8]) {
-    // The fixture-sized core is ~1 MiB, too big for a default 2 MiB
-    // test-thread stack; run the body on a roomy thread, propagating
-    // any panic so `catch_unwind` in the runner still sees it.
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(32 << 20)
-            .spawn_scoped(scope, || mcu_equivalence_body(data))
-            .expect("spawn fuzz thread")
-            .join()
-    })
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-}
-
 /// Arena capacity for the certificate-soundness target: deliberately
 /// tight (a 512-sample windowed pipeline's exact footprint) so mutated
 /// programs land on both sides of the fit boundary — the committed
@@ -271,39 +250,5 @@ pub fn cert_soundness(data: &[u8]) {
             measured <= bound,
             "node {node} emitted {measured} > certified bound {bound}"
         );
-    }
-}
-
-fn mcu_equivalence_body(data: &[u8]) {
-    let program = pick_program(data);
-    let samples = sample_schedule(data);
-    let rates = ChannelRates::default();
-    let mut hub = HubRuntime::load(&program, &rates).expect("fixture loads");
-    let image = compile_image(&program, &rates).expect("fixture compiles");
-    let mut core: McuCore<f64, ARENA> = McuCore::new();
-    core.load(&image).expect("image fits the arena");
-    let channels: Vec<SensorChannel> = program.channels();
-    for (ci, &channel) in channels.iter().enumerate() {
-        // Offset each channel into the schedule so multi-channel
-        // programs do not see identical streams.
-        let stream = &samples[ci.min(samples.len())..];
-        let host_wakes: Vec<_> = hub
-            .push_samples(channel, stream)
-            .expect("fixture executes on the host")
-            .to_vec();
-        let mut core_wakes = Vec::with_capacity(host_wakes.len());
-        core.push_samples(channel.index() as u8, stream, &mut |w| core_wakes.push(w))
-            .expect("fixture executes on the core");
-        assert_eq!(
-            host_wakes.len(),
-            core_wakes.len(),
-            "wake count diverged on {channel:?}"
-        );
-        for (k, (h, c)) in host_wakes.iter().zip(core_wakes.iter()).enumerate() {
-            assert!(
-                h.seq == c.seq && h.value.to_bits() == c.value.to_bits(),
-                "wake #{k} diverged on {channel:?}: {h:?} vs {c:?}"
-            );
-        }
     }
 }

@@ -3,12 +3,12 @@
 //! hub interpreter, trace persistence, and the simulator.
 
 use sidewinder::core::algorithm::{MinThreshold, MovingAverage, VectorMagnitude};
-use sidewinder::core::fusion::{FusedPlan, FusedRuntime};
 use sidewinder::core::{
     ProcessingBranch, ProcessingPipeline, SensorEvent, SidewinderSensorManager,
 };
 use sidewinder::hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder::ir::Program;
+use sidewinder::opt::{fuse_programs, optimize, OptOptions};
 use sidewinder::sensors::{csv, EventKind, Micros, SensorChannel};
 use sidewinder::sim::{simulate, Application, PhonePowerProfile, SimConfig, Strategy};
 use sidewinder::tracegen::{robot_run, RobotRunConfig};
@@ -118,16 +118,24 @@ fn generated_trace_survives_csv_round_trip_with_identical_simulation() {
 fn fused_runtime_agrees_with_separate_runtimes_on_audio_conditions() {
     let music = sidewinder::apps::MusicJournalApp::new().wake_condition();
     let phrase = sidewinder::apps::PhraseDetectionApp::new().wake_condition();
-    let plan = FusedPlan::fuse(&[&music, &phrase]).unwrap();
-    assert!(plan.node_count() < music.nodes().count() + phrase.nodes().count());
-
     let rates = ChannelRates::default();
-    let mut fused = FusedRuntime::load(&plan, &rates).unwrap();
+    let (fused, _) = optimize(
+        &fuse_programs(&[music.clone(), phrase.clone()]),
+        &rates,
+        &OptOptions::default(),
+    );
+    // CSE shares the window+variance branch the two conditions have in
+    // common, even with the `anyOf` join the fusion adds.
+    assert!(fused.nodes().count() < music.nodes().count() + phrase.nodes().count());
+
+    let mut fused = HubRuntime::load(&fused, &rates).unwrap();
     let mut solo_music = HubRuntime::load(&music, &rates).unwrap();
     let mut solo_phrase = HubRuntime::load(&phrase, &rates).unwrap();
 
     // A deterministic loud modulated signal that exercises both
-    // conditions.
+    // conditions. The fused program wakes exactly when either condition
+    // does.
+    let mut wakes = 0;
     for i in 0..20_000u64 {
         let t = i as f64 / 8000.0;
         let v = if ((t * 4.0) as u64).is_multiple_of(2) {
@@ -137,14 +145,17 @@ fn fused_runtime_agrees_with_separate_runtimes_on_audio_conditions() {
         } else {
             -0.15
         };
-        let fused_wakes = fused.push_sample(SensorChannel::Mic, v).unwrap();
+        let f = fused.push_sample(SensorChannel::Mic, v).unwrap();
         let m = solo_music.push_sample(SensorChannel::Mic, v).unwrap();
         let p = solo_phrase.push_sample(SensorChannel::Mic, v).unwrap();
-        let fused_music: Vec<_> = fused_wakes.iter().filter(|(i, _)| *i == 0).collect();
-        let fused_phrase: Vec<_> = fused_wakes.iter().filter(|(i, _)| *i == 1).collect();
-        assert_eq!(fused_music.len(), m.len(), "music mismatch at sample {i}");
-        assert_eq!(fused_phrase.len(), p.len(), "phrase mismatch at sample {i}");
+        assert_eq!(
+            f.is_empty(),
+            m.is_empty() && p.is_empty(),
+            "wake mismatch at sample {i}"
+        );
+        wakes += f.len();
     }
+    assert!(wakes > 0, "the signal must wake the fused condition");
 }
 
 #[test]
