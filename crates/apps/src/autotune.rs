@@ -16,9 +16,9 @@
 //! proposes a threshold that would have missed an event on the
 //! calibration trace, but it cannot rule out misses on unseen data.
 
-use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_ir::{AlgorithmKind, NodeId, Program, Stmt};
 use sidewinder_sensors::{EventKind, Micros, SensorTrace};
+use sidewinder_sim::engine::hub_wake_times;
 
 /// One candidate evaluated during tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,7 +110,8 @@ pub fn tune_final_threshold(
     let mut best: Option<(Candidate, Program)> = None;
     for &threshold in candidates {
         let tuned = retarget(program, out, threshold);
-        let wake_times = run_hub(&tuned, trace).map_err(|e| TuneError::Hub(e.to_string()))?;
+        let wake_times =
+            hub_wake_times(trace, &tuned).map_err(|e| TuneError::Hub(e.to_string()))?;
         let recalled = events
             .iter()
             .filter(|ev| {
@@ -180,37 +181,6 @@ fn retarget(program: &Program, target: NodeId, threshold: f64) -> Program {
         })
         .collect();
     Program::from_stmts(stmts)
-}
-
-/// Replays the trace through a hub running `program`, returning wake
-/// times.
-fn run_hub(
-    program: &Program,
-    trace: &SensorTrace,
-) -> Result<Vec<Micros>, sidewinder_hub::HubError> {
-    let mut rates = ChannelRates::default();
-    for channel in program.channels() {
-        if let Some(series) = trace.channel(channel) {
-            rates = rates.with_rate(channel, series.rate_hz());
-        }
-    }
-    let mut hub = HubRuntime::load(program, &rates)?;
-    let mut wakes = Vec::new();
-    for channel in program.channels() {
-        let Some(series) = trace.channel(channel) else {
-            continue;
-        };
-        // Single-channel replay per channel is exact for the evaluation
-        // wake conditions (each reads one channel); multi-channel
-        // conditions are replayed through the simulator instead.
-        for (i, &v) in series.samples().iter().enumerate() {
-            if !hub.push_sample(channel, v)?.is_empty() {
-                wakes.push(series.time_of(i));
-            }
-        }
-    }
-    wakes.sort();
-    Ok(wakes)
 }
 
 #[cfg(test)]

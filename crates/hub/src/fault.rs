@@ -291,6 +291,7 @@ impl FaultSchedule {
 
         FaultPlan {
             resets,
+            recovery,
             downtime,
             dropouts,
             corruption_rate: self.frame_corruption_rate,
@@ -339,6 +340,7 @@ pub enum FrameFate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     resets: Vec<Micros>,
+    recovery: Micros,
     downtime: Vec<(Micros, Micros)>,
     dropouts: Vec<ChannelDropout>,
     corruption_rate: f64,
@@ -353,6 +355,12 @@ impl FaultPlan {
         &self.resets
     }
 
+    /// How long the hub stays unusable after each reset (the `recovery`
+    /// the plan was built with).
+    pub fn recovery(&self) -> Micros {
+        self.recovery
+    }
+
     /// Merged windows during which the hub is unusable.
     pub fn downtime(&self) -> &[(Micros, Micros)] {
         &self.downtime
@@ -363,16 +371,27 @@ impl FaultPlan {
         self.retry
     }
 
-    /// Whether the hub is down (resetting or in an explicit outage) at `t`.
-    pub fn hub_down_at(&self, t: Micros) -> bool {
-        self.downtime.iter().any(|&(s, e)| t >= s && t < e)
-    }
-
-    /// Whether `channel` is in a dropout window at `t`.
-    pub fn channel_dropped(&self, channel: SensorChannel, t: Micros) -> bool {
-        self.dropouts
+    /// What the plan does to a sample of `channel` at `t`, and for how
+    /// long: whether the sample reaches the hub (the hub is up and the
+    /// channel is not in a dropout), and the first instant after `t` at
+    /// which that can change or a reset falls due — a reset instant, a
+    /// downtime edge or an edge of one of the channel's dropouts;
+    /// [`Micros::MAX`] if none. Every sample of `channel` in `[t, until)`
+    /// meets the same state with no reset due between them.
+    pub fn channel_state(&self, channel: SensorChannel, t: Micros) -> (bool, Micros) {
+        let dropouts = || self.dropouts.iter().filter(|d| d.channel == channel);
+        let live = !self.downtime.iter().any(|&(s, e)| t >= s && t < e)
+            && !dropouts().any(|d| d.contains(t));
+        let until = self
+            .resets
             .iter()
-            .any(|d| d.channel == channel && d.contains(t))
+            .copied()
+            .chain(self.downtime.iter().flat_map(|&(s, e)| [s, e]))
+            .chain(dropouts().flat_map(|d| [d.start, d.end]))
+            .filter(|&edge| edge > t)
+            .min()
+            .unwrap_or(Micros::MAX);
+        (live, until)
     }
 
     /// Draws the fate of the next frame transfer attempt. Corruption is
@@ -418,7 +437,10 @@ mod tests {
         assert!(FaultSchedule::none().is_empty());
         assert!(plan.resets().is_empty());
         assert!(plan.downtime().is_empty());
-        assert!(!plan.hub_down_at(Micros::from_secs(1)));
+        assert_eq!(
+            plan.channel_state(SensorChannel::AccX, Micros::from_secs(1)),
+            (true, Micros::MAX)
+        );
         let mut plan = plan;
         for _ in 0..32 {
             assert_eq!(plan.next_frame_fate(), FrameFate::Delivered);
@@ -446,9 +468,13 @@ mod tests {
             .with_hub_reset_at(Micros::from_secs(10))
             .plan(Micros::from_secs(60), Micros::from_secs(2));
         assert_eq!(plan.resets(), &[Micros::from_secs(10)]);
-        assert!(plan.hub_down_at(Micros::from_secs(11)));
-        assert!(!plan.hub_down_at(Micros::from_secs(12)));
-        assert!(!plan.hub_down_at(Micros::from_secs(9)));
+        let live = |t| {
+            plan.channel_state(SensorChannel::Mic, Micros::from_secs(t))
+                .0
+        };
+        assert!(!live(11));
+        assert!(live(12));
+        assert!(live(9));
     }
 
     #[test]
@@ -480,9 +506,34 @@ mod tests {
                 Micros::from_secs(10),
             ))
             .plan(Micros::from_secs(60), Micros::ZERO);
-        assert!(plan.channel_dropped(SensorChannel::AccX, Micros::from_secs(7)));
-        assert!(!plan.channel_dropped(SensorChannel::AccY, Micros::from_secs(7)));
-        assert!(!plan.channel_dropped(SensorChannel::AccX, Micros::from_secs(10)));
+        let live = |c, t| plan.channel_state(c, Micros::from_secs(t)).0;
+        assert!(!live(SensorChannel::AccX, 7));
+        assert!(live(SensorChannel::AccY, 7));
+        assert!(live(SensorChannel::AccX, 10));
+    }
+
+    #[test]
+    fn channel_state_holds_until_the_next_edge() {
+        let s = Micros::from_secs;
+        let plan = FaultSchedule::seeded(1)
+            .with_hub_reset_at(s(30))
+            .with_hub_downtime(s(10), s(20))
+            .with_dropout(ChannelDropout::new(SensorChannel::AccX, s(5), s(8)))
+            .plan(s(60), s(2));
+        let acc = |t| plan.channel_state(SensorChannel::AccX, t);
+        assert_eq!(acc(Micros::ZERO), (true, s(5)));
+        // An edge at `t` itself is already in force.
+        assert_eq!(acc(s(5)), (false, s(8)));
+        assert_eq!(acc(s(8)), (true, s(10)));
+        assert_eq!(acc(s(10)), (false, s(20)));
+        assert_eq!(acc(s(20)), (true, s(30)));
+        // The reset's recovery window closes at 32 s.
+        assert_eq!(acc(s(30)), (false, s(32)));
+        assert_eq!(acc(s(32)), (true, Micros::MAX));
+        // Other channels ignore ACC_X's dropout.
+        let mic = plan.channel_state(SensorChannel::Mic, s(5));
+        assert_eq!(mic, (true, s(10)));
+        assert_eq!(plan.recovery(), s(2));
     }
 
     #[test]

@@ -237,22 +237,7 @@ impl HubRuntime32 {
     ///
     /// As [`HubRuntime::load_generic`].
     pub fn load_f32(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
-        Self::load_f32_with_sink(program, rates, NullSink)
-    }
-}
-
-impl<S: EventSink> HubRuntime<S, f32> {
-    /// Like [`HubRuntime32::load_f32`], but events flow into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HubRuntime::load_generic`].
-    pub fn load_f32_with_sink(
-        program: &Program,
-        rates: &ChannelRates,
-        sink: S,
-    ) -> Result<Self, HubError> {
-        Self::load_generic(program, rates, sink)
+        Self::load_generic(program, rates, NullSink)
     }
 }
 

@@ -35,7 +35,7 @@ use sidewinder_hub::fault::FaultSchedule;
 use sidewinder_sensors::SensorTrace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// An application shared across worker threads.
@@ -550,46 +550,21 @@ impl BatchRunner {
     /// order.
     pub fn run_jobs(&self, jobs: Vec<JobSpec>) -> BatchReport {
         let started = Instant::now();
-        let workers = self.workers.min(jobs.len()).max(1);
-        let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-
-        if workers == 1 {
-            // Run on the calling thread: same code path, no pool.
-            for job in &jobs {
-                let _ = slots[job.index].set(job.run_isolated());
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let _ = slots[i].set(job.run_isolated());
-                    });
-                }
-            });
-        }
-
+        // `run_isolated` turns every panic into an outcome, so a
+        // `JobPanic` only means a job was lost wholesale: it becomes a
+        // typed `JobError::Lost` naming the cell, never an anonymous
+        // panic.
+        let outcomes = try_par_map(self.workers, &jobs, JobSpec::run_isolated)
+            .into_iter()
+            .zip(&jobs)
+            .map(|(outcome, job)| outcome.unwrap_or_else(|_| job.lost_outcome()))
+            .collect();
         BatchReport {
-            outcomes: collect_outcomes(slots, &jobs),
+            outcomes,
             elapsed: started.elapsed(),
-            workers,
+            workers: self.workers.min(jobs.len()).max(1),
         }
     }
-}
-
-/// Drains the outcome slots in spec order. A slot its worker never filled
-/// — only reachable if a job was lost wholesale, since `run_isolated`
-/// converts every panic into an outcome — becomes a typed
-/// [`JobError::Lost`] failure naming the (app, strategy, trace) cell,
-/// never an anonymous panic.
-fn collect_outcomes(slots: Vec<OnceLock<JobOutcome>>, jobs: &[JobSpec]) -> Vec<JobOutcome> {
-    slots
-        .into_iter()
-        .zip(jobs)
-        .map(|(slot, job)| slot.into_inner().unwrap_or_else(|| job.lost_outcome()))
-        .collect()
 }
 
 /// A panic caught while mapping one item of [`try_par_map`].
@@ -609,10 +584,11 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
-/// Order-preserving parallel map with per-item panic isolation — for
-/// sweep-shaped work that is not a [`simulate`](crate::engine::simulate)
-/// call (pipeline-cost analysis, concurrent-app simulation, trace
-/// synthesis, fleet shards). A panicking `f` costs exactly the item it
+/// Order-preserving parallel map with per-item panic isolation — the
+/// one worker pool, behind [`BatchRunner`] and the sweep-shaped work
+/// that is not a [`simulate`](crate::engine::simulate) call
+/// (pipeline-cost analysis, concurrent-app simulation, trace synthesis,
+/// fleet shards). A panicking `f` costs exactly the item it
 /// panicked on: every other item still completes, and the panic comes
 /// back as a [`JobPanic`] in that item's slot — the same per-cell
 /// isolation [`BatchRunner::run`] gives sweep cells.
@@ -999,17 +975,10 @@ mod tests {
     #[test]
     fn lost_job_slots_become_typed_per_cell_failures() {
         let jobs = toy_spec().jobs();
-        let slots: Vec<OnceLock<JobOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
-        // Fill every slot except job 4 (Oracle on trace "b"), simulating
-        // a worker that vanished mid-cell.
-        for job in &jobs {
-            if job.index != 4 {
-                let _ = slots[job.index].set(job.run());
-            }
-        }
-        let outcomes = collect_outcomes(slots, &jobs);
-        assert_eq!(outcomes.len(), jobs.len());
-        let lost = &outcomes[4];
+        // Job 4 (Oracle on trace "b") as recorded when its worker
+        // vanished mid-cell.
+        let lost = jobs[4].lost_outcome();
+        assert_eq!(lost.index, 4);
         assert_eq!(lost.app, "toy");
         assert_eq!(lost.strategy, "Oracle");
         assert_eq!(lost.trace, "b");
@@ -1030,8 +999,6 @@ mod tests {
         assert!(rendered.contains("app toy"), "{rendered}");
         assert!(rendered.contains("strategy Oracle"), "{rendered}");
         assert!(rendered.contains("trace b"), "{rendered}");
-        // Every other cell still succeeded.
-        assert_eq!(outcomes.iter().filter(|o| o.result.is_ok()).count(), 8);
     }
 
     /// An application that panics *outside* the simulation — in `name()`

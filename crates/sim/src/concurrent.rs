@@ -10,12 +10,11 @@
 //! one application lets the others piggyback on the data).
 
 use crate::app::Application;
-use crate::engine::{SimConfig, SimError};
+use crate::engine::{hub_wake_times, integrate, SimConfig, SimError};
 use crate::intervals::IntervalSet;
 use crate::metrics::DetectionStats;
 use crate::power::{PhonePowerProfile, PowerBreakdown};
-use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
-use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
+use sidewinder_sensors::{Micros, SensorTrace};
 
 /// Per-application outcome within a concurrent simulation.
 #[derive(Debug, Clone)]
@@ -62,50 +61,11 @@ pub fn simulate_concurrent(
 ) -> Result<ConcurrentResult, SimError> {
     let duration = trace.duration();
 
-    // Load one runtime per application and collect the union of the
-    // channels they read.
-    let mut runtimes = Vec::new();
-    let mut channels: Vec<SensorChannel> = Vec::new();
-    for app in apps {
-        let program = app.wake_condition();
-        let mut rates = ChannelRates::default();
-        for channel in program.channels() {
-            let series = trace
-                .channel(channel)
-                .ok_or(SimError::MissingChannel(channel))?;
-            rates = rates.with_rate(channel, series.rate_hz());
-            if !channels.contains(&channel) {
-                channels.push(channel);
-            }
-        }
-        runtimes.push(HubRuntime::load(&program, &rates)?);
-    }
-    channels.sort();
-
-    // Replay the trace once, feeding every runtime.
-    let mut wake_times: Vec<Vec<Micros>> = vec![Vec::new(); apps.len()];
-    let mut cursors: Vec<(SensorChannel, usize)> = channels.iter().map(|&c| (c, 0)).collect();
-    loop {
-        let mut best: Option<(usize, Micros)> = None;
-        for (i, &(channel, idx)) in cursors.iter().enumerate() {
-            let series = trace.channel(channel).expect("checked above");
-            if idx < series.len() {
-                let t = series.time_of(idx);
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        let Some((i, t)) = best else { break };
-        let (channel, idx) = cursors[i];
-        let sample = trace.channel(channel).expect("checked above").samples()[idx];
-        cursors[i].1 += 1;
-        for (app_idx, runtime) in runtimes.iter_mut().enumerate() {
-            if !runtime.push_sample(channel, sample)?.is_empty() {
-                wake_times[app_idx].push(t);
-            }
-        }
-    }
+    // The hub runs every condition over the same trace.
+    let wake_times = apps
+        .iter()
+        .map(|app| hub_wake_times(trace, &app.wake_condition()))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // The phone wakes for the union of all conditions' spans.
     let all_spans: Vec<(Micros, Micros)> = wake_times
@@ -150,17 +110,7 @@ pub fn simulate_concurrent(
         .map(|a| a.wake_condition_hub_mw())
         .fold(0.0, f64::max);
 
-    let t_awake = awake.total().min(duration);
-    let sleep_budget = duration.saturating_sub(t_awake);
-    let wanted = profile.transition_time * (2 * awake.len() as u64);
-    let overhead = wanted.min(sleep_budget);
-    let breakdown = PowerBreakdown {
-        awake: t_awake,
-        asleep: sleep_budget.saturating_sub(overhead),
-        waking: overhead / 2,
-        sleeping: overhead - overhead / 2,
-        hub_mw,
-    };
+    let breakdown = integrate(&awake, duration, profile, hub_mw);
 
     Ok(ConcurrentResult {
         average_power_mw: breakdown.average_power_mw(profile),
@@ -175,7 +125,7 @@ mod tests {
     use super::*;
     use crate::strategy::Strategy;
     use sidewinder_ir::Program;
-    use sidewinder_sensors::{EventKind, GroundTruth, LabeledInterval, TimeSeries};
+    use sidewinder_sensors::{EventKind, GroundTruth, LabeledInterval, SensorChannel, TimeSeries};
 
     /// Two toy applications watching different thresholds on the same
     /// channel.

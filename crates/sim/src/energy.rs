@@ -14,7 +14,7 @@
 //! rounding.
 
 use crate::app::Application;
-use crate::engine::{simulate_traced, simulate_with_faults_traced, SimConfig, SimError, SimResult};
+use crate::engine::{simulate_with_faults_traced, SimConfig, SimError, SimResult};
 use crate::power::{PhonePowerProfile, PowerBreakdown};
 use crate::strategy::Strategy;
 use sidewinder_hub::cost::PipelineCost;
@@ -55,14 +55,8 @@ pub fn attribute_energy(
     profile: &PhonePowerProfile,
     config: &SimConfig,
 ) -> Result<AttributedRun, SimError> {
-    let mut counters = CounterSink::new();
-    let result = simulate_traced(trace, app, strategy, profile, config, &mut counters)?;
-    let ledger = close_ledger(&result.breakdown, profile, strategy, trace, &counters);
-    Ok(AttributedRun {
-        result,
-        ledger,
-        counters,
-    })
+    let none = FaultSchedule::none();
+    attribute_energy_with_faults(trace, app, strategy, profile, config, &none)
 }
 
 /// [`attribute_energy`] under a fault schedule: retried and lost frames

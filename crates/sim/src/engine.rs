@@ -12,7 +12,7 @@ use crate::metrics::{DetectionStats, FaultCounters};
 use crate::power::{PhonePowerProfile, PowerBreakdown};
 use crate::strategy::Strategy;
 use sidewinder_hub::fault::{
-    FaultSchedule, FrameFate, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
+    FaultPlan, FaultSchedule, FrameFate, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
 };
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
@@ -159,7 +159,15 @@ pub fn simulate(
     profile: &PhonePowerProfile,
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_traced(trace, app, strategy, profile, config, &mut NullSink)
+    run::<_, f64>(
+        trace,
+        app,
+        strategy,
+        profile,
+        config,
+        &FaultSchedule::none(),
+        &mut NullSink,
+    )
 }
 
 /// [`simulate`] with the hub interpreter running its vector pipeline at
@@ -182,7 +190,15 @@ pub fn simulate_f32(
     profile: &PhonePowerProfile,
     config: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_traced_f32(trace, app, strategy, profile, config, &mut NullSink)
+    run::<_, f32>(
+        trace,
+        app,
+        strategy,
+        profile,
+        config,
+        &FaultSchedule::none(),
+        &mut NullSink,
+    )
 }
 
 /// [`simulate`] with an observability sink attached.
@@ -207,94 +223,15 @@ pub fn simulate_traced<S: EventSink>(
     config: &SimConfig,
     sink: &mut S,
 ) -> Result<SimResult, SimError> {
-    simulate_traced_generic::<S, f64>(trace, app, strategy, profile, config, sink)
-}
-
-/// [`simulate_f32`] with an observability sink attached; see
-/// [`simulate_traced`] for what the sink observes.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
-/// executed on the trace.
-pub fn simulate_traced_f32<S: EventSink>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    simulate_traced_generic::<S, f32>(trace, app, strategy, profile, config, sink)
-}
-
-/// The precision-generic replay behind [`simulate_traced`] and
-/// [`simulate_traced_f32`]: `P` is the hub's vector sample precision.
-fn simulate_traced_generic<S: EventSink, P: Sample>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    let duration = trace.duration();
-    let mut discovery_delays = Vec::new();
-    let (awake, mut detections) = match strategy {
-        Strategy::AlwaysAwake => {
-            let detections = app.classify(trace, Micros::ZERO, duration);
-            (
-                IntervalSet::from_spans(vec![(Micros::ZERO, duration)], Micros::ZERO),
-                detections,
-            )
-        }
-        Strategy::DutyCycle { sleep } => duty_cycle(trace, app, *sleep, profile, config),
-        Strategy::Batching { interval, .. } => {
-            let (awake, detections, delays) = batching(trace, app, *interval, profile, config);
-            discovery_delays = delays;
-            (awake, detections)
-        }
-        Strategy::HubWake { program, .. } | Strategy::HubWakeDegraded { program, .. } => {
-            // With no faults to degrade under, the hardened strategy *is*
-            // plain hub wake-up.
-            hub_wake::<S, P>(trace, app, program, config, sink)?
-        }
-        Strategy::Oracle => {
-            let spans: Vec<(Micros, Micros)> = app
-                .target_kinds()
-                .iter()
-                .flat_map(|&k| trace.ground_truth().of_kind(k))
-                .map(|iv| (iv.start(), iv.end()))
-                .collect();
-            let detections = spans.iter().map(|(s, e)| *s + (*e - *s) / 2).collect();
-            (IntervalSet::from_spans(spans, config.merge_gap), detections)
-        }
-    };
-
-    let awake = awake.clip(duration);
-    detections.sort();
-    detections.dedup();
-
-    let stats = DetectionStats::match_events(
-        trace.ground_truth(),
-        &app.target_kinds(),
-        &detections,
-        config.match_tolerance,
-    );
-
-    let breakdown = integrate(&awake, duration, profile, strategy.hub_mw());
-    Ok(SimResult {
-        strategy: strategy.label(),
-        app: app.name().to_string(),
-        trace: trace.name().to_string(),
-        average_power_mw: breakdown.average_power_mw(profile),
-        wake_ups: awake.len(),
-        breakdown,
-        stats,
-        detections,
-        discovery_delays,
-        fault: FaultCounters::default(),
-    })
+    run::<_, f64>(
+        trace,
+        app,
+        strategy,
+        profile,
+        config,
+        &FaultSchedule::none(),
+        sink,
+    )
 }
 
 /// Replays `trace` through `app` under `strategy` while injecting the
@@ -304,7 +241,7 @@ fn simulate_traced_generic<S: EventSink, P: Sample>(
 /// results, zeroed [`FaultCounters`]. Faults live on the phone↔hub link
 /// and the hub itself, so only the hub-resident strategies
 /// ([`Strategy::HubWake`], [`Strategy::HubWakeDegraded`]) are affected;
-/// phone-only strategies delegate to [`simulate`] unchanged.
+/// phone-only strategies run exactly as under [`simulate`].
 ///
 /// # Errors
 ///
@@ -318,7 +255,7 @@ pub fn simulate_with_faults(
     config: &SimConfig,
     schedule: &FaultSchedule,
 ) -> Result<SimResult, SimError> {
-    simulate_with_faults_traced(
+    run::<_, f64>(
         trace,
         app,
         strategy,
@@ -347,22 +284,73 @@ pub fn simulate_with_faults_traced<S: EventSink>(
     schedule: &FaultSchedule,
     sink: &mut S,
 ) -> Result<SimResult, SimError> {
-    if schedule.is_empty() {
-        return simulate_traced(trace, app, strategy, profile, config, sink);
-    }
-    let (program, fallback) = match strategy {
-        Strategy::HubWake { program, .. } => (program, None),
-        Strategy::HubWakeDegraded {
-            program,
-            fallback_sleep,
-            ..
-        } => (program, Some(*fallback_sleep)),
-        _ => return simulate_traced(trace, app, strategy, profile, config, sink),
-    };
+    run::<_, f64>(trace, app, strategy, profile, config, schedule, sink)
+}
+
+/// The one simulation behind every entry point above: `P` is the hub's
+/// vector sample precision, `schedule` the faults to inject (empty for
+/// a fault-free run) and `sink` the observer.
+fn run<S: EventSink, P: Sample>(
+    trace: &SensorTrace,
+    app: &dyn Application,
+    strategy: &Strategy,
+    profile: &PhonePowerProfile,
+    config: &SimConfig,
+    schedule: &FaultSchedule,
+    sink: &mut S,
+) -> Result<SimResult, SimError> {
     let duration = trace.duration();
-    let (awake, mut detections, fault) = hub_wake_faulted(
-        trace, app, program, config, profile, schedule, fallback, sink,
-    )?;
+    let mut discovery_delays = Vec::new();
+    let mut fault = FaultCounters::default();
+    let (awake, mut detections) = match strategy {
+        Strategy::AlwaysAwake => {
+            let detections = app.classify(trace, Micros::ZERO, duration);
+            (
+                IntervalSet::from_spans(vec![(Micros::ZERO, duration)], Micros::ZERO),
+                detections,
+            )
+        }
+        Strategy::DutyCycle { sleep } => {
+            let (spans, detections) = duty_cycle(
+                trace,
+                app,
+                *sleep,
+                profile,
+                config,
+                (Micros::ZERO, duration),
+            );
+            // Duty-cycle spans are genuinely disjoint: the phone
+            // transitions between every pair, so no gap merging applies.
+            (IntervalSet::from_spans(spans, Micros::ZERO), detections)
+        }
+        Strategy::Batching { interval, .. } => {
+            let (awake, detections, delays) = batching(trace, app, *interval, profile, config);
+            discovery_delays = delays;
+            (awake, detections)
+        }
+        Strategy::HubWake { program, .. } | Strategy::HubWakeDegraded { program, .. } => {
+            let fallback = match strategy {
+                Strategy::HubWakeDegraded { fallback_sleep, .. } => Some(*fallback_sleep),
+                _ => None,
+            };
+            let (awake, detections, hub_fault) = hub_wake::<S, P>(
+                trace, app, program, fallback, profile, config, schedule, sink,
+            )?;
+            fault = hub_fault;
+            (awake, detections)
+        }
+        Strategy::Oracle => {
+            let spans: Vec<(Micros, Micros)> = app
+                .target_kinds()
+                .iter()
+                .flat_map(|&k| trace.ground_truth().of_kind(k))
+                .map(|iv| (iv.start(), iv.end()))
+                .collect();
+            let detections = spans.iter().map(|(s, e)| *s + (*e - *s) / 2).collect();
+            (IntervalSet::from_spans(spans, config.merge_gap), detections)
+        }
+    };
+
     let awake = awake.clip(duration);
     detections.sort();
     detections.dedup();
@@ -390,15 +378,21 @@ pub fn simulate_with_faults_traced<S: EventSink>(
         breakdown,
         stats,
         detections,
-        discovery_delays: Vec::new(),
-        fault,
+        discovery_delays,
+        // Without faults there is nothing to count: a fault-free run
+        // reports no link frames either.
+        fault: if schedule.is_empty() {
+            FaultCounters::default()
+        } else {
+            fault
+        },
     })
 }
 
 /// Converts awake spans into the per-state time breakdown, charging one
 /// wake and one sleep transition per disjoint awake period out of the
 /// sleep budget.
-fn integrate(
+pub(crate) fn integrate(
     awake: &IntervalSet,
     duration: Micros,
     profile: &PhonePowerProfile,
@@ -417,22 +411,23 @@ fn integrate(
     }
 }
 
-/// Duty cycling: wake, sample for one chunk, extend while the classifier
-/// keeps detecting, then sleep.
+/// Duty cycling over `(start, end)`: wake, sample for one chunk, extend
+/// while the classifier keeps detecting, then sleep. Returns the awake
+/// spans and the detections.
 fn duty_cycle(
     trace: &SensorTrace,
     app: &dyn Application,
     sleep: Micros,
     profile: &PhonePowerProfile,
     config: &SimConfig,
-) -> (IntervalSet, Vec<Micros>) {
-    let duration = trace.duration();
+    (start, stop): (Micros, Micros),
+) -> (Vec<(Micros, Micros)>, Vec<Micros>) {
     let chunk = config.awake_chunk;
     let mut spans = Vec::new();
     let mut detections = Vec::new();
-    let mut t = Micros::ZERO;
-    while t < duration {
-        let mut end = (t + chunk).min(duration);
+    let mut t = start;
+    while t < stop {
+        let mut end = (t + chunk).min(stop);
         loop {
             let chunk_start = end.saturating_sub(chunk).max(t);
             let found = app.classify(trace, chunk_start, end);
@@ -440,12 +435,12 @@ fn duty_cycle(
                 .into_iter()
                 .filter(|&d| d >= chunk_start && d < end)
                 .collect();
-            let keep_going = !fresh.is_empty() && end < duration;
+            let keep_going = !fresh.is_empty() && end < stop;
             detections.extend(fresh);
             if !keep_going {
                 break;
             }
-            end = (end + chunk).min(duration);
+            end = (end + chunk).min(stop);
         }
         spans.push((t, end));
         // The sleep interval is the total gap between sampling windows;
@@ -454,9 +449,7 @@ fn duty_cycle(
         // DC-2 costs *more* than Always Awake — §5.4's 339 mW).
         t = end + sleep.max(profile.transition_time * 2);
     }
-    // Duty-cycle spans are genuinely disjoint: the phone transitions
-    // between every pair, so no gap merging applies.
-    (IntervalSet::from_spans(spans, Micros::ZERO), detections)
+    (spans, detections)
 }
 
 /// Batching: the hub caches data while the phone sleeps; on each wake the
@@ -565,162 +558,219 @@ fn next_run(inputs: &[Input<'_>], cursors: &mut [usize]) -> Option<(usize, Range
     Some((i, start..end))
 }
 
-/// Hub-resident wake-up condition (Predefined Activity or Sidewinder),
-/// interpreted at vector precision `P`.
+/// The link-cost model: every transfer is CRC-framed over the phone's
+/// UART, and a health probe is a round trip.
+const LINK: SerialLink = SerialLink::NEXUS4_UART;
+
+fn probe_time() -> Micros {
+    LINK.framed_transfer_time(PROBE_FRAME_BYTES) * 2
+}
+
+/// Hub-resident wake-up condition (Predefined Activity or Sidewinder)
+/// under `schedule`, interpreted at vector precision `P`.
+///
+/// The phone wakes briefly for every wake frame that reaches it. When
+/// `fallback` is set it additionally duty-cycles on the main CPU, with
+/// that sleep interval, through every window where the hub is unusable:
+/// downtime, and the stretch after a frame lost past its retry budget.
+#[allow(clippy::too_many_arguments)]
 fn hub_wake<S: EventSink, P: Sample>(
     trace: &SensorTrace,
     app: &dyn Application,
     program: &Program,
+    fallback: Option<Micros>,
+    profile: &PhonePowerProfile,
     config: &SimConfig,
+    schedule: &FaultSchedule,
     sink: &mut S,
-) -> Result<(IntervalSet, Vec<Micros>), SimError> {
-    let (inputs, rates) = hub_inputs(trace, program)?;
-    let mut hub = HubRuntime::<_, P>::load_generic(program, &rates, &mut *sink)?;
-
-    // Replay samples in time order across the program's channels and
-    // collect wake times. Each run of consecutive samples from one
-    // channel is pushed as a single batch; `next_run` cuts runs exactly
-    // where the serial pick would switch channels, so the hub sees the
-    // samples in the identical order.
-    let mut wake_times: Vec<Micros> = Vec::new();
-    let mut cursors = vec![0usize; inputs.len()];
-    while let Some((i, run)) = next_run(&inputs, &mut cursors) {
-        let (channel, series) = inputs[i];
-        // Within one channel, a sample's sequence number is its series
-        // index, so each wake's trigger time is recoverable from its tag.
-        if S::ENABLED {
-            // Traced: feed one sample at a time so each event is stamped
-            // with its sample's trace time, and report each wake's frame
-            // crossing the link. Batch-equivalence of the two paths is
-            // pinned by the hub's conformance tests.
-            for s in run {
-                hub.sink_mut().set_time(series.time_of(s));
-                let wakes = hub.push_sample(channel, series.samples()[s])?;
-                for w in &wakes {
-                    wake_times.push(series.time_of(w.seq as usize));
-                }
-                for _ in &wakes {
-                    hub.sink_mut().record(Event::LinkFrame {
-                        outcome: FrameOutcome::Delivered,
-                        attempt: 1,
-                    });
-                }
-            }
-        } else {
-            let wakes = hub.push_samples(channel, &series.samples()[run])?;
-            wake_times.extend(wakes.iter().map(|w| series.time_of(w.seq as usize)));
-        }
-    }
+) -> Result<(IntervalSet, Vec<Micros>, FaultCounters), SimError> {
+    let duration = trace.duration();
+    // Recovering from a hub reset takes the reboot, a program
+    // re-download, and a probe to confirm the hub is back.
+    let recovery =
+        HUB_REBOOT_TIME + LINK.framed_transfer_time(program.to_string().len()) + probe_time();
+    let mut plan = schedule.plan(duration, recovery);
+    let Replay {
+        wakes,
+        lost,
+        mut fault,
+    } = replay::<S, P>(trace, program, &mut plan, sink)?;
 
     // Each wake keeps the phone up briefly; close wakes merge into a
     // continuous awake span covering the event.
-    let spans: Vec<(Micros, Micros)> = wake_times
-        .iter()
-        .map(|&w| (w, w + config.hub_chunk))
-        .collect();
-    let awake = IntervalSet::from_spans(spans, config.merge_gap);
+    let spans = wakes.iter().map(|&w| (w, w + config.hub_chunk)).collect();
+    let hub_awake = IntervalSet::from_spans(spans, config.merge_gap);
 
     // The application classifies over each awake period plus the raw
     // buffer the hub hands over.
     let mut detections = Vec::new();
-    for &(start, end) in awake.spans() {
+    for &(start, end) in hub_awake.spans() {
         detections.extend(app.classify(trace, start.saturating_sub(config.lookback), end));
     }
-    Ok((awake, detections))
+    let Some(sleep) = fallback else {
+        return Ok((hub_awake, detections, fault));
+    };
+
+    // Degraded mode: while the hub is down or the link saturated, fall
+    // back to duty-cycling on the main CPU — the paper's DC strategy,
+    // bounded to the outage window, so wake conditions keep firing (late,
+    // at phone power) instead of never. A lost frame is covered by one
+    // fallback duty cycle.
+    let windows = plan
+        .downtime()
+        .iter()
+        .copied()
+        .chain(
+            lost.iter()
+                .map(|&t| (t, (t + sleep + config.awake_chunk).min(duration))),
+        )
+        .collect();
+    let mut all_spans = hub_awake.spans().to_vec();
+    for &(start, end) in IntervalSet::from_spans(windows, Micros::ZERO).spans() {
+        fault.degraded_time += end - start;
+        if S::ENABLED {
+            sink.set_time(start);
+            sink.record(Event::Degraded { entered: true });
+        }
+        // The exact duty-cycle pacing, bounded to the window, so a
+        // full-trace outage reproduces DutyCycle detections identically.
+        let (spans, found) = duty_cycle(trace, app, sleep, profile, config, (start, end));
+        all_spans.extend(spans);
+        detections.extend(found);
+        if S::ENABLED {
+            sink.set_time(end);
+            sink.record(Event::Degraded { entered: false });
+        }
+    }
+    Ok((
+        IntervalSet::from_spans(all_spans, Micros::ZERO),
+        detections,
+        fault,
+    ))
 }
 
-/// [`hub_wake`] under an active fault schedule: the serial link corrupts
-/// and drops frames, the hub resets and browns out, sensor channels fall
-/// silent. The phone retries frames with capped exponential backoff,
-/// probes hub health after timeouts, and re-downloads the program after
-/// each reset; when `fallback` is set it additionally duty-cycles on the
-/// main CPU through every window where the hub is unusable.
-#[allow(clippy::too_many_arguments)]
-fn hub_wake_faulted<S: EventSink>(
+/// The trace times at which `program`, replayed fault-free over `trace`,
+/// wakes the phone: the raw wake stream behind [`Strategy::HubWake`],
+/// before the phone merges it into awake spans.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if the program cannot be loaded or executed on
+/// the trace.
+pub fn hub_wake_times(trace: &SensorTrace, program: &Program) -> Result<Vec<Micros>, SimError> {
+    let mut plan = FaultSchedule::none().plan(trace.duration(), Micros::ZERO);
+    Ok(replay::<_, f64>(trace, program, &mut plan, &mut NullSink)?.wakes)
+}
+
+/// What one hub replay delivered to the phone.
+#[derive(Default)]
+struct Replay {
+    /// Arrival time of every wake frame that reached the phone.
+    wakes: Vec<Micros>,
+    /// Trigger time of every wake whose frame ran out of retries.
+    lost: Vec<Micros>,
+    /// Link and hub fault activity.
+    fault: FaultCounters,
+}
+
+/// Replays `trace` through `program` on the hub at vector precision `P`
+/// under `plan` — the one place trace samples enter a [`HubRuntime`].
+///
+/// Samples go in the serial pick's order ([`next_run`]). Each run is cut
+/// again at its channel's next plan edge ([`FaultPlan::channel_state`]), so a
+/// stretch meets one hub state: due resets fire before its first sample,
+/// a stretch the hub or channel drops is only counted, and a live one is
+/// pushed as one batch. Traced runs (`S::ENABLED`) cut every sample into
+/// its own stretch so each event carries its sample's trace time. Every
+/// wake then crosses the link, its frame retried with capped exponential
+/// backoff until it is delivered or the retry budget runs out; frame
+/// fates are drawn in wake order. A clean first attempt costs nothing
+/// extra, so an empty plan delivers every wake at its trigger time.
+fn replay<S: EventSink, P: Sample>(
     trace: &SensorTrace,
-    app: &dyn Application,
     program: &Program,
-    config: &SimConfig,
-    profile: &PhonePowerProfile,
-    schedule: &FaultSchedule,
-    fallback: Option<Micros>,
+    plan: &mut FaultPlan,
     sink: &mut S,
-) -> Result<(IntervalSet, Vec<Micros>, FaultCounters), SimError> {
+) -> Result<Replay, SimError> {
     let duration = trace.duration();
     let (inputs, rates) = hub_inputs(trace, program)?;
-    let mut hub = HubRuntime::load_with_sink(program, &rates, &mut *sink)?;
-
-    // Link-cost model: every transfer is CRC-framed; a health probe is a
-    // round trip; recovering from a hub reset takes the reboot, a program
-    // re-download, and a probe to confirm the hub is back.
-    let link = SerialLink::NEXUS4_UART;
-    let frame_time = link.framed_transfer_time(WAKE_FRAME_BYTES);
-    let probe_time = link.framed_transfer_time(PROBE_FRAME_BYTES) * 2;
-    let program_bytes = program.to_string().len();
-    let recovery = HUB_REBOOT_TIME + link.framed_transfer_time(program_bytes) + probe_time;
-    let mut plan = schedule.plan(duration, recovery);
+    let mut hub = HubRuntime::<_, P>::load_generic(program, &rates, &mut *sink)?;
+    let frame_time = LINK.framed_transfer_time(WAKE_FRAME_BYTES);
+    let probe_time = probe_time();
     let retry = plan.retry();
-    let mut fault = FaultCounters::default();
-
-    // Wake times that actually reached the phone, and windows in which the
-    // link blew through its retry budget (feeding the degraded fallback).
-    let mut wake_times: Vec<Micros> = Vec::new();
-    let mut saturated: Vec<(Micros, Micros)> = Vec::new();
-    // Per program channel, the series index of each sample the hub has
-    // consumed since its last reset: a wake's `seq` tag indexes this map
-    // to recover the trigger time. Cleared on reset, exactly as the hub
-    // clears its per-channel sequence counters.
-    let mut consumed: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-    let mut next_reset = 0usize;
-
-    // Same runs as `hub_wake`, but samples feed the hub one at a time so
-    // each can be checked against the fault plan.
+    let mut out = Replay::default();
+    let mut next_reset = 0;
+    // Samples each input has fed the hub since its last reset. The hub
+    // tags a wake with its channel's sample count, which restarts at
+    // zero on reset and skips dropped samples, so a wake maps back to an
+    // offset from the start of the stretch that raised it.
+    let mut fed = vec![0u64; inputs.len()];
+    // Per input, whether its samples reach the hub, and until when.
+    let mut state = vec![(true, Micros::ZERO); inputs.len()];
+    let mut triggers: Vec<Micros> = Vec::new();
     let mut cursors = vec![0usize; inputs.len()];
     while let Some((i, run)) = next_run(&inputs, &mut cursors) {
         let (channel, series) = inputs[i];
-        for s in run {
-            let t = series.time_of(s);
+        let mut start = run.start;
+        while start < run.end {
+            // The stretch's start time, needed only while an edge lies
+            // ahead or to stamp traced events.
+            let t = || series.time_of(start);
             // Fire any watchdog reset that has come due: the hub loses
             // all filter state and its sequence counters, and the phone
             // pays reboot + re-download + probe to bring it back.
-            while next_reset < plan.resets().len() && plan.resets()[next_reset] <= t {
+            while let Some(&at) = plan.resets().get(next_reset).filter(|&&at| at <= t()) {
                 if S::ENABLED {
-                    hub.sink_mut().set_time(plan.resets()[next_reset]);
+                    hub.sink_mut().set_time(at);
                 }
                 hub.reset();
                 if S::ENABLED {
                     hub.sink_mut().record(Event::ProgramRedownload);
                 }
-                for map in &mut consumed {
-                    map.clear();
-                }
-                fault.hub_resets += 1;
-                fault.redownloads += 1;
-                fault.recovery_time += recovery;
+                fed.fill(0);
+                out.fault.hub_resets += 1;
+                out.fault.redownloads += 1;
+                out.fault.recovery_time += plan.recovery();
                 next_reset += 1;
             }
-            if S::ENABLED {
-                hub.sink_mut().set_time(t);
+            if state[i].1 != Micros::MAX && t() >= state[i].1 {
+                state[i] = plan.channel_state(channel, t());
             }
-            if plan.hub_down_at(t) || plan.channel_dropped(channel, t) {
-                fault.samples_dropped += 1;
+            let (live, until) = state[i];
+            let end = match until {
+                _ if S::ENABLED => start + 1,
+                Micros::MAX => run.end,
+                edge => (start + 1..run.end)
+                    .find(|&s| series.time_of(s) >= edge)
+                    .unwrap_or(run.end),
+            };
+            if S::ENABLED {
+                hub.sink_mut().set_time(t());
+            }
+            if !live {
+                out.fault.samples_dropped += (end - start) as u64;
                 if S::ENABLED {
                     hub.sink_mut().record(Event::SampleDropped { channel });
                 }
+                start = end;
                 continue;
             }
-            consumed[i].push(s);
-            let wakes = hub.push_sample(channel, series.samples()[s])?;
-            for wake in wakes {
-                let tw = series.time_of(consumed[i][wake.seq as usize]);
-                // Transfer the wake notification: retry corrupted/dropped
-                // frames with capped exponential backoff until delivery or
-                // budget exhaustion. A clean first attempt costs nothing
-                // extra — the fault-free path stays bit-identical.
+            let base = fed[i];
+            fed[i] += (end - start) as u64;
+            let wakes = hub.push_samples(channel, &series.samples()[start..end])?;
+            triggers.clear();
+            triggers.extend(
+                wakes
+                    .iter()
+                    .map(|w| series.time_of(start + (w.seq - base) as usize)),
+            );
+            // Transfer each wake notification: retry corrupted or dropped
+            // frames with capped exponential backoff until delivery or
+            // budget exhaustion.
+            for &tw in &triggers {
                 let mut delay = Micros::ZERO;
-                let mut attempt = 1u32;
-                loop {
-                    fault.frames_sent += 1;
+                for attempt in 1u32.. {
+                    out.fault.frames_sent += 1;
                     let fate = plan.next_frame_fate();
                     if S::ENABLED {
                         let outcome = match fate {
@@ -732,91 +782,29 @@ fn hub_wake_faulted<S: EventSink>(
                     }
                     match fate {
                         FrameFate::Delivered => {
-                            wake_times.push((tw + delay).min(duration));
+                            out.wakes.push((tw + delay).min(duration));
                             break;
                         }
-                        FrameFate::Corrupted => fault.frames_corrupted += 1,
-                        FrameFate::Dropped => fault.frames_dropped += 1,
+                        FrameFate::Corrupted => out.fault.frames_corrupted += 1,
+                        FrameFate::Dropped => out.fault.frames_dropped += 1,
                     }
                     if attempt >= retry.max_attempts {
-                        fault.frames_lost += 1;
+                        out.fault.frames_lost += 1;
                         if S::ENABLED {
                             hub.sink_mut().record(Event::FrameLost);
                         }
-                        if let Some(fb) = fallback {
-                            // The link is saturated past its budget: cover
-                            // the loss with one fallback duty cycle.
-                            saturated.push((tw, (tw + fb + config.awake_chunk).min(duration)));
-                        }
+                        out.lost.push(tw);
                         break;
                     }
-                    fault.frames_retried += 1;
+                    out.fault.frames_retried += 1;
                     delay = delay + retry.backoff_before(attempt) + probe_time + frame_time;
-                    fault.recovery_time += probe_time + frame_time;
-                    attempt += 1;
+                    out.fault.recovery_time += probe_time + frame_time;
                 }
             }
+            start = end;
         }
     }
-
-    // Delivered wakes behave exactly as in the fault-free path.
-    let spans: Vec<(Micros, Micros)> = wake_times
-        .iter()
-        .map(|&w| (w, w + config.hub_chunk))
-        .collect();
-    let hub_awake = IntervalSet::from_spans(spans, config.merge_gap);
-    let mut detections = Vec::new();
-    for &(start, end) in hub_awake.spans() {
-        detections.extend(app.classify(trace, start.saturating_sub(config.lookback), end));
-    }
-
-    // Degraded mode: while the hub is down or the link saturated, fall
-    // back to duty-cycling on the main CPU — the paper's DC strategy,
-    // bounded to the outage window, so wake conditions keep firing (late,
-    // at phone power) instead of never.
-    let mut all_spans: Vec<(Micros, Micros)> = hub_awake.spans().to_vec();
-    if let Some(sleep) = fallback {
-        let mut windows: Vec<(Micros, Micros)> = plan.downtime().to_vec();
-        windows.extend(saturated);
-        let windows = IntervalSet::from_spans(windows, Micros::ZERO);
-        let chunk = config.awake_chunk;
-        for &(win_start, win_end) in windows.spans() {
-            fault.degraded_time += win_end - win_start;
-            if S::ENABLED {
-                hub.sink_mut().set_time(win_start);
-                hub.sink_mut().record(Event::Degraded { entered: true });
-            }
-            // The exact duty_cycle pacing loop, bounded to the window, so
-            // a full-trace outage reproduces DutyCycle detections
-            // identically.
-            let mut t = win_start;
-            while t < win_end {
-                let mut end = (t + chunk).min(win_end);
-                loop {
-                    let chunk_start = end.saturating_sub(chunk).max(t);
-                    let found = app.classify(trace, chunk_start, end);
-                    let fresh: Vec<Micros> = found
-                        .into_iter()
-                        .filter(|&d| d >= chunk_start && d < end)
-                        .collect();
-                    let keep_going = !fresh.is_empty() && end < win_end;
-                    detections.extend(fresh);
-                    if !keep_going {
-                        break;
-                    }
-                    end = (end + chunk).min(win_end);
-                }
-                all_spans.push((t, end));
-                t = end + sleep.max(profile.transition_time * 2);
-            }
-            if S::ENABLED {
-                hub.sink_mut().set_time(win_end);
-                hub.sink_mut().record(Event::Degraded { entered: false });
-            }
-        }
-    }
-    let awake = IntervalSet::from_spans(all_spans, Micros::ZERO);
-    Ok((awake, detections, fault))
+    Ok(out)
 }
 
 #[cfg(test)]

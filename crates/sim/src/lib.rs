@@ -15,17 +15,20 @@
 //! * [`strategy`] — the sensing configurations;
 //! * [`engine`] — [`engine::simulate`]: replay a trace under a strategy,
 //!   producing awake intervals, detections, wake-up counts, and power;
-//!   [`engine::simulate_with_faults`] layers a deterministic
+//!   [`engine::simulate_with_faults`] injects a deterministic
 //!   [`FaultSchedule`] (corrupted/dropped frames, hub resets, sensor
-//!   dropouts) on top, with retry/backoff recovery and an optional
-//!   degraded duty-cycling fallback;
+//!   dropouts) with retry/backoff recovery and an optional degraded
+//!   duty-cycling fallback. Every entry point wraps one generic run, and
+//!   one hub replay — cut at the fault plan's edges, batched between
+//!   them — feeds every hub-resident strategy, traced or not;
 //! * [`metrics`] — recall/precision matching of detections against
 //!   ground truth, plus [`FaultCounters`] for fault-injected runs;
 //! * [`concurrent`] — several applications sharing one phone and hub
-//!   (the paper's §7 concurrency question);
+//!   (the paper's §7 concurrency question), each condition replayed
+//!   through the engine's hub replay;
 //! * [`batch`] — the parallel sweep engine: run an application ×
-//!   strategy × trace grid over scoped worker threads with
-//!   deterministic, bit-identical-to-serial results;
+//!   strategy × trace grid over [`try_par_map`]'s scoped worker pool
+//!   with deterministic, bit-identical-to-serial results;
 //! * [`report`] — derived quantities (power relative to Oracle, fraction
 //!   of possible savings) and fixed-width table rendering for the
 //!   experiment binaries;
@@ -52,8 +55,8 @@ pub use batch::{
 };
 pub use energy::{attribute_energy, attribute_energy_with_faults, AttributedRun};
 pub use engine::{
-    simulate, simulate_f32, simulate_traced, simulate_traced_f32, simulate_with_faults,
-    simulate_with_faults_traced, SimConfig, SimError, SimResult,
+    simulate, simulate_f32, simulate_traced, simulate_with_faults, simulate_with_faults_traced,
+    SimConfig, SimError, SimResult,
 };
 pub use metrics::{DetectionStats, FaultCounters};
 pub use power::{PhonePowerProfile, PowerBreakdown};

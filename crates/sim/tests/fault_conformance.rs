@@ -1,16 +1,17 @@
 //! Fault-injection conformance: the fault-aware engine must (1) be
 //! bit-identical to the fault-free path when the schedule is empty,
 //! (2) be bit-identical across worker counts for a fixed seed — the
-//! PR 1 determinism promise extended to fault runs — and (3) degrade
-//! into genuine duty cycling while the hub is down.
+//! batch engine's determinism promise extended to fault runs — (3)
+//! degrade into genuine duty cycling while the hub is down, and (4)
+//! reproduce every pinned faulted result bit for bit.
 
 use sidewinder_apps::{
     HeadbuttsApp, MusicJournalApp, PhraseDetectionApp, SirenDetectorApp, StepsApp, TransitionsApp,
 };
-use sidewinder_sensors::{Micros, SensorTrace};
+use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
-    simulate, simulate_with_faults, Application, BatchRunner, FaultSchedule, PhonePowerProfile,
-    SharedApp, SimConfig, Strategy, SweepSpec,
+    simulate, simulate_with_faults, Application, BatchRunner, ChannelDropout, FaultSchedule,
+    PhonePowerProfile, SharedApp, SimConfig, Strategy, SweepSpec,
 };
 use sidewinder_tracegen::{audio_trace, robot_run, AudioTraceConfig, RobotRunConfig};
 use std::sync::Arc;
@@ -210,3 +211,71 @@ fn degraded_fallback_matches_duty_cycling_during_full_outage() {
         assert!(degraded.fault.samples_dropped > 0);
     }
 }
+
+/// A schedule of explicit edges: a dropout on each sensor kind, a hub
+/// outage in mid-trace and one watchdog reset. Some edges land exactly
+/// on sample instants (the half-open windows must drop the sample at
+/// `start` and keep the one at `end`), others between them.
+fn edge_schedule() -> FaultSchedule {
+    FaultSchedule::seeded(0xED6E)
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::AccX,
+            Micros::from_secs(20),
+            Micros::from_millis(35_010),
+        ))
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::Mic,
+            Micros::from_millis(50_003),
+            Micros::from_secs(58),
+        ))
+        .with_hub_downtime(Micros::from_secs(70), Micros::from_secs(80))
+        .with_hub_reset_at(Micros::from_millis(95_001))
+}
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a over the `Debug` text of every cell's result, in sweep order.
+fn faulted_digest(schedule: &FaultSchedule) -> u64 {
+    let spec = SweepSpec::new()
+        .shared_apps(all_apps())
+        .trace(combined_trace(74, 120))
+        .strategies_per_app(sidewinder_strategies);
+    let jobs = spec.jobs();
+    assert_eq!(jobs.len(), 12);
+    jobs.iter().fold(0xcbf2_9ce4_8422_2325, |hash, job| {
+        let result = simulate_with_faults(
+            &job.trace,
+            &*job.app,
+            &job.strategy,
+            &job.profile,
+            &job.config,
+            schedule,
+        )
+        .expect("fault cell");
+        fnv1a(hash, format!("{result:?}").as_bytes())
+    })
+}
+
+/// Pins every faulted result bit for bit: fault timing (reset instants,
+/// half-open downtime and dropout windows), frame fates in wake order
+/// and the wake-to-trigger-time mapping after resets and drops.
+#[test]
+fn faulted_results_match_their_pinned_digests() {
+    let stress = faulted_digest(&stress_schedule());
+    let edges = faulted_digest(&edge_schedule());
+    assert_eq!(
+        (stress, edges),
+        (STRESS_DIGEST, EDGE_DIGEST),
+        "faulted results moved: stress {stress:#018x}, edges {edges:#018x}"
+    );
+}
+
+const STRESS_DIGEST: u64 = 0xc96b_897b_3c58_248a;
+const EDGE_DIGEST: u64 = 0x2e95_1030_0422_e392;

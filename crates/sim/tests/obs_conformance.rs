@@ -8,12 +8,16 @@
 //!   `simulate` result (wakes, detections, intervals, energy);
 //! * the per-node energy ledger closes on the run's measured energy to
 //!   within 1e-9 J.
+//!
+//! Both pins hold under fault schedules too, where the counters must
+//! also tally exactly the fault activity the result reports.
 
 use sidewinder_apps::{accelerometer_apps, audio_apps};
-use sidewinder_sensors::{Micros, SensorTrace};
+use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
-    attribute_energy, simulate, simulate_traced, Application, CounterSink, NullSink,
-    PhonePowerProfile, SimConfig, Strategy,
+    attribute_energy, attribute_energy_with_faults, simulate, simulate_traced,
+    simulate_with_faults, simulate_with_faults_traced, Application, ChannelDropout, CounterSink,
+    FaultSchedule, NullSink, PhonePowerProfile, SimConfig, Strategy,
 };
 use sidewinder_tracegen::{
     audio_trace, robot_group_runs, ActivityGroup, AudioEnvironment, AudioTraceConfig,
@@ -129,5 +133,104 @@ fn energy_ledger_closes_within_a_nanojoule_for_all_six_apps() {
             "{}: hub sub-ledger off",
             app.name()
         );
+    }
+}
+
+/// Every fault class at once: noisy link, rate-based resets.
+fn stress_schedule() -> FaultSchedule {
+    FaultSchedule::seeded(0xFA57)
+        .with_frame_corruption(0.2)
+        .with_frame_drops(0.1)
+        .with_hub_resets_every(Micros::from_secs(15))
+}
+
+/// Explicit edges inside the shortest (60 s) trace: a dropout on each
+/// sensor kind, a hub outage and one watchdog reset, plus a noisy link.
+fn edge_schedule() -> FaultSchedule {
+    FaultSchedule::seeded(0xED6E)
+        .with_frame_corruption(0.3)
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::AccX,
+            Micros::from_secs(10),
+            Micros::from_millis(17_510),
+        ))
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::Mic,
+            Micros::from_millis(25_003),
+            Micros::from_secs(29),
+        ))
+        .with_hub_downtime(Micros::from_secs(35), Micros::from_secs(40))
+        .with_hub_reset_at(Micros::from_millis(47_501))
+}
+
+#[test]
+fn traced_fault_runs_match_plain_runs_and_tally_their_faults() {
+    let profile = PhonePowerProfile::NEXUS4;
+    let config = SimConfig::default();
+    for schedule in [stress_schedule(), edge_schedule()] {
+        for (app, trace) in six_apps() {
+            let app = app.as_ref();
+            let strategy = sidewinder(app);
+            let plain =
+                simulate_with_faults(&trace, app, &strategy, &profile, &config, &schedule).unwrap();
+            assert!(!plain.fault.is_clean(), "{}: no fault fired", app.name());
+
+            let with_null = simulate_with_faults_traced(
+                &trace,
+                app,
+                &strategy,
+                &profile,
+                &config,
+                &schedule,
+                &mut NullSink,
+            )
+            .unwrap();
+            assert_eq!(plain, with_null, "{}: NullSink run diverged", app.name());
+
+            let mut c = CounterSink::new();
+            let with_counters = simulate_with_faults_traced(
+                &trace, app, &strategy, &profile, &config, &schedule, &mut c,
+            )
+            .unwrap();
+            assert_eq!(plain, with_counters, "{}: counted run diverged", app.name());
+            let f = &plain.fault;
+            assert_eq!(
+                [
+                    c.frames_sent,
+                    c.frames_corrupted,
+                    c.frames_dropped,
+                    c.frames_retried,
+                    c.frames_lost,
+                    c.hub_resets,
+                    c.redownloads,
+                    c.samples_dropped,
+                ],
+                [
+                    f.frames_sent,
+                    f.frames_corrupted,
+                    f.frames_dropped,
+                    f.frames_retried,
+                    f.frames_lost,
+                    f.hub_resets,
+                    f.redownloads,
+                    f.samples_dropped,
+                ],
+                "{}: counters disagree with the result's fault tallies",
+                app.name()
+            );
+
+            let run =
+                attribute_energy_with_faults(&trace, app, &strategy, &profile, &config, &schedule)
+                    .unwrap();
+            assert_eq!(run.result, plain, "{}: attributed run diverged", app.name());
+            let measured_j =
+                plain.average_power_mw * plain.breakdown.total().as_secs_f64() / 1_000.0;
+            let gap = (run.ledger.total_j() - measured_j).abs();
+            assert!(
+                gap < 1e-9,
+                "{}: faulted ledger off by {gap:.3e} J",
+                app.name()
+            );
+        }
     }
 }

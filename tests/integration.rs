@@ -6,6 +6,7 @@ use sidewinder::core::algorithm::{MinThreshold, MovingAverage, VectorMagnitude};
 use sidewinder::core::{
     ProcessingBranch, ProcessingPipeline, SensorEvent, SidewinderSensorManager,
 };
+use sidewinder::fleet::{run_fleet, FleetConfig};
 use sidewinder::hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder::ir::Program;
 use sidewinder::opt::{fuse_programs, optimize, OptOptions};
@@ -261,4 +262,26 @@ fn ground_truth_kinds_cover_all_applications() {
             "robot trace lacks {kind}"
         );
     }
+}
+
+#[test]
+fn faulted_fleet_replay_is_worker_count_invariant() {
+    // A 64-device fleet under the default fault model: noisy links,
+    // flaky hubs and full outages all strike, so the engine's faulted
+    // replay and its degraded fallback both run end to end.
+    let program = sidewinder::apps::StepsApp::new().wake_condition();
+    let config = FleetConfig {
+        shard_size: 16,
+        device_duration: Micros::from_secs(30),
+        ..FleetConfig::new(2, 64)
+    };
+    let serial = run_fleet(&config, &program, 1);
+    let parallel = run_fleet(&config, &program, 2);
+    assert_eq!(serial.digest(), parallel.digest());
+    assert_eq!(serial.totals, parallel.totals);
+    let totals = &serial.totals;
+    assert_eq!(totals.devices, 64);
+    assert!(totals.fault.frames_retried > 0, "no frame was retried");
+    assert!(totals.fault.hub_resets > 0, "no hub reset fired");
+    assert!(totals.degraded_time > Micros::ZERO, "no device degraded");
 }
