@@ -1,24 +1,21 @@
 //! `swcert` — the static resource certifier.
 //!
 //! The paper's placement story (Table 2) is that a wake condition
-//! *provably fits* a tiny hub MCU. The linter's SW006/SW007 checks
-//! predict fit from the flop/RAM cost model, but until this crate
-//! nothing certified what [`McuCore::load`](sidewinder_mcu::McuCore)
-//! actually carves: the seven bump arenas were sized by folklore
-//! (`DEFAULT_ARENA`, hand-known 16k cores for music/phrase). `swcert`
-//! closes that gap with a certification pass over the compiled
-//! [`McuImage`] — the exact bytes an MCU would execute — deriving, per
-//! program, per precision, per target MCU:
+//! *provably fits* a tiny hub MCU. `swcert` certifies that from the two
+//! static models the rest of the workspace already runs on, deriving,
+//! per program, per precision, per target MCU:
 //!
 //! * **arena occupancy** — exact per-arena element counts for all seven
-//!   arenas (via [`sidewinder_mcu::footprint`], the same accounting
-//!   `load` enforces), with per-arena attribution of the heaviest node;
+//!   arenas of the compiled [`McuImage`](sidewinder_mcu::McuImage), read
+//!   from [`sidewinder_mcu::footprint`]'s layout walk — the very spans
+//!   [`McuCore::load`](sidewinder_mcu::McuCore) applies — with per-arena
+//!   attribution of the heaviest node;
 //! * **cycle bounds** — worst-case flops and cycles per second per
-//!   node, mirroring [`PipelineCost`](sidewinder_hub::cost::PipelineCost)
-//!   with bitwise-identical arithmetic so the certifier and the
-//!   SW006/SW007 lints provably agree;
-//! * **schedulability** — worst-case cycles/second against the target
-//!   MCU's real-time budget and RAM;
+//!   node, copied from [`PipelineCost`]'s one cost walk over the
+//!   program, so the certifier and the SW006/SW007 lints read the same
+//!   numbers;
+//! * **schedulability** — [`Mcu::supports_cost`] on that cost, against
+//!   the target MCU or the catalog's first-fit part;
 //! * **an energy ceiling** — certified flop rate priced at
 //!   [`sidewinder_hub::energy::HUB_NJ_PER_FLOP`] plus certified wake
 //!   rate priced at the framed UART link cost, the same constants the
@@ -37,17 +34,17 @@ pub mod render;
 
 pub use render::{canonical_json, digest, fnv1a64, render_pins, PinEntry};
 
-use sidewinder_hub::cost::kind_cost;
+use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::energy::{HUB_NJ_PER_FLOP, LINK_ACTIVE_MW};
 use sidewinder_hub::fault::WAKE_FRAME_BYTES;
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::mcu::CapacityError;
 use sidewinder_hub::runtime::ChannelRates;
 use sidewinder_hub::{compile_image, HubError, Mcu};
-use sidewinder_ir::{AlgorithmKind, NodeId, Program, StatFn, WindowShapeParam};
-use sidewinder_mcu::footprint::{image_footprint, ArenaKind, ImageFootprint};
-use sidewinder_mcu::image::{MAX_CHANNELS, MAX_NODES};
-use sidewinder_mcu::{McuExecError, McuImage, NodeKind, PortSource, StatKind, WindowShape};
+use sidewinder_ir::{NodeId, Program};
+use sidewinder_mcu::footprint::{image_footprint, ArenaKind};
+use sidewinder_mcu::image::MAX_CHANNELS;
+use sidewinder_mcu::McuExecError;
 use sidewinder_sensors::SensorChannel;
 
 /// The sample payload width a certificate prices arenas at.
@@ -224,7 +221,9 @@ impl ResourceCert {
 pub enum CertError {
     /// The program failed to compile into an image.
     Compile(HubError),
-    /// The image carries parameters `load` would reject.
+    /// The image is one `load` would reject: a parameter out of range,
+    /// an edge of the wrong value kind, or a transform fed a length that
+    /// is not a power of two.
     Image(McuExecError),
 }
 
@@ -256,33 +255,17 @@ pub fn dense_rates(rates: &ChannelRates) -> [f64; MAX_CHANNELS] {
     dense
 }
 
-/// Certifies a compiled image. Total: never panics; images carrying
-/// parameters `load` would reject return [`CertError::Image`].
-///
-/// # Errors
-///
-/// Returns [`CertError::Image`] when the image's footprint is
-/// undefined (bad node parameters).
-pub fn certify_image(
-    image: &McuImage,
-    rates: &ChannelRates,
-    precision: Precision,
-    target: &CertTarget,
-) -> Result<ResourceCert, CertError> {
-    let footprint = image_footprint(image).map_err(CertError::Image)?;
-    let dense = dense_rates(rates);
-    Ok(build_cert(image, &footprint, &dense, precision, target))
-}
-
-/// Compiles and certifies a program, enriching the certificate with IR
-/// node ids, source lines, and the abstract interpreter's (often
-/// tighter) wake-rate fact.
+/// Compiles and certifies a program: arena occupancy from the image's
+/// layout, demand from [`PipelineCost::analyze`], node names, IR ids and
+/// source lines from the program's abstract interpretation, and the
+/// tighter of the two walks' wake-rate bounds.
 ///
 /// # Errors
 ///
 /// Returns [`CertError::Compile`] when the program fails validation or
-/// exceeds image capacities, and [`CertError::Image`] as
-/// [`certify_image`] does.
+/// exceeds image capacities, and [`CertError::Image`] exactly when
+/// `load` would reject the image for a reason other than arena
+/// capacity.
 pub fn certify_program(
     program: &Program,
     rates: &ChannelRates,
@@ -290,24 +273,80 @@ pub fn certify_program(
     target: &CertTarget,
 ) -> Result<ResourceCert, CertError> {
     let image = compile_image(program, rates)?;
-    let mut cert = certify_image(&image, rates, precision, target)?;
+    let footprint = image_footprint(&image).map_err(CertError::Image)?;
+    let cost = PipelineCost::analyze(program, rates);
 
     // The image preserves statement order, so the i-th image node is the
-    // i-th program node; the abstract interpreter walks the same order.
+    // i-th cost row; the abstract interpreter walks the same order.
     let analysis = sidewinder_lint::absint::analyze(program, rates);
-    for (node, fact) in cert.nodes.iter_mut().zip(analysis.facts()) {
-        node.ir_id = Some(fact.id.0);
-        node.line = fact.line;
-    }
-    // Both the cost-mirror out-rate and the absint emission fact are
+    let nodes: Vec<NodeCert> = cost
+        .nodes()
+        .iter()
+        .zip(analysis.facts())
+        .enumerate()
+        .map(|(i, (c, fact))| NodeCert {
+            index: i as u16,
+            kind: fact.kind.ir_name(),
+            ir_id: Some(c.id.0),
+            line: fact.line,
+            input_rate_hz: c.input_rate_hz,
+            out_rate_hz: c.out_rate_hz,
+            out_len: c.out_len,
+            base_rate_hz: c.base_rate_hz,
+            channels_mask: c.channels_mask,
+            flops_per_input: c.flops_per_input,
+            flops_per_second: c.flops_per_second(),
+            memory_bytes: c.memory_bytes,
+        })
+        .collect();
+    let total_flops_per_second = cost.total_flops_per_second();
+    // Both the cost walk's out-rate and the absint emission fact are
     // sound wake-rate bounds; take the tighter.
+    let mut wake_rate_hz = nodes[image.out_index()].out_rate_hz;
     if let Some(fact) = analysis.out_fact() {
-        if fact.rate_hz.is_finite() && fact.rate_hz < cert.wake_rate_hz {
-            cert.wake_rate_hz = fact.rate_hz;
-            cert.energy = energy_of(cert.total_flops_per_second, cert.wake_rate_hz);
+        if fact.rate_hz.is_finite() && fact.rate_hz < wake_rate_hz {
+            wake_rate_hz = fact.rate_hz;
         }
     }
-    Ok(cert)
+
+    let (mcu, fit) = match target.mcu {
+        Some(mcu) => (mcu, mcu.supports_cost(&cost)),
+        None => Mcu::first_fit(&cost),
+    };
+    let sample_bytes = precision.sample_bytes();
+    Ok(ResourceCert {
+        precision,
+        cap: target.cap,
+        required_capacity: footprint.required_capacity(),
+        fits_cap: footprint.fits(target.cap),
+        total_bytes: footprint.total_bytes(sample_bytes),
+        arenas: ArenaKind::ALL.map(|k| {
+            let a = footprint.arena(k);
+            ArenaCert {
+                name: k.name(),
+                elements: a.elements,
+                element_bytes: k.element_bytes(sample_bytes),
+                bytes: a.elements * k.element_bytes(sample_bytes),
+                peak_node: (a.peak_elements > 0).then_some(a.peak_node),
+                peak_elements: a.peak_elements,
+            }
+        }),
+        nodes,
+        channel_rates: dense_rates(rates),
+        total_flops_per_second,
+        total_memory_bytes: cost.total_memory_bytes(),
+        wake_rate_hz,
+        mcu: McuVerdict {
+            mcu: mcu.name,
+            awake_power_mw: mcu.awake_power_mw,
+            demanded_cycles_per_s: total_flops_per_second * mcu.cycles_per_flop,
+            budget_cycles_per_s: mcu.cycle_budget(),
+            memory_bytes: cost.total_memory_bytes(),
+            ram_bytes: mcu.ram_bytes,
+            error: fit.err(),
+        },
+        energy: energy_of(total_flops_per_second, wake_rate_hz),
+    })
 }
 
 fn energy_of(total_flops_per_second: f64, wake_rate_hz: f64) -> EnergyCert {
@@ -322,177 +361,6 @@ fn energy_of(total_flops_per_second: f64, wake_rate_hz: f64) -> EnergyCert {
         compute_uw,
         link_uw,
         total_uw: compute_uw + link_uw,
-    }
-}
-
-fn verdict_for(mcu: &Mcu, total_flops_per_second: f64, total_memory_bytes: usize) -> McuVerdict {
-    // The exact comparisons of `Mcu::supports_cost`, fed the mirror's
-    // bitwise-identical totals, so verdicts provably agree with
-    // SW006/SW007.
-    let demanded = total_flops_per_second * mcu.cycles_per_flop;
-    let error = if demanded > mcu.cycle_budget() {
-        Some(CapacityError::NotRealTime {
-            mcu: mcu.name,
-            demanded_cycles_per_s: demanded,
-            budget_cycles_per_s: mcu.cycle_budget(),
-        })
-    } else if total_memory_bytes > mcu.ram_bytes {
-        Some(CapacityError::OutOfMemory {
-            mcu: mcu.name,
-            demanded_bytes: total_memory_bytes,
-            ram_bytes: mcu.ram_bytes,
-        })
-    } else {
-        None
-    };
-    McuVerdict {
-        mcu: mcu.name,
-        awake_power_mw: mcu.awake_power_mw,
-        demanded_cycles_per_s: demanded,
-        budget_cycles_per_s: mcu.cycle_budget(),
-        memory_bytes: total_memory_bytes,
-        ram_bytes: mcu.ram_bytes,
-        error,
-    }
-}
-
-fn build_cert(
-    image: &McuImage,
-    footprint: &ImageFootprint,
-    dense: &[f64; MAX_CHANNELS],
-    precision: Precision,
-    target: &CertTarget,
-) -> ResourceCert {
-    let n = image.node_count();
-    let mut out_rate = [0.0f64; MAX_NODES];
-    let mut out_len = [1usize; MAX_NODES];
-    let mut out_base = [0.0f64; MAX_NODES];
-    let mut channels = [0u16; MAX_NODES];
-    let mut nodes = Vec::with_capacity(n);
-
-    for (i, spec) in image.nodes().iter().enumerate() {
-        let sources = &spec.sources[..(spec.port_count as usize).min(spec.sources.len())];
-        // Mirror of `PipelineCost::analyze`, edge for edge: summed input
-        // rate, max input length (channels count as scalars), max base
-        // rate. Out-of-range references (impossible in built images, but
-        // certification is total) take the analyzer's defaults.
-        let src_rates: Vec<f64> = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(c) => dense.get(*c as usize).copied().unwrap_or(0.0),
-                PortSource::Node(s) if (*s as usize) < i => out_rate[*s as usize],
-                PortSource::Node(_) => 0.0,
-            })
-            .collect();
-        let input_rate: f64 = src_rates.iter().sum();
-        let input_len = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(_) => 1,
-                PortSource::Node(s) if (*s as usize) < i => out_len[*s as usize],
-                PortSource::Node(_) => 1,
-            })
-            .max()
-            .unwrap_or(1);
-        let input_base = sources
-            .iter()
-            .map(|s| match s {
-                PortSource::Channel(c) => dense.get(*c as usize).copied().unwrap_or(0.0),
-                PortSource::Node(s) if (*s as usize) < i => out_base[*s as usize],
-                PortSource::Node(_) => 0.0,
-            })
-            .fold(0.0, f64::max);
-        let kind = algorithm_of(&spec.kind);
-        let (flops, mem, mut rate_out, len_out) =
-            kind_cost(&kind, input_rate, input_len, input_base);
-        if matches!(kind, AlgorithmKind::VectorMagnitude | AlgorithmKind::AllOf) {
-            rate_out = src_rates.iter().copied().fold(f64::INFINITY, f64::min);
-            if !rate_out.is_finite() {
-                rate_out = 0.0;
-            }
-        }
-        let mask = sources.iter().fold(0u16, |acc, s| match s {
-            PortSource::Channel(c) => acc | 1u16.checked_shl(u32::from(*c)).unwrap_or(0),
-            PortSource::Node(s) if (*s as usize) < i => acc | channels[*s as usize],
-            PortSource::Node(_) => acc,
-        });
-
-        nodes.push(NodeCert {
-            index: i as u16,
-            kind: kind.ir_name(),
-            ir_id: None,
-            line: None,
-            input_rate_hz: input_rate,
-            out_rate_hz: rate_out,
-            out_len: len_out,
-            base_rate_hz: input_base,
-            channels_mask: mask,
-            flops_per_input: flops,
-            flops_per_second: input_rate * flops,
-            memory_bytes: mem,
-        });
-        if i < MAX_NODES {
-            out_rate[i] = rate_out;
-            out_len[i] = len_out;
-            out_base[i] = input_base;
-            channels[i] = mask;
-        }
-    }
-
-    let total_flops_per_second: f64 = nodes.iter().map(|n| n.flops_per_second).sum();
-    let total_memory_bytes: usize = nodes.iter().map(|n| n.memory_bytes).sum();
-    let wake_rate_hz = if image.out_index() < n {
-        out_rate[image.out_index()]
-    } else {
-        0.0
-    };
-
-    let sample_bytes = precision.sample_bytes();
-    let arenas = ArenaKind::ALL.map(|k| {
-        let a = footprint.arena(k);
-        ArenaCert {
-            name: k.name(),
-            elements: a.elements,
-            element_bytes: k.element_bytes(sample_bytes),
-            bytes: a.elements * k.element_bytes(sample_bytes),
-            peak_node: (a.peak_elements > 0).then_some(a.peak_node),
-            peak_elements: a.peak_elements,
-        }
-    });
-
-    let mcu = match target.mcu {
-        Some(mcu) => verdict_for(&mcu, total_flops_per_second, total_memory_bytes),
-        None => {
-            // Auto: the cheapest fitting catalog part, or the last
-            // part's verdict when nothing fits — `Mcu::cheapest_for`'s
-            // selection rule.
-            let mut verdict = None;
-            for mcu in &Mcu::CATALOG {
-                let v = verdict_for(mcu, total_flops_per_second, total_memory_bytes);
-                let done = v.error.is_none();
-                verdict = Some(v);
-                if done {
-                    break;
-                }
-            }
-            verdict.expect("catalog is non-empty")
-        }
-    };
-
-    ResourceCert {
-        precision,
-        cap: target.cap,
-        required_capacity: footprint.required_capacity(),
-        fits_cap: footprint.fits(target.cap),
-        total_bytes: footprint.total_bytes(sample_bytes),
-        arenas,
-        nodes,
-        channel_rates: *dense,
-        total_flops_per_second,
-        total_memory_bytes,
-        wake_rate_hz,
-        mcu,
-        energy: energy_of(total_flops_per_second, wake_rate_hz),
     }
 }
 
@@ -587,64 +455,9 @@ pub fn diagnostics(cert: &ResourceCert) -> Vec<sidewinder_lint::Diagnostic> {
     out
 }
 
-/// Image node kind → IR algorithm — the inverse of the compiler's
-/// one-way bridge, so the certifier can feed the image through the
-/// host's cost table. `Sustained`'s `max_gap` saturates back to `u32`;
-/// the cost table ignores it.
-fn algorithm_of(kind: &NodeKind) -> AlgorithmKind {
-    match *kind {
-        NodeKind::Window { size, hop, shape } => AlgorithmKind::Window {
-            size,
-            hop,
-            shape: match shape {
-                WindowShape::Rectangular => WindowShapeParam::Rectangular,
-                WindowShape::Hamming => WindowShapeParam::Hamming,
-                WindowShape::Hann => WindowShapeParam::Hann,
-            },
-        },
-        NodeKind::Fft => AlgorithmKind::Fft,
-        NodeKind::Ifft => AlgorithmKind::Ifft,
-        NodeKind::SpectralMagnitude => AlgorithmKind::SpectralMagnitude,
-        NodeKind::MovingAvg { window } => AlgorithmKind::MovingAvg { window },
-        NodeKind::ExpMovingAvg { alpha } => AlgorithmKind::ExpMovingAvg { alpha },
-        NodeKind::LowPass { cutoff_hz } => AlgorithmKind::LowPass { cutoff_hz },
-        NodeKind::HighPass { cutoff_hz } => AlgorithmKind::HighPass { cutoff_hz },
-        NodeKind::VectorMagnitude => AlgorithmKind::VectorMagnitude,
-        NodeKind::Zcr => AlgorithmKind::Zcr,
-        NodeKind::ZcrVariance { sub_windows } => AlgorithmKind::ZcrVariance { sub_windows },
-        NodeKind::Stat(f) => AlgorithmKind::Stat(match f {
-            StatKind::Mean => StatFn::Mean,
-            StatKind::Variance => StatFn::Variance,
-            StatKind::StdDev => StatFn::StdDev,
-            StatKind::MeanAbs => StatFn::MeanAbs,
-            StatKind::Rms => StatFn::Rms,
-            StatKind::Energy => StatFn::Energy,
-            StatKind::Min => StatFn::Min,
-            StatKind::Max => StatFn::Max,
-            StatKind::PeakToPeak => StatFn::PeakToPeak,
-        }),
-        NodeKind::DominantRatio => AlgorithmKind::DominantRatio,
-        NodeKind::DominantFreq => AlgorithmKind::DominantFreq,
-        NodeKind::Goertzel { lo_hz, hi_hz } => AlgorithmKind::Goertzel { lo_hz, hi_hz },
-        NodeKind::GoertzelFreq { lo_hz, hi_hz } => AlgorithmKind::GoertzelFreq { lo_hz, hi_hz },
-        NodeKind::GoertzelRatio { lo_hz, hi_hz } => AlgorithmKind::GoertzelRatio { lo_hz, hi_hz },
-        NodeKind::MinThreshold { threshold } => AlgorithmKind::MinThreshold { threshold },
-        NodeKind::MaxThreshold { threshold } => AlgorithmKind::MaxThreshold { threshold },
-        NodeKind::BandThreshold { lo, hi } => AlgorithmKind::BandThreshold { lo, hi },
-        NodeKind::OutsideThreshold { lo, hi } => AlgorithmKind::OutsideThreshold { lo, hi },
-        NodeKind::Sustained { count, max_gap } => AlgorithmKind::Sustained {
-            count,
-            max_gap: u32::try_from(max_gap).unwrap_or(u32::MAX),
-        },
-        NodeKind::AllOf => AlgorithmKind::AllOf,
-        NodeKind::AnyOf => AlgorithmKind::AnyOf,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidewinder_hub::cost::PipelineCost;
     use sidewinder_lint::LintCode;
 
     fn fig2() -> Program {
@@ -711,7 +524,8 @@ mod tests {
     fn arena_occupancy_matches_the_footprint_and_the_load() {
         let rates = ChannelRates::default();
         let image = compile_image(&audio(), &rates).unwrap();
-        let cert = certify_image(&image, &rates, Precision::F64, &CertTarget::default()).unwrap();
+        let cert =
+            certify_program(&audio(), &rates, Precision::F64, &CertTarget::default()).unwrap();
         let foot = image_footprint(&image).unwrap();
         for (kind, arena) in ArenaKind::ALL.iter().zip(&cert.arenas) {
             assert_eq!(arena.elements, foot.arena(*kind).elements);

@@ -26,6 +26,17 @@ pub struct NodeCost {
     pub flops_per_input: f64,
     /// Bytes of state the instance keeps.
     pub memory_bytes: usize,
+    /// Worst-case emissions per second leaving the node.
+    pub out_rate_hz: f64,
+    /// Elements per emission leaving the node.
+    pub out_len: usize,
+    /// Sample rate of the data inside incoming vectors — what
+    /// frequency-aware stages place DFT bins with.
+    pub base_rate_hz: f64,
+    /// Bitmask over dense channel indices
+    /// ([`SensorChannel::index`](sidewinder_sensors::SensorChannel::index))
+    /// of the channels that transitively feed the node.
+    pub channels_mask: u16,
 }
 
 impl NodeCost {
@@ -45,17 +56,18 @@ impl PipelineCost {
     /// Analyzes a validated program against channel rates.
     ///
     /// Unvalidated programs may yield meaningless costs, but analysis
-    /// never panics on them.
+    /// never panics on them: an unknown source reads as rate 0, length
+    /// 1, base rate 0 and no channels.
     pub fn analyze(program: &Program, rates: &ChannelRates) -> PipelineCost {
-        // Track per-node emission rate, vector length, and the sample
-        // rate of the data *inside* those vectors (the base rate a
-        // frequency-aware stage like goertzel sees) flowing out.
-        let mut out_rate: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut out_len: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut out_base: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut nodes = Vec::new();
+        // Each node's emission rate, vector length, and the sample rate
+        // of the data *inside* those vectors (the base rate a
+        // frequency-aware stage like goertzel sees) flow to its
+        // consumers through `nodes`.
+        let mut index: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut nodes: Vec<NodeCost> = Vec::new();
 
         for (sources, id, kind) in program.nodes() {
+            let upstream = |n: &NodeId| index.get(n).map(|&k| &nodes[k]);
             // A multi-input aggregator processes every arriving value, so
             // it is charged for the *sum* of its source rates, not just
             // the first source's.
@@ -63,7 +75,7 @@ impl PipelineCost {
                 .iter()
                 .map(|s| match s {
                     Source::Channel(c) => rates.rate_of(*c),
-                    Source::Node(n) => out_rate.get(n).copied().unwrap_or(0.0),
+                    Source::Node(n) => upstream(n).map_or(0.0, |u| u.out_rate_hz),
                 })
                 .collect();
             let input_rate: f64 = src_rates.iter().sum();
@@ -71,7 +83,7 @@ impl PipelineCost {
                 .iter()
                 .map(|s| match s {
                     Source::Channel(_) => 1,
-                    Source::Node(n) => out_len.get(n).copied().unwrap_or(1),
+                    Source::Node(n) => upstream(n).map_or(1, |u| u.out_len),
                 })
                 .max()
                 .unwrap_or(1);
@@ -79,9 +91,13 @@ impl PipelineCost {
                 .iter()
                 .map(|s| match s {
                     Source::Channel(c) => rates.rate_of(*c),
-                    Source::Node(n) => out_base.get(n).copied().unwrap_or(0.0),
+                    Source::Node(n) => upstream(n).map_or(0.0, |u| u.base_rate_hz),
                 })
                 .fold(0.0, f64::max);
+            let channels_mask = sources.iter().fold(0u16, |mask, s| match s {
+                Source::Channel(c) => mask | 1 << c.index(),
+                Source::Node(n) => mask | upstream(n).map_or(0, |u| u.channels_mask),
+            });
 
             let (flops, mem, mut rate_out, len_out) =
                 cost_of(kind, input_rate, input_len, input_base);
@@ -94,15 +110,17 @@ impl PipelineCost {
                     rate_out = 0.0;
                 }
             }
+            index.insert(id, nodes.len());
             nodes.push(NodeCost {
                 id,
                 input_rate_hz: input_rate,
                 flops_per_input: flops,
                 memory_bytes: mem,
+                out_rate_hz: rate_out,
+                out_len: len_out,
+                base_rate_hz: input_base,
+                channels_mask,
             });
-            out_rate.insert(id, rate_out);
-            out_len.insert(id, len_out);
-            out_base.insert(id, input_base);
         }
         PipelineCost { nodes }
     }
@@ -121,19 +139,6 @@ impl PipelineCost {
     pub fn total_memory_bytes(&self) -> usize {
         self.nodes.iter().map(|n| n.memory_bytes).sum()
     }
-}
-
-/// The per-kind cost table behind [`PipelineCost::analyze`], exposed so
-/// the certifier can mirror the analysis over a compiled image with
-/// bitwise-identical arithmetic. Returns `(flops_per_input,
-/// memory_bytes, output_rate, output_len)`.
-pub fn kind_cost(
-    kind: &AlgorithmKind,
-    input_rate: f64,
-    input_len: usize,
-    input_base_rate: f64,
-) -> (f64, usize, f64, usize) {
-    cost_of(kind, input_rate, input_len, input_base_rate)
 }
 
 /// Returns `(flops_per_input, memory_bytes, output_rate, output_len)`.

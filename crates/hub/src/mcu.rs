@@ -128,6 +128,20 @@ impl Mcu {
         Ok(())
     }
 
+    /// The catalog's first-fit pick for `cost`: the lowest-power part
+    /// that runs it, or, when none does, the last part with the reason
+    /// it cannot.
+    pub fn first_fit(cost: &PipelineCost) -> (Mcu, Result<(), CapacityError>) {
+        let mut pick = (Mcu::CATALOG[0], Ok(()));
+        for mcu in Mcu::CATALOG {
+            pick = (mcu, mcu.supports_cost(cost));
+            if pick.1.is_ok() {
+                break;
+            }
+        }
+        pick
+    }
+
     /// Picks the lowest-power MCU from the catalog able to run `program`.
     ///
     /// Reproduces the paper's sizing decision: accelerometer pipelines run
@@ -137,14 +151,8 @@ impl Mcu {
     ///
     /// Returns the last [`CapacityError`] if no catalog MCU suffices.
     pub fn cheapest_for(program: &Program, rates: &ChannelRates) -> Result<Mcu, CapacityError> {
-        let mut last_err = None;
-        for mcu in Mcu::CATALOG {
-            match mcu.supports(program, rates) {
-                Ok(()) => return Ok(mcu),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("catalog is non-empty"))
+        let (mcu, fit) = Mcu::first_fit(&PipelineCost::analyze(program, rates));
+        fit.map(|()| mcu)
     }
 }
 

@@ -83,8 +83,9 @@ pub enum HubError {
     /// [`MAX_NODES`](sidewinder_mcu::image::MAX_NODES) nodes, or too many
     /// ports on one node (raised by [`compile_image`]).
     Image(sidewinder_mcu::ImageError),
-    /// The core rejected a node parameter at load, or a node failed at
-    /// run time.
+    /// The core rejected the image at load: a parameter out of range, an
+    /// edge of the wrong value kind, or a transform fed a length that is
+    /// not a power of two. A loaded program cannot fail at run time.
     Exec(McuExecError),
 }
 
@@ -267,7 +268,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// [`HubError::Invalid`] if the program fails validation,
     /// [`HubError::Image`] if it exceeds the image limits, and
-    /// [`HubError::Exec`] if the core rejects a node parameter.
+    /// [`HubError::Exec`] if the core rejects the image (see
+    /// [`HubError::Exec`]).
     pub fn load_generic(
         program: &Program,
         rates: &ChannelRates,
@@ -316,8 +318,9 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// # Errors
     ///
-    /// Returns [`HubError::Exec`] if a node fails; the runtime is left
-    /// in a consistent state and may continue receiving samples.
+    /// None on a loaded runtime: `load` rejects every program that could
+    /// fail at run time, and every [`SensorChannel`] is in range. The
+    /// `Result` carries the core's contract through unchanged.
     pub fn push_sample(
         &mut self,
         channel: SensorChannel,
@@ -336,11 +339,7 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ///
     /// # Errors
     ///
-    /// Returns the first [`HubError::Exec`] a node reports; samples
-    /// after the failing one are not consumed (wake events raised earlier
-    /// in the batch are discarded with the failed call, exactly as if the
-    /// caller had looped [`HubRuntime::push_sample`] and aborted on the
-    /// error).
+    /// As [`HubRuntime::push_sample`].
     pub fn push_samples(
         &mut self,
         channel: SensorChannel,
@@ -908,31 +907,25 @@ mod tests {
     }
 
     #[test]
-    fn runtime_survives_exec_error() {
-        // A magnitude vector (length 33) flowing into lowPass triggers a
-        // run-time transform-length error; the runtime reports it and can
-        // keep going.
-        let mut hub = load(
-            "MIC -> window(id=1, params={64, 64, 0});
+    fn load_rejects_a_transform_fed_a_non_power_of_two() {
+        // A magnitude vector (length 33) flowing into lowPass passes IR
+        // validation; the core's layout walk rejects it at load, naming
+        // the filter, instead of failing on the first window.
+        let program: Program = "MIC -> window(id=1, params={64, 64, 0});
              1 -> fft(id=2);
              2 -> spectralMagnitude(id=3);
              3 -> lowPass(id=4, params={100});
              4 -> rms(id=5);
              5 -> minThreshold(id=6, params={0});
-             6 -> OUT;",
+             6 -> OUT;"
+            .parse()
+            .unwrap();
+        program.validate().unwrap();
+        let err = HubRuntime::load(&program, &ChannelRates::default()).unwrap_err();
+        assert_eq!(
+            err,
+            HubError::Exec(McuExecError::BadTransformLength { node: 3, len: 33 })
         );
-        let mut saw_error = false;
-        for i in 0..64u64 {
-            match hub.push_sample(SensorChannel::Mic, (i as f64 * 0.1).sin()) {
-                Ok(_) => {}
-                Err(HubError::Exec(McuExecError::BadTransformLength { len: 33, .. })) => {
-                    saw_error = true;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(saw_error);
-        // Still accepts samples afterwards.
-        assert!(hub.push_sample(SensorChannel::Mic, 0.0).is_ok());
+        assert!(err.to_string().contains("node 3"), "{err}");
     }
 }

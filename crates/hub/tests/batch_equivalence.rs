@@ -1,6 +1,6 @@
 //! `push_samples` must be observationally identical to a `push_sample`
 //! loop: same wake events (bit for bit), same wake counts, and the same
-//! error at the same point in the stream. The batch form exists purely to
+//! error for an out-of-range channel. The batch form exists purely to
 //! amortize per-call overhead, so any divergence is a bug.
 //!
 //! The fixtures are the six golden wake-up conditions the determinism
@@ -8,9 +8,9 @@
 //! filters, ZCR features, joins, and sustained streaks.
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
-use sidewinder_hub::HubError;
-use sidewinder_hub::McuExecError;
+use sidewinder_hub::{compile_image, McuCore, McuExecError};
 use sidewinder_ir::Program;
+use sidewinder_mcu::image::MAX_CHANNELS;
 use sidewinder_sensors::SensorChannel;
 
 /// Accelerometer drive: ±4 plateaus with quiet recovery spans, pushing
@@ -154,44 +154,38 @@ fn samples_on_unrelated_channels_are_ignored_in_batches() {
     }
 }
 
-/// A magnitude vector (length 33) flowing into lowPass raises a run-time
-/// transform-length error; the batch form must surface the same error the
-/// serial loop does, at the same sample.
+/// A loaded image cannot fail at run time, so the one error a push can
+/// raise is an out-of-range channel: the batch form must report it as
+/// the serial form does, before consuming a sample.
 #[test]
 fn batched_ingestion_reports_the_same_error_as_serial() {
-    let text = "MIC -> window(id=1, params={64, 64, 0});
-         1 -> fft(id=2);
-         2 -> spectralMagnitude(id=3);
-         3 -> lowPass(id=4, params={100});
-         4 -> rms(id=5);
-         5 -> minThreshold(id=6, params={0});
-         6 -> OUT;";
-    let samples: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
+    // Headbutts: three scalar nodes, so a small inline core holds it.
+    let (_, text, channel, signal) = FIXTURES[0];
+    let program: Program = text.parse().unwrap();
+    let image = compile_image(&program, &ChannelRates::default()).unwrap();
+    let samples: Vec<f64> = (0..256).map(signal).collect();
+    let bad = MAX_CHANNELS as u8;
 
-    let mut serial_hub = load(text);
-    let mut serial_err = None;
-    for (i, &s) in samples.iter().enumerate() {
-        if let Err(e) = serial_hub.push_sample(SensorChannel::Mic, s) {
-            serial_err = Some((i, e));
-            break;
-        }
-    }
-    let (serial_at, serial_err) = serial_err.expect("serial loop must hit the error");
-    assert!(matches!(
-        serial_err,
-        HubError::Exec(McuExecError::BadTransformLength { len: 33, .. })
-    ));
-
-    let mut batch_hub = load(text);
-    let batch_err = batch_hub
-        .push_samples(SensorChannel::Mic, &samples)
+    let mut serial: McuCore<f64, 64> = McuCore::new();
+    serial.load(&image).unwrap();
+    let serial_err = serial
+        .push_sample(bad, samples[0], &mut |_| {})
         .unwrap_err();
+    assert_eq!(serial_err, McuExecError::BadChannel { channel: bad });
+
+    let mut batch: McuCore<f64, 64> = McuCore::new();
+    batch.load(&image).unwrap();
+    let batch_err = batch.push_samples(bad, &samples, &mut |_| {}).unwrap_err();
     assert_eq!(serial_err, batch_err, "batch error differs from serial");
 
-    // The batch consumed exactly the samples before the failing one: the
-    // remainder of the stream replays to the same error again.
-    let replay_err = batch_hub
-        .push_samples(SensorChannel::Mic, &samples[serial_at + 1..])
-        .unwrap_err();
-    assert_eq!(serial_err, replay_err, "replay after error diverged");
+    // Neither call consumed a sample: both cores replay the stream alike.
+    let ch = channel.index() as u8;
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    serial
+        .push_samples(ch, &samples, &mut |w| a.push(w))
+        .unwrap();
+    batch
+        .push_samples(ch, &samples, &mut |w| b.push(w))
+        .unwrap();
+    assert_wakes_equal(&a, &b, "after the rejected push");
 }

@@ -202,14 +202,14 @@ fn schedulability(
         return;
     }
     let attribution = attribution(&cost, analysis);
-    match Mcu::cheapest_for(program, rates) {
-        Ok(mcu) if mcu == Mcu::CATALOG[0] => {}
-        Ok(mcu) => {
+    match Mcu::first_fit(&cost) {
+        (mcu, Ok(())) if mcu == Mcu::CATALOG[0] => {}
+        (mcu, Ok(())) => {
             // Fitting only the bigger part is legitimate (the paper's
             // siren condition does exactly this) — advisory.
             let why = Mcu::CATALOG[0]
                 .supports_cost(&cost)
-                .expect_err("cheapest_for skipped the first catalog entry")
+                .expect_err("first_fit skipped the first catalog entry")
                 .to_string();
             report.diagnostics.push(Diagnostic::new(
                 LintCode::NeedsBiggerMcu,
@@ -222,7 +222,7 @@ fn schedulability(
                 ),
             ));
         }
-        Err(err) => {
+        (_, Err(err)) => {
             report.diagnostics.push(Diagnostic::new(
                 LintCode::FitsNoMcu,
                 analysis.out_source(),

@@ -2,19 +2,24 @@
 //! interpreter every host path runs as well.
 //!
 //! [`ExecCore`] executes an [`McuImage`] without allocating after
-//! `load`: every buffer a node needs is carved at load time out of seven
-//! arenas (samples, scalars, complex values, swap tables, keep masks,
-//! and the two staging buffers payloads are copied through). Where those
-//! arenas live is the core's [`ArenaStorage`] parameter:
+//! `load`. `load` applies the image's static model, the layout walk in
+//! [`footprint`](crate::footprint): it types every edge, validates
+//! every parameter and transform length, and assigns every buffer a
+//! node needs a span in one of seven arenas (samples, scalars, complex
+//! values, swap tables, keep masks, and the two staging buffers
+//! payloads are copied through). An image that loads cannot fail at
+//! run time: `push_samples` returns only [`McuExecError::NotLoaded`]
+//! and [`McuExecError::BadChannel`]. Where the arenas live is the
+//! core's [`ArenaStorage`] parameter:
 //!
 //! * [`McuCore<P, CAP>`](McuCore) keeps them inline as `[T; CAP]`
 //!   arrays — the firmware form, const-constructible into a `static`.
 //!   A program that does not fit is refused at `load` with a typed
 //!   [`McuExecError::ArenaOverflow`].
 //! * [`HostCore<P>`](HostCore) (`std` feature) allocates exactly the
-//!   image's [`image_footprint`](crate::image_footprint) per arena at
-//!   `load`. `sidewinder-hub`'s `HubRuntime` wraps it, so a program's
-//!   resource certificate is an exact account of what the host runs.
+//!   layout's footprint per arena at `load`. `sidewinder-hub`'s
+//!   `HubRuntime` wraps it, so a program's resource certificate is an
+//!   exact account of what the host runs.
 //!
 //! Either way, steady-state execution touches no allocator and no
 //! `std`.
@@ -22,10 +27,10 @@
 use crate::complex::Complex;
 use crate::fft;
 use crate::filter::{self, BandShape};
+use crate::footprint::{image_layout, ArenaKind, ImageLayout, Span};
 use crate::goertzel;
 use crate::image::{
-    CapacityError, Mask, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS,
-    MAX_NODES, MAX_PORTS,
+    Mask, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS, MAX_NODES, MAX_PORTS,
 };
 use crate::math;
 use crate::sample::Sample;
@@ -139,8 +144,8 @@ impl ExecProbe for HighWaterProbe {
     }
 }
 
-/// Errors raised while loading or executing an image. Nodes are named
-/// by their dense image index.
+/// Errors raised while loading an image, or pushing samples to a core
+/// that has none. Nodes are named by their dense image index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum McuExecError {
     /// `push_sample` before a successful `load`.
@@ -150,7 +155,7 @@ pub enum McuExecError {
         /// The offending channel index.
         channel: u8,
     },
-    /// A transform node received a window whose length is not a power
+    /// A transform node is fed a payload whose length is not a power
     /// of two.
     BadTransformLength {
         /// The node's dense index.
@@ -158,18 +163,12 @@ pub enum McuExecError {
         /// The offending length.
         len: usize,
     },
-    /// A node received a value of the wrong type (scalar where a vector
-    /// was expected, and so on).
+    /// A port is fed a value of the wrong kind (scalar where a vector
+    /// is expected, and so on), or a payload of another length than the
+    /// node's first port.
     TypeError {
         /// The node's dense index.
         node: u16,
-    },
-    /// A value arrived on a port the node does not have.
-    BadPort {
-        /// The node's dense index.
-        node: u16,
-        /// The offending port.
-        port: usize,
     },
     /// A node parameter failed validation at load time.
     BadParameter {
@@ -191,8 +190,6 @@ pub enum McuExecError {
         /// Elements the core provides per arena.
         capacity: usize,
     },
-    /// The program needs more arena storage than the core provides.
-    Capacity(CapacityError),
 }
 
 impl core::fmt::Display for McuExecError {
@@ -208,9 +205,6 @@ impl core::fmt::Display for McuExecError {
             McuExecError::TypeError { node } => {
                 write!(f, "node {node}: received a value of the wrong type")
             }
-            McuExecError::BadPort { node, port } => {
-                write!(f, "node {node}: no input port {port}")
-            }
             McuExecError::BadParameter { node, what } => {
                 write!(f, "node {node}: invalid parameter: {what}")
             }
@@ -223,18 +217,11 @@ impl core::fmt::Display for McuExecError {
                 f,
                 "node {node}: {arena} exhausted: needs {needed} elements, capacity {capacity}"
             ),
-            McuExecError::Capacity(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl core::error::Error for McuExecError {}
-
-impl From<CapacityError> for McuExecError {
-    fn from(e: CapacityError) -> Self {
-        McuExecError::Capacity(e)
-    }
-}
 
 /// Mutable views of a core's seven arenas, in
 /// [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order.
@@ -261,13 +248,12 @@ pub trait ArenaStorage {
     /// for hardware-faithful deployments).
     type Sample: Sample;
 
-    /// Readies the arenas for `image`, before `load` carves them.
+    /// Readies the arenas for `layout`, before `load` applies it.
     ///
     /// # Errors
     ///
-    /// [`McuExecError::BadParameter`] on the parameters `load` rejects,
     /// [`McuExecError::ArenaOverflow`] when fixed storage is too small.
-    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError>;
+    fn fit(&mut self, layout: &ImageLayout) -> Result<(), McuExecError>;
 
     /// The arenas, each as long as the storage provides.
     fn views(&mut self) -> ArenaViews<'_, Self::Sample>;
@@ -308,8 +294,8 @@ impl<P: Sample, const CAP: usize> Default for InlineArenas<P, CAP> {
 impl<P: Sample, const CAP: usize> ArenaStorage for InlineArenas<P, CAP> {
     type Sample = P;
 
-    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError> {
-        crate::footprint::check_fit(image, CAP).map(|_| ())
+    fn fit(&mut self, layout: &ImageLayout) -> Result<(), McuExecError> {
+        layout.check_fit(CAP)
     }
 
     fn views(&mut self) -> ArenaViews<'_, P> {
@@ -343,10 +329,9 @@ pub struct HeapArenas<P: Sample> {
 impl<P: Sample> ArenaStorage for HeapArenas<P> {
     type Sample = P;
 
-    fn fit(&mut self, image: &McuImage) -> Result<(), McuExecError> {
-        use crate::footprint::ArenaKind;
+    fn fit(&mut self, layout: &ImageLayout) -> Result<(), McuExecError> {
         use std::vec;
-        let fp = crate::footprint::image_footprint(image)?;
+        let fp = layout.footprint();
         let n = |kind: ArenaKind| fp.arena(kind).elements;
         *self = HeapArenas {
             p: vec![P::ZERO; n(ArenaKind::Sample)],
@@ -370,30 +355,6 @@ impl<P: Sample> ArenaStorage for HeapArenas<P> {
             stage_p: &mut self.stage_p,
             stage_c: &mut self.stage_c,
         }
-    }
-}
-
-/// A `[start, start + cap)` slice of one arena, assigned at load time.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: u32,
-    cap: u32,
-}
-
-impl Span {
-    const EMPTY: Span = Span { start: 0, cap: 0 };
-
-    fn range(self, len: usize) -> Range<usize> {
-        let start = self.start as usize;
-        start..start + len
-    }
-
-    fn full(self) -> Range<usize> {
-        self.range(self.cap as usize)
-    }
-
-    fn cap(self) -> usize {
-        self.cap as usize
     }
 }
 
@@ -545,29 +506,6 @@ enum In<'a, P: Sample> {
     Spectrum(&'a [Complex]),
 }
 
-impl<'a, P: Sample> In<'a, P> {
-    fn as_scalar(&self) -> Option<f64> {
-        match *self {
-            In::Scalar(x) => Some(x),
-            _ => None,
-        }
-    }
-
-    fn as_vector(&self) -> Option<&'a [P]> {
-        match *self {
-            In::Vector(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_spectrum(&self) -> Option<&'a [Complex]> {
-        match *self {
-            In::Spectrum(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// Mutable views over the carved arenas, handed to the per-kind
 /// executor.
 struct Arenas<'a, P: Sample> {
@@ -578,10 +516,9 @@ struct Arenas<'a, P: Sample> {
     b: &'a mut [bool],
 }
 
-/// Identity of one feed: which node, which port, at what sequence.
+/// Identity of one feed: which port, at what sequence.
 #[derive(Clone, Copy)]
 struct FeedCtx {
-    node: u16,
     port: usize,
     seq: u64,
 }
@@ -712,26 +649,28 @@ impl<A: ArenaStorage> ExecCore<A> {
 
     /// Elements the last successful `load` carved from each bump arena,
     /// in [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order
-    /// (sample, scalar, complex, swap, mask). The soundness harness
-    /// pins these against [`image_footprint`](crate::image_footprint).
+    /// (sample, scalar, complex, swap, mask): the image's
+    /// [`image_footprint`](crate::image_footprint), since `load`
+    /// applies the layout those totals sum.
     pub fn arena_used(&self) -> [usize; 5] {
         self.arena_used.map(|n| n as usize)
     }
 
-    /// Loads an image: validates node parameters and carves every
-    /// buffer the program needs out of the arenas.
+    /// Loads an image: applies its layout — the one static walk that
+    /// types every edge, validates every parameter and transform length,
+    /// and assigns every node its arena spans — then tabulates the
+    /// window tapers. Transform plans are built on the first window.
     ///
-    /// Buffer sizes come from a forward pass over the dense node list
-    /// (producers precede consumers, so each node's payload length is
-    /// known from its first source).
+    /// A rejected image leaves the core as unloaded as a fresh one, and
+    /// reusable: no arena is written until the layout is accepted and
+    /// fits.
     ///
     /// # Errors
     ///
-    /// [`McuExecError::BadParameter`] on invalid node parameters,
-    /// [`McuExecError::ArenaOverflow`] when the program's certified
-    /// footprint exceeds fixed storage — raised by the storage's
-    /// pre-flight [`fit`](ArenaStorage::fit), naming the arena and the
-    /// offending node, before any arena is touched.
+    /// [`McuExecError::BadParameter`], [`McuExecError::TypeError`] and
+    /// [`McuExecError::BadTransformLength`] as the layout walk reports
+    /// them; [`McuExecError::ArenaOverflow`] when the footprint exceeds
+    /// fixed storage, naming the arena and the offending node.
     pub fn load(&mut self, image: &McuImage) -> Result<(), McuExecError> {
         self.loaded = false;
         self.states = [NodeState::EMPTY; MAX_NODES];
@@ -740,141 +679,31 @@ impl<A: ArenaStorage> ExecCore<A> {
         self.wake_count = 0;
         self.arena_used = [0; 5];
 
-        // Admission first: the static footprint is exact (pinned
-        // against the carve below by the equivalence tests), so a
-        // rejected image leaves the core exactly as unloaded as a
-        // never-loaded one, and the carve below cannot fail.
-        self.arenas.fit(image)?;
-        let ar = self.arenas.views();
-        let cap = [ar.p.len(), ar.f.len(), ar.c.len(), ar.s.len(), ar.b.len()];
-
-        let mut used_p = 0usize;
-        let mut used_f = 0usize;
-        let mut used_c = 0usize;
-        let mut used_s = 0usize;
-        let mut used_b = 0usize;
-        // Payload length each node emits (0 for scalar producers).
-        let mut lens = [0usize; MAX_NODES];
-
-        for (i, spec) in image.nodes().iter().enumerate() {
-            let node = i as u16;
-            let in_len = match spec.sources[0] {
-                PortSource::Channel(_) => 0,
-                PortSource::Node(src) => lens[src as usize],
+        let layout = image_layout(image)?;
+        self.arenas.fit(&layout)?;
+        let p = self.arenas.views().p;
+        for (i, (spec, node)) in image.nodes().iter().zip(layout.nodes()).enumerate() {
+            self.states[i] = NodeState {
+                aux_p: node.aux_p,
+                coeffs: node.coeffs,
+                aux_f: node.aux_f,
+                swaps: node.swaps,
+                fwd: node.fwd,
+                inv: node.inv,
+                mask: node.mask,
+                wide_in: node.wide_in,
+                ..NodeState::EMPTY
             };
-            let mut st = NodeState::EMPTY;
-            let mut slot = Slot::EMPTY;
-            match spec.kind {
-                NodeKind::Window { size, hop, shape } => {
-                    let (size, hop) = (size as usize, hop as usize);
-                    if size == 0 || hop == 0 || hop > size {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "window size and hop must be positive",
-                        });
-                    }
-                    st.aux_p = bump(&mut used_p, cap[0], size, "sample arena")?;
-                    st.coeffs = bump(&mut used_p, cap[0], size, "sample arena")?;
-                    shape.fill_coefficients(&mut ar.p[st.coeffs.full()]);
-                    slot.vec = bump(&mut used_p, cap[0], size, "sample arena")?;
-                    lens[i] = size;
-                }
-                NodeKind::Fft => {
-                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(
-                        &mut used_c,
-                        cap[2],
-                        plan_twiddle_cap(in_len),
-                        "complex arena",
-                    )?;
-                    st.wide_in = bump(&mut used_f, cap[1], in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::Ifft => {
-                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
-                    st.inv = bump(
-                        &mut used_c,
-                        cap[2],
-                        plan_twiddle_cap(in_len),
-                        "complex arena",
-                    )?;
-                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, cap[0], in_len, "sample arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::SpectralMagnitude => {
-                    let m = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    slot.vec = bump(&mut used_p, cap[0], m, "sample arena")?;
-                    lens[i] = m;
-                }
-                NodeKind::MovingAvg { window } => {
-                    if window == 0 {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "moving-average window must be positive",
-                        });
-                    }
-                    st.aux_f = bump(&mut used_f, cap[1], window as usize, "scalar arena")?;
-                }
-                NodeKind::ExpMovingAvg { alpha } => {
-                    if !(alpha > 0.0 && alpha <= 1.0) {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "smoothing factor must be in (0, 1]",
-                        });
-                    }
-                }
-                NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
-                    let twiddles = plan_twiddle_cap(in_len);
-                    st.swaps = bump(&mut used_s, cap[3], plan_swap_cap(in_len), "swap arena")?;
-                    st.fwd = bump(&mut used_c, cap[2], twiddles, "complex arena")?;
-                    st.inv = bump(&mut used_c, cap[2], twiddles, "complex arena")?;
-                    st.mask = bump(&mut used_b, cap[4], in_len, "mask arena")?;
-                    st.wide_in = bump(&mut used_f, cap[1], in_len, "scalar arena")?;
-                    slot.spec = bump(&mut used_c, cap[2], in_len, "complex arena")?;
-                    slot.vec = bump(&mut used_p, cap[0], in_len, "sample arena")?;
-                    lens[i] = in_len;
-                }
-                NodeKind::ZcrVariance { sub_windows } => {
-                    st.aux_p = bump(&mut used_p, cap[0], sub_windows as usize, "sample arena")?;
-                }
-                NodeKind::Goertzel { lo_hz, hi_hz }
-                | NodeKind::GoertzelFreq { lo_hz, hi_hz }
-                | NodeKind::GoertzelRatio { lo_hz, hi_hz } => {
-                    if !(lo_hz.is_finite() && hi_hz.is_finite() && 0.0 <= lo_hz && lo_hz <= hi_hz) {
-                        return Err(McuExecError::BadParameter {
-                            node,
-                            what: "goertzel band must be finite with 0 <= lo <= hi",
-                        });
-                    }
-                    let probes = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-                    st.aux_f = bump(&mut used_f, cap[1], probes, "scalar arena")?;
-                }
-                NodeKind::VectorMagnitude
-                | NodeKind::Zcr
-                | NodeKind::Stat(_)
-                | NodeKind::DominantRatio
-                | NodeKind::DominantFreq
-                | NodeKind::MinThreshold { .. }
-                | NodeKind::MaxThreshold { .. }
-                | NodeKind::BandThreshold { .. }
-                | NodeKind::OutsideThreshold { .. }
-                | NodeKind::Sustained { .. }
-                | NodeKind::AllOf
-                | NodeKind::AnyOf => {}
+            self.slots[i].vec = node.vec;
+            self.slots[i].spec = node.spec;
+            if let NodeKind::Window { shape, .. } = spec.kind {
+                shape.fill_coefficients(&mut p[node.coeffs.full()]);
             }
-            self.states[i] = st;
-            self.slots[i] = slot;
         }
-
-        self.arena_used = [
-            used_p as u32,
-            used_f as u32,
-            used_c as u32,
-            used_s as u32,
-            used_b as u32,
-        ];
+        let fp = layout.footprint();
+        for (used, kind) in self.arena_used.iter_mut().zip(ArenaKind::ALL) {
+            *used = fp.arena(kind).elements as u32;
+        }
         self.image = *image;
         self.loaded = true;
         Ok(())
@@ -885,9 +714,10 @@ impl<A: ArenaStorage> ExecCore<A> {
     ///
     /// # Errors
     ///
-    /// [`McuExecError::NotLoaded`] before a `load`, otherwise the
-    /// execution errors of the nodes the sample reaches. The core stays
-    /// usable after an execution error.
+    /// [`McuExecError::NotLoaded`] before a `load`,
+    /// [`McuExecError::BadChannel`] for a channel at or above
+    /// [`MAX_CHANNELS`]. Nothing else: `load` rejects every image that
+    /// could fail at run time.
     pub fn push_sample(
         &mut self,
         channel: u8,
@@ -919,7 +749,7 @@ impl<A: ArenaStorage> ExecCore<A> {
     ///
     /// # Errors
     ///
-    /// Stops at the first failing sample; see [`push_sample`](Self::push_sample).
+    /// As [`push_sample`](Self::push_sample), before any sample runs.
     pub fn push_samples(
         &mut self,
         channel: u8,
@@ -939,7 +769,7 @@ impl<A: ArenaStorage> ExecCore<A> {
     ///
     /// # Errors
     ///
-    /// Stops at the first failing sample; see [`push_sample`](Self::push_sample).
+    /// As [`push_sample`](Self::push_sample), before any sample runs.
     pub fn push_samples_probed<Pr: ExecProbe>(
         &mut self,
         channel: u8,
@@ -1031,11 +861,7 @@ impl<A: ArenaStorage> ExecCore<A> {
                         PortSource::Node(_) => continue,
                     };
                     exec_kind(
-                        FeedCtx {
-                            node: i as u16,
-                            port,
-                            seq,
-                        },
+                        FeedCtx { port, seq },
                         spec,
                         &mut states[i],
                         slot,
@@ -1047,7 +873,7 @@ impl<A: ArenaStorage> ExecCore<A> {
                             b: &mut *b,
                         },
                         input,
-                    )?;
+                    );
                 }
                 let produced = slot.kind != SlotKind::Empty;
                 if Pr::ENABLED {
@@ -1084,48 +910,6 @@ impl<A: ArenaStorage> ExecCore<A> {
     }
 }
 
-/// Bump-allocates `need` elements from an arena of `total` capacity.
-fn bump(
-    used: &mut usize,
-    total: usize,
-    need: usize,
-    what: &'static str,
-) -> Result<Span, McuExecError> {
-    if *used + need > total {
-        return Err(McuExecError::Capacity(CapacityError {
-            what,
-            needed: *used + need,
-            capacity: total,
-        }));
-    }
-    let span = Span {
-        start: *used as u32,
-        cap: need as u32,
-    };
-    *used += need;
-    Ok(span)
-}
-
-/// Swap-table capacity to reserve for a predicted transform length.
-/// Non-power-of-two predictions reserve nothing: the plan will fail
-/// with `BadTransformLength` before the table is needed.
-pub(crate) fn plan_swap_cap(n: usize) -> usize {
-    if fft::is_power_of_two(n) {
-        fft::swap_count(n)
-    } else {
-        0
-    }
-}
-
-/// Twiddle-table capacity to reserve for a predicted transform length.
-pub(crate) fn plan_twiddle_cap(n: usize) -> usize {
-    if fft::is_power_of_two(n) {
-        fft::twiddle_count(n)
-    } else {
-        0
-    }
-}
-
 /// Two disjoint mutable subslices of one slice, in either order.
 fn two_ranges<T>(s: &mut [T], a: Range<usize>, b: Range<usize>) -> (&mut [T], &mut [T]) {
     if a.end <= b.start {
@@ -1141,8 +925,8 @@ fn two_ranges<T>(s: &mut [T], a: Range<usize>, b: Range<usize>) -> (&mut [T], &m
 }
 
 /// Three disjoint mutable subslices; `c` must lie after `a` and `b`
-/// (the bump allocator hands out ascending spans, so per-node span
-/// triples always satisfy this).
+/// (the layout walk carves ascending spans, so per-node span triples
+/// always satisfy this).
 fn tri_ranges<T>(
     s: &mut [T],
     a: Range<usize>,
@@ -1156,35 +940,22 @@ fn tri_ranges<T>(
     (a_s, b_s, &mut tail[..c_len])
 }
 
-/// (Re)builds a node's transform tables when the incoming window length
-/// differs from the planned length.
+/// Builds a node's transform tables on its first window. The layout
+/// walk sized every span for the node's one static, power-of-two
+/// length.
 fn ensure_plan(
-    node: u16,
     st: &mut NodeState,
     n: usize,
     s: &mut [(u32, u32)],
     c: &mut [Complex],
     b: &mut [bool],
     needs: &PlanNeeds,
-) -> Result<(), McuExecError> {
+) {
     if st.planned_len == n as u32 {
-        return Ok(());
+        return;
     }
-    fft::check_len(n).map_err(|e| McuExecError::BadTransformLength { node, len: e.len })?;
     let sc = fft::swap_count(n);
     let tc = fft::twiddle_count(n);
-    if sc > st.swaps.cap() {
-        return Err(arena_overflow("swap arena", sc, st.swaps.cap()));
-    }
-    if needs.fwd && tc > st.fwd.cap() {
-        return Err(arena_overflow("complex arena", tc, st.fwd.cap()));
-    }
-    if needs.inv && tc > st.inv.cap() {
-        return Err(arena_overflow("complex arena", tc, st.inv.cap()));
-    }
-    if needs.band.is_some() && n > st.mask.cap() {
-        return Err(arena_overflow("mask arena", n, st.mask.cap()));
-    }
     {
         let swaps = &mut s[st.swaps.range(sc)];
         let mut k = 0;
@@ -1214,11 +985,10 @@ fn ensure_plan(
         filter::fill_keep_mask(&mut b[st.mask.range(n)], rate, shape);
     }
     st.planned_len = n as u32;
-    Ok(())
 }
 
-/// Rebuilds a Goertzel node's probe table when the window length
-/// changes.
+/// Builds a Goertzel node's probe table on its first window. At most
+/// `n/2 + 1` bins fall in band, the table span's size.
 fn replan_probes(
     st: &mut NodeState,
     f: &mut [f64],
@@ -1227,9 +997,9 @@ fn replan_probes(
     lo_hz: f64,
     hi_hz: f64,
     skip_dc: bool,
-) -> Result<(), McuExecError> {
+) {
     if st.planned_len == n as u32 {
-        return Ok(());
+        return;
     }
     st.planned_len = n as u32;
     st.probe_len = 0;
@@ -1239,24 +1009,12 @@ fn replan_probes(
         for k in usize::from(skip_dc)..=n / 2 {
             let freq = fft::bin_to_frequency(k, n, rate_hz);
             if lo_hz <= freq && freq <= hi_hz {
-                if count >= dst.len() {
-                    return Err(arena_overflow("scalar arena", count + 1, dst.len()));
-                }
                 dst[count] = freq;
                 count += 1;
             }
         }
         st.probe_len = count as u32;
     }
-    Ok(())
-}
-
-fn arena_overflow(what: &'static str, needed: usize, capacity: usize) -> McuExecError {
-    McuExecError::Capacity(CapacityError {
-        what,
-        needed,
-        capacity,
-    })
 }
 
 /// Copies the window ring (in logical order starting at `head`) into
@@ -1288,6 +1046,11 @@ fn emit_window<P: Sample>(
 /// Executes one feed against one node. Inlined into the pass, its one
 /// call site: an out-of-line call per node run costs more than the
 /// simple kinds' own work.
+///
+/// Infallible: the layout walk admitted only images whose every port
+/// carries the kind of value its node consumes, at the static length
+/// its spans were sized for, so no arm's `let ... else` takes its
+/// `else`.
 #[inline(always)]
 fn exec_kind<P: Sample>(
     ctx: FeedCtx,
@@ -1296,14 +1059,14 @@ fn exec_kind<P: Sample>(
     slot: &mut Slot,
     ar: Arenas<'_, P>,
     input: In<'_, P>,
-) -> Result<(), McuExecError> {
+) {
     let Arenas { p, f, c, s, b } = ar;
-    let node = ctx.node;
     let seq = ctx.seq;
-    let type_err = McuExecError::TypeError { node };
     match spec.kind {
         NodeKind::Window { size, hop, shape } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             // The precision boundary: samples narrow to `P` as they
             // enter the ring.
             let x = P::from_f64(x);
@@ -1315,7 +1078,7 @@ fn exec_kind<P: Sample>(
                 p[ring_start + st.fill as usize] = x;
                 st.fill += 1;
                 if (st.fill as usize) < len {
-                    return Ok(());
+                    return;
                 }
                 emit_window(p, st, slot, len, shape, 0);
                 st.fill = 0;
@@ -1327,7 +1090,7 @@ fn exec_kind<P: Sample>(
                 p[ring_start + ring_index(st.head as usize, st.fill as usize, len)] = x;
                 st.fill += 1;
                 if (st.fill as usize) < len {
-                    return Ok(());
+                    return;
                 }
                 let emit = if !st.primed {
                     st.primed = true;
@@ -1343,7 +1106,7 @@ fn exec_kind<P: Sample>(
                     }
                 };
                 if !emit {
-                    return Ok(());
+                    return;
                 }
                 emit_window(p, st, slot, len, shape, st.head as usize);
             }
@@ -1352,10 +1115,11 @@ fn exec_kind<P: Sample>(
             slot.seq = seq;
         }
         NodeKind::Fft => {
-            let window = input.as_vector().ok_or(type_err)?;
+            let In::Vector(window) = input else {
+                return;
+            };
             let n = window.len();
             ensure_plan(
-                node,
                 st,
                 n,
                 s,
@@ -1366,13 +1130,7 @@ fn exec_kind<P: Sample>(
                     inv: false,
                     band: None,
                 },
-            )?;
-            if n > st.wide_in.cap() {
-                return Err(arena_overflow("scalar arena", n, st.wide_in.cap()));
-            }
-            if n > slot.spec.cap() {
-                return Err(arena_overflow("complex arena", n, slot.spec.cap()));
-            }
+            );
             let wide = P::widen_slice_into(window, &mut f[st.wide_in.full()]);
             let (spec_s, fwd_s) =
                 two_ranges(c, slot.spec.range(n), st.fwd.range(fft::twiddle_count(n)));
@@ -1385,10 +1143,11 @@ fn exec_kind<P: Sample>(
             slot.seq = seq;
         }
         NodeKind::Ifft => {
-            let spectrum = input.as_spectrum().ok_or(type_err)?;
+            let In::Spectrum(spectrum) = input else {
+                return;
+            };
             let n = spectrum.len();
             ensure_plan(
-                node,
                 st,
                 n,
                 s,
@@ -1399,13 +1158,7 @@ fn exec_kind<P: Sample>(
                     inv: true,
                     band: None,
                 },
-            )?;
-            if n > slot.spec.cap() {
-                return Err(arena_overflow("complex arena", n, slot.spec.cap()));
-            }
-            if n > slot.vec.cap() {
-                return Err(arena_overflow("sample arena", n, slot.vec.cap()));
-            }
+            );
             // The spectrum span doubles as the inverse-transform
             // scratch; the result itself is the real part, a vector.
             let (spec_s, inv_s) =
@@ -1421,22 +1174,22 @@ fn exec_kind<P: Sample>(
             slot.seq = seq;
         }
         NodeKind::SpectralMagnitude => {
-            let spectrum = input.as_spectrum().ok_or(type_err)?;
-            if !spectrum.is_empty() {
-                let m = spectrum.len() / 2 + 1;
-                if m > slot.vec.cap() {
-                    return Err(arena_overflow("sample arena", m, slot.vec.cap()));
-                }
-                for (o, z) in p[slot.vec.range(m)].iter_mut().zip(spectrum[..m].iter()) {
-                    *o = P::from_f64(z.magnitude());
-                }
-                slot.kind = SlotKind::Vector;
-                slot.vec_len = m as u32;
-                slot.seq = seq;
+            let In::Spectrum(spectrum) = input else {
+                return;
+            };
+            // Spectra come from transforms, so they are never empty.
+            let m = spectrum.len() / 2 + 1;
+            for (o, z) in p[slot.vec.range(m)].iter_mut().zip(spectrum[..m].iter()) {
+                *o = P::from_f64(z.magnitude());
             }
+            slot.kind = SlotKind::Vector;
+            slot.vec_len = m as u32;
+            slot.seq = seq;
         }
         NodeKind::MovingAvg { window } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             let w = window as usize;
             let ring = &mut f[st.aux_f.range(w)];
             if st.fill as usize == w {
@@ -1461,7 +1214,9 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::ExpMovingAvg { alpha } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             let y = if st.ema_set {
                 alpha * x + (1.0 - alpha) * st.ema
             } else {
@@ -1472,7 +1227,9 @@ fn exec_kind<P: Sample>(
             slot.set_scalar(seq, y);
         }
         NodeKind::LowPass { cutoff_hz } | NodeKind::HighPass { cutoff_hz } => {
-            let window = input.as_vector().ok_or(type_err)?;
+            let In::Vector(window) = input else {
+                return;
+            };
             let n = window.len();
             let shape = if matches!(spec.kind, NodeKind::LowPass { .. }) {
                 BandShape::LowPass { cutoff_hz }
@@ -1480,7 +1237,6 @@ fn exec_kind<P: Sample>(
                 BandShape::HighPass { cutoff_hz }
             };
             ensure_plan(
-                node,
                 st,
                 n,
                 s,
@@ -1491,16 +1247,7 @@ fn exec_kind<P: Sample>(
                     inv: true,
                     band: Some((shape, spec.rate_hz)),
                 },
-            )?;
-            if n > st.wide_in.cap() {
-                return Err(arena_overflow("scalar arena", n, st.wide_in.cap()));
-            }
-            if n > slot.spec.cap() {
-                return Err(arena_overflow("complex arena", n, slot.spec.cap()));
-            }
-            if n > slot.vec.cap() {
-                return Err(arena_overflow("sample arena", n, slot.vec.cap()));
-            }
+            );
             let tc = fft::twiddle_count(n);
             let wide = P::widen_slice_into(window, &mut f[st.wide_in.full()]);
             {
@@ -1528,14 +1275,10 @@ fn exec_kind<P: Sample>(
             slot.seq = seq;
         }
         NodeKind::VectorMagnitude => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             let ports = spec.port_count as usize;
-            if ctx.port >= ports {
-                return Err(McuExecError::BadPort {
-                    node,
-                    port: ctx.port,
-                });
-            }
             st.latest_seq[ctx.port] = seq;
             st.latest_val[ctx.port] = x;
             st.latest_set |= 1 << ctx.port;
@@ -1553,26 +1296,33 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::Zcr => {
-            let window = input.as_vector().ok_or(type_err)?;
+            let In::Vector(window) = input else {
+                return;
+            };
             if let Some(r) = zcr::zero_crossing_rate(window) {
                 slot.set_scalar(seq, r.to_f64());
             }
         }
         NodeKind::ZcrVariance { sub_windows } => {
-            let window = input.as_vector().ok_or(type_err)?;
+            let In::Vector(window) = input else {
+                return;
+            };
             let scratch = &mut p[st.aux_p.full()];
             if let Some(v) = zcr::zcr_variance_into(window, sub_windows as usize, scratch) {
                 slot.set_scalar(seq, v.to_f64());
             }
         }
         NodeKind::Stat(sf) => {
-            let window = input.as_vector().ok_or(type_err)?;
+            let In::Vector(window) = input else {
+                return;
+            };
             if let Some(summary) = stats::Summary::of(window) {
                 let y = match sf {
                     StatKind::Mean => summary.mean,
                     StatKind::Variance => summary.variance,
                     StatKind::StdDev => summary.std_dev(),
-                    StatKind::MeanAbs => stats::mean_abs(window).ok_or(type_err)?,
+                    // Some: `window` is non-empty, as `summary` shows.
+                    StatKind::MeanAbs => stats::mean_abs(window).unwrap_or(P::ZERO),
                     StatKind::Rms => summary.rms,
                     StatKind::Energy => stats::energy(window),
                     StatKind::Min => summary.min,
@@ -1583,7 +1333,9 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::DominantRatio => {
-            let mags = input.as_vector().ok_or(type_err)?;
+            let In::Vector(mags) = input else {
+                return;
+            };
             // Skip DC: pitched-sound detection must not be fooled by
             // offset.
             if mags.len() > 1 {
@@ -1593,7 +1345,9 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::DominantFreq => {
-            let mags = input.as_vector().ok_or(type_err)?;
+            let In::Vector(mags) = input else {
+                return;
+            };
             if mags.len() > 1 {
                 if let Some(peak) = spectral::dominant_bin(&mags[1..]) {
                     // One-sided magnitudes of an N-point transform have
@@ -1605,24 +1359,30 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::Goertzel { lo_hz, hi_hz } => {
-            let window = input.as_vector().ok_or(type_err)?;
-            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, false)?;
+            let In::Vector(window) = input else {
+                return;
+            };
+            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, false);
             let probes = &f[st.aux_f.range(st.probe_len as usize)];
             if let Some(m) = goertzel::strongest_magnitude(window, probes, spec.rate_hz) {
                 slot.set_scalar(seq, m);
             }
         }
         NodeKind::GoertzelFreq { lo_hz, hi_hz } => {
-            let window = input.as_vector().ok_or(type_err)?;
-            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, true)?;
+            let In::Vector(window) = input else {
+                return;
+            };
+            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, true);
             let probes = &f[st.aux_f.range(st.probe_len as usize)];
             if let Some((freq, _)) = goertzel::strongest_of(window, probes, spec.rate_hz) {
                 slot.set_scalar(seq, freq);
             }
         }
         NodeKind::GoertzelRatio { lo_hz, hi_hz } => {
-            let window = input.as_vector().ok_or(type_err)?;
-            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, true)?;
+            let In::Vector(window) = input else {
+                return;
+            };
+            replan_probes(st, f, window.len(), spec.rate_hz, lo_hz, hi_hz, true);
             let probes = &f[st.aux_f.range(st.probe_len as usize)];
             if let Some((peak, sum)) = goertzel::magnitude_max_and_sum(window, probes, spec.rate_hz)
             {
@@ -1636,31 +1396,41 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::MinThreshold { threshold } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             if x >= threshold {
                 slot.set_scalar(seq, x);
             }
         }
         NodeKind::MaxThreshold { threshold } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             if x <= threshold {
                 slot.set_scalar(seq, x);
             }
         }
         NodeKind::BandThreshold { lo, hi } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             if x >= lo && x <= hi {
                 slot.set_scalar(seq, x);
             }
         }
         NodeKind::OutsideThreshold { lo, hi } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             if x < lo || x > hi {
                 slot.set_scalar(seq, x);
             }
         }
         NodeKind::Sustained { count, max_gap } => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             let consecutive = st.has_last && seq.saturating_sub(st.last_seq) <= max_gap;
             st.streak = if consecutive { st.streak + 1 } else { 1 };
             st.last_seq = seq;
@@ -1670,14 +1440,10 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::AllOf => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             let ports = spec.port_count as usize;
-            if ctx.port >= ports {
-                return Err(McuExecError::BadPort {
-                    node,
-                    port: ctx.port,
-                });
-            }
             st.latest_seq[ctx.port] = seq;
             st.latest_val[ctx.port] = x;
             st.latest_set |= 1 << ctx.port;
@@ -1689,11 +1455,12 @@ fn exec_kind<P: Sample>(
             }
         }
         NodeKind::AnyOf => {
-            let x = input.as_scalar().ok_or(type_err)?;
+            let In::Scalar(x) = input else {
+                return;
+            };
             slot.set_scalar(seq, x);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2346,10 +2113,114 @@ mod tests {
             .unwrap();
         let image = b.finish(0).unwrap();
         let mut core: McuCore<f64, 16> = McuCore::new();
-        core.load(&image).unwrap();
-        let err = core.push_sample(0, 1.0, &mut |_| {}).unwrap_err();
+        let err = core.load(&image).unwrap_err();
         assert_eq!(err, McuExecError::TypeError { node: 0 });
         assert!(err.to_string().contains("node 0"));
+    }
+
+    /// `window(size)` on channel 0, then `kinds` chained after it.
+    fn chain(size: u32, kinds: &[NodeKind]) -> McuImage {
+        let mut b = ImageBuilder::new();
+        let mut last = b
+            .push_node(
+                NodeKind::Window {
+                    size,
+                    hop: size,
+                    shape: WindowShape::Rectangular,
+                },
+                &[PortSource::Channel(0)],
+                64.0,
+            )
+            .unwrap();
+        for &kind in kinds {
+            last = b.push_node(kind, &[PortSource::Node(last)], 64.0).unwrap();
+        }
+        b.finish(last).unwrap()
+    }
+
+    #[test]
+    fn load_rejects_every_image_that_could_fail_at_run_time() {
+        let scalar_into_fft = {
+            let mut b = ImageBuilder::new();
+            b.push_node(NodeKind::Fft, &[PortSource::Channel(0)], 64.0)
+                .unwrap();
+            b.finish(0).unwrap()
+        };
+        let threshold = NodeKind::MinThreshold { threshold: 0.0 };
+        let cases = [
+            (
+                "scalar -> fft",
+                scalar_into_fft,
+                McuExecError::TypeError { node: 0 },
+            ),
+            (
+                "vector -> minThreshold",
+                chain(8, &[threshold]),
+                McuExecError::TypeError { node: 1 },
+            ),
+            (
+                "spectrum -> mean",
+                chain(8, &[NodeKind::Fft, NodeKind::Stat(StatKind::Mean)]),
+                McuExecError::TypeError { node: 2 },
+            ),
+            (
+                "window(48) -> fft",
+                chain(48, &[NodeKind::Fft]),
+                McuExecError::BadTransformLength { node: 1, len: 48 },
+            ),
+            (
+                "spectralMagnitude(33) -> lowPass",
+                chain(
+                    64,
+                    &[
+                        NodeKind::Fft,
+                        NodeKind::SpectralMagnitude,
+                        NodeKind::LowPass { cutoff_hz: 8.0 },
+                    ],
+                ),
+                McuExecError::BadTransformLength { node: 3, len: 33 },
+            ),
+        ];
+        let fitting = chain(8, &[NodeKind::Stat(StatKind::Max)]);
+        let samples: Vec<f64> = (0..32).map(|i| (i as f64 * 0.7).sin()).collect();
+        let mut fresh: McuCore<f64, 256> = McuCore::new();
+        fresh.load(&fitting).unwrap();
+        let expected = collect_wakes(&mut fresh, 0, &samples);
+        assert_eq!(expected.len(), 4);
+
+        for (what, image, err) in cases {
+            assert_eq!(
+                crate::footprint::image_footprint(&image),
+                Err(err),
+                "{what}: footprint"
+            );
+            let mut core: McuCore<f64, 256> = McuCore::new();
+            assert_eq!(core.load(&image), Err(err), "{what}: McuCore");
+            assert!(!core.is_loaded(), "{what}");
+            assert_eq!(
+                core.push_sample(0, 1.0, &mut |_| {}),
+                Err(McuExecError::NotLoaded)
+            );
+            core.load(&fitting).unwrap();
+            assert_eq!(
+                collect_wakes(&mut core, 0, &samples),
+                expected,
+                "{what}: reuse"
+            );
+
+            #[cfg(feature = "std")]
+            {
+                let mut host: HostCore = HostCore::new();
+                assert_eq!(host.load(&image), Err(err), "{what}: HostCore");
+                assert!(!host.is_loaded(), "{what}");
+                host.load(&fitting).unwrap();
+                assert_eq!(
+                    collect_wakes(&mut host, 0, &samples),
+                    expected,
+                    "{what}: reuse"
+                );
+            }
+        }
     }
 
     #[test]

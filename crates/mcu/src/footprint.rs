@@ -1,24 +1,24 @@
-//! Static arena accounting for [`McuImage`]s — the `no_std` half of the
-//! `swcert` resource certifier.
+//! The static model of a loaded image — the `no_std` half of the
+//! `swcert` resource certifier, and the layout
+//! [`ExecCore::load`](crate::ExecCore::load) applies.
 //!
-//! [`image_footprint`] replays the exact bump-allocation walk
-//! [`McuCore::load`](crate::McuCore::load) performs — same node order,
-//! same per-kind element counts, same parameter validation — without
-//! touching any arena, so a program's capacity requirement is a
-//! computed fact rather than a load-time surprise. [`check_fit`] turns
-//! that walk into a pre-flight admission check: the first node that
-//! would push any arena past `cap` is reported by name, before a single
-//! element is carved. `McuCore::load` runs this check first, which is
-//! what makes a failed load side-effect free.
+//! `image_layout` is the one walk over an [`McuImage`] that knows what
+//! each node kind needs. In load order it types every edge (each port
+//! must carry the value kind the node consumes, vectors and spectra at
+//! one length), validates every parameter, checks that every transform
+//! length is a power of two, and carves each node's arena spans. Every
+//! input length is static — windows are fixed, transforms keep the
+//! length, `spectralMagnitude` gives `n/2+1` — so an image this walk
+//! accepts cannot fail at run time.
 //!
-//! The accounting is *exact*, not an estimate: `exec.rs` keeps the
-//! per-arena totals it actually carves, and the equivalence tests
-//! assert `arena_used() == footprint` on every fixture and on the fuzz
-//! corpus. Anything this module over- or under-counts is a test
-//! failure, not drift.
+//! `load` copies the spans into its node tables; [`image_footprint`]
+//! and [`check_fit`] read the per-arena totals the same spans sum to,
+//! so the certified occupancy is the carve itself, not a mirror of it.
 
-use crate::exec::{plan_swap_cap, plan_twiddle_cap, McuExecError};
-use crate::image::{McuImage, NodeKind, NodeSpec, PortSource, MAX_NODES};
+use crate::exec::McuExecError;
+use crate::fft;
+use crate::image::{McuImage, NodeKind, PortSource, MAX_NODES};
+use core::ops::Range;
 
 /// The seven fixed arenas a [`McuCore`](crate::McuCore) carves at load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,207 +166,355 @@ impl ImageFootprint {
     }
 }
 
-/// Per-node element needs — the footprint of one node's carve.
-struct NodeNeeds {
-    p: usize,
-    f: usize,
-    c: usize,
-    s: usize,
-    b: usize,
-    /// Payload length the node emits (0 for scalar producers).
+/// A `[start, start + cap)` slice of one arena, assigned by
+/// [`image_layout`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    /// First element.
+    pub(crate) start: u32,
+    /// Elements reserved.
+    pub(crate) cap: u32,
+}
+
+impl Span {
+    /// The empty span a node holds in an arena it does not use.
+    pub(crate) const EMPTY: Span = Span { start: 0, cap: 0 };
+
+    /// The first `len` elements of the span.
+    #[inline]
+    pub(crate) fn range(self, len: usize) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + len
+    }
+
+    /// The whole span.
+    #[inline]
+    pub(crate) fn full(self) -> Range<usize> {
+        self.range(self.cap as usize)
+    }
+}
+
+/// The kind of value a node emits or a channel delivers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ValueKind {
+    /// One `f64` per emission (every channel, every scalar feature).
+    Scalar,
+    /// A sample-payload vector.
+    Vector,
+    /// A complex spectrum.
+    Spectrum,
+}
+
+/// One node's static model: the arena spans `load` hands it and the
+/// value it emits. Each kind uses only its own spans; the rest stay
+/// [`Span::EMPTY`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeLayout {
+    /// Window ring / zcr-variance scratch (sample arena).
+    pub(crate) aux_p: Span,
+    /// Tabulated taper coefficients (sample arena).
+    pub(crate) coeffs: Span,
+    /// Moving-average ring / Goertzel probe table (scalar arena).
+    pub(crate) aux_f: Span,
+    /// Bit-reversal swap table (swap arena).
+    pub(crate) swaps: Span,
+    /// Forward twiddle table (complex arena).
+    pub(crate) fwd: Span,
+    /// Inverse twiddle table (complex arena).
+    pub(crate) inv: Span,
+    /// Band-filter keep mask (mask arena).
+    pub(crate) mask: Span,
+    /// Widening scratch for `f32` pipelines (scalar arena).
+    pub(crate) wide_in: Span,
+    /// Vector payload (sample arena).
+    pub(crate) vec: Span,
+    /// Spectrum payload (complex arena).
+    pub(crate) spec: Span,
+    /// The kind of value the node emits.
+    out: ValueKind,
+    /// Elements per emitted payload (0 for scalars).
     out_len: usize,
-    /// Whether the emitted payload is a spectrum (complex) rather than
-    /// a sample vector.
-    spectral_out: bool,
+    /// Whether another node consumes the output, so its payload passes
+    /// through a staging arena on every feed.
+    staged: bool,
 }
 
-/// Elements node `node` carves from each arena, given its incoming
-/// payload length. Mirrors `McuCore::load`'s per-kind match
-/// element-for-element, including the parameter validation it performs
-/// before carving.
-fn node_needs(node: u16, spec: &NodeSpec, in_len: usize) -> Result<NodeNeeds, McuExecError> {
-    let mut needs = NodeNeeds {
-        p: 0,
-        f: 0,
-        c: 0,
-        s: 0,
-        b: 0,
+impl NodeLayout {
+    const EMPTY: NodeLayout = NodeLayout {
+        aux_p: Span::EMPTY,
+        coeffs: Span::EMPTY,
+        aux_f: Span::EMPTY,
+        swaps: Span::EMPTY,
+        fwd: Span::EMPTY,
+        inv: Span::EMPTY,
+        mask: Span::EMPTY,
+        wide_in: Span::EMPTY,
+        vec: Span::EMPTY,
+        spec: Span::EMPTY,
+        out: ValueKind::Scalar,
         out_len: 0,
-        spectral_out: false,
+        staged: false,
     };
-    match spec.kind {
-        NodeKind::Window { size, hop, .. } => {
-            let (size, hop) = (size as usize, hop as usize);
-            if size == 0 || hop == 0 || hop > size {
-                return Err(McuExecError::BadParameter {
-                    node,
-                    what: "window size and hop must be positive",
-                });
-            }
-            // Ring + taper table + output payload.
-            needs.p = 3 * size;
-            needs.out_len = size;
-        }
-        NodeKind::Fft => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = plan_twiddle_cap(in_len) + in_len;
-            needs.f = in_len;
-            needs.out_len = in_len;
-            needs.spectral_out = true;
-        }
-        NodeKind::Ifft => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = plan_twiddle_cap(in_len) + in_len;
-            needs.p = in_len;
-            needs.out_len = in_len;
-        }
-        NodeKind::SpectralMagnitude => {
-            let m = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-            needs.p = m;
-            needs.out_len = m;
-        }
-        NodeKind::MovingAvg { window } => {
-            if window == 0 {
-                return Err(McuExecError::BadParameter {
-                    node,
-                    what: "moving-average window must be positive",
-                });
-            }
-            needs.f = window as usize;
-        }
-        NodeKind::ExpMovingAvg { alpha } => {
-            if !(alpha > 0.0 && alpha <= 1.0) {
-                return Err(McuExecError::BadParameter {
-                    node,
-                    what: "smoothing factor must be in (0, 1]",
-                });
-            }
-        }
-        NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
-            needs.s = plan_swap_cap(in_len);
-            needs.c = 2 * plan_twiddle_cap(in_len) + in_len;
-            needs.b = in_len;
-            needs.f = in_len;
-            needs.p = in_len;
-            needs.out_len = in_len;
-        }
-        NodeKind::ZcrVariance { sub_windows } => {
-            needs.p = sub_windows as usize;
-        }
-        NodeKind::Goertzel { lo_hz, hi_hz }
-        | NodeKind::GoertzelFreq { lo_hz, hi_hz }
-        | NodeKind::GoertzelRatio { lo_hz, hi_hz } => {
-            if !(lo_hz.is_finite() && hi_hz.is_finite() && 0.0 <= lo_hz && lo_hz <= hi_hz) {
-                return Err(McuExecError::BadParameter {
-                    node,
-                    what: "goertzel band must be finite with 0 <= lo <= hi",
-                });
-            }
-            needs.f = if in_len > 0 { in_len / 2 + 1 } else { 0 };
-        }
-        NodeKind::VectorMagnitude
-        | NodeKind::Zcr
-        | NodeKind::Stat(_)
-        | NodeKind::DominantRatio
-        | NodeKind::DominantFreq
-        | NodeKind::MinThreshold { .. }
-        | NodeKind::MaxThreshold { .. }
-        | NodeKind::BandThreshold { .. }
-        | NodeKind::OutsideThreshold { .. }
-        | NodeKind::Sustained { .. }
-        | NodeKind::AllOf
-        | NodeKind::AnyOf => {}
-    }
-    Ok(needs)
-}
 
-/// Computes the exact per-arena occupancy of `image`, walking nodes in
-/// load order.
-///
-/// # Errors
-///
-/// [`McuExecError::BadParameter`] on exactly the parameters
-/// [`McuCore::load`](crate::McuCore::load) rejects, at the same node.
-pub fn image_footprint(image: &McuImage) -> Result<ImageFootprint, McuExecError> {
-    walk(image, usize::MAX).map(|(fp, _)| fp)
-}
-
-/// [`image_footprint`] plus an admission check against a core of
-/// capacity `cap`: the first node whose carve would overflow any arena
-/// is reported with the arena's name — before `McuCore::load` touches
-/// anything.
-///
-/// # Errors
-///
-/// [`McuExecError::BadParameter`] as [`image_footprint`];
-/// [`McuExecError::ArenaOverflow`] naming the arena and the offending
-/// node when the image does not fit.
-pub fn check_fit(image: &McuImage, cap: usize) -> Result<ImageFootprint, McuExecError> {
-    match walk(image, cap)? {
-        (fp, None) => Ok(fp),
-        (_, Some(err)) => Err(err),
+    /// Elements the node adds to `arena`: its spans there, or for a
+    /// staging arena the payload it stages.
+    fn elements(&self, arena: ArenaKind) -> usize {
+        let n = |s: Span| s.cap as usize;
+        let staged = |kind: ValueKind| {
+            if self.staged && self.out == kind {
+                self.out_len
+            } else {
+                0
+            }
+        };
+        match arena {
+            ArenaKind::Sample => n(self.aux_p) + n(self.coeffs) + n(self.vec),
+            ArenaKind::Scalar => n(self.aux_f) + n(self.wide_in),
+            ArenaKind::Complex => n(self.fwd) + n(self.inv) + n(self.spec),
+            ArenaKind::Swap => n(self.swaps),
+            ArenaKind::Mask => n(self.mask),
+            ArenaKind::StageSample => staged(ValueKind::Vector),
+            ArenaKind::StageSpectrum => staged(ValueKind::Spectrum),
+        }
     }
 }
 
-/// Shared walk: accumulates the footprint and records the first
-/// capacity crossing against `cap` (pass `usize::MAX` for none).
-fn walk(
-    image: &McuImage,
-    cap: usize,
-) -> Result<(ImageFootprint, Option<McuExecError>), McuExecError> {
+/// The static model of a whole image: every node's layout, in load
+/// order, and the per-arena totals they sum to.
+#[derive(Debug, Clone)]
+pub struct ImageLayout {
+    nodes: [NodeLayout; MAX_NODES],
+    count: usize,
+    footprint: ImageFootprint,
+}
+
+impl ImageLayout {
+    /// Per-node layouts in dense image order.
+    pub(crate) fn nodes(&self) -> &[NodeLayout] {
+        &self.nodes[..self.count]
+    }
+
+    /// Per-arena totals and peak nodes.
+    pub fn footprint(&self) -> ImageFootprint {
+        self.footprint
+    }
+
+    /// Admission against a core of `cap` elements per arena.
+    ///
+    /// # Errors
+    ///
+    /// [`McuExecError::ArenaOverflow`] naming the arena and the first
+    /// node whose carve crosses `cap`.
+    pub fn check_fit(&self, cap: usize) -> Result<(), McuExecError> {
+        tally(self.nodes(), cap).map(|_| ())
+    }
+}
+
+/// Sums node layouts into arena totals in load order — arenas in
+/// [`ArenaKind::ALL`] order within a node — and stops at the first
+/// total above `cap`.
+fn tally(nodes: &[NodeLayout], cap: usize) -> Result<ImageFootprint, McuExecError> {
     let mut fp = ImageFootprint::default();
-    let mut overflow: Option<McuExecError> = None;
-    let mut lens = [0usize; MAX_NODES];
+    for (i, layout) in nodes.iter().enumerate() {
+        let node = i as u16;
+        for kind in ArenaKind::ALL {
+            let arena = &mut fp.arenas[kind.index()];
+            let elements = layout.elements(kind);
+            match kind {
+                ArenaKind::StageSample | ArenaKind::StageSpectrum => arena.stage(node, elements),
+                _ => arena.add(node, elements),
+            }
+            if arena.elements > cap {
+                return Err(McuExecError::ArenaOverflow {
+                    arena: kind.name(),
+                    node,
+                    needed: arena.elements,
+                    capacity: cap,
+                });
+            }
+        }
+    }
+    Ok(fp)
+}
+
+/// Walks `image` in load order: types every edge, validates every
+/// parameter and transform length, and carves every span.
+///
+/// # Errors
+///
+/// At the first offending node:
+/// [`McuExecError::BadParameter`] for a parameter out of range,
+/// [`McuExecError::TypeError`] for a port carrying a value kind the node
+/// does not consume (or a payload length other than its first port's),
+/// and [`McuExecError::BadTransformLength`] for an `fft`, `ifft`,
+/// `lowPass` or `highPass` fed a length that is not a power of two.
+pub(crate) fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
+    let mut layout = ImageLayout {
+        nodes: [NodeLayout::EMPTY; MAX_NODES],
+        count: image.node_count(),
+        footprint: ImageFootprint::default(),
+    };
+    // Bump cursors of the five carved arenas, by `ArenaKind::index`.
+    let mut used = [0usize; 5];
     for (i, spec) in image.nodes().iter().enumerate() {
         let node = i as u16;
-        let in_len = match spec.sources[0] {
-            PortSource::Channel(_) => 0,
-            PortSource::Node(src) => lens[src as usize],
+        let done = &layout.nodes[..i];
+        // Every port must carry `want`, payloads at one length; yields
+        // that length (0 for scalars).
+        let input = |want: ValueKind| {
+            let mut len = None;
+            for &source in &spec.sources[..spec.port_count as usize] {
+                let (kind, n) = match source {
+                    PortSource::Channel(_) => (ValueKind::Scalar, 0),
+                    PortSource::Node(src) => (done[src as usize].out, done[src as usize].out_len),
+                };
+                if kind != want || len.is_some_and(|l| l != n) {
+                    return Err(McuExecError::TypeError { node });
+                }
+                len = Some(n);
+            }
+            Ok(len.unwrap_or(0))
         };
-        let needs = node_needs(node, spec, in_len)?;
-        lens[i] = needs.out_len;
-
-        let carves = [
-            (ArenaKind::Sample, needs.p),
-            (ArenaKind::Scalar, needs.f),
-            (ArenaKind::Complex, needs.c),
-            (ArenaKind::Swap, needs.s),
-            (ArenaKind::Mask, needs.b),
-        ];
-        for (kind, elements) in carves {
-            let arena = &mut fp.arenas[kind.index()];
-            arena.add(node, elements);
-            if overflow.is_none() && arena.elements > cap {
-                overflow = Some(McuExecError::ArenaOverflow {
-                    arena: kind.name(),
-                    node,
-                    needed: arena.elements,
-                    capacity: cap,
-                });
-            }
-        }
-        // A consumed payload is copied through the matching staging
-        // arena on every feed; unconsumed payloads (the OUT node's) are
-        // never staged.
-        if spec.consumer_mask != 0 && needs.out_len > 0 {
-            let kind = if needs.spectral_out {
-                ArenaKind::StageSpectrum
+        let transform = |n: usize| {
+            if fft::is_power_of_two(n) {
+                Ok(n)
             } else {
-                ArenaKind::StageSample
+                Err(McuExecError::BadTransformLength { node, len: n })
+            }
+        };
+        let bad = |what| Err(McuExecError::BadParameter { node, what });
+        let mut carve = |arena: ArenaKind, n: usize| {
+            let at = &mut used[arena.index()];
+            let span = Span {
+                start: *at as u32,
+                cap: n as u32,
             };
-            let arena = &mut fp.arenas[kind.index()];
-            arena.stage(node, needs.out_len);
-            if overflow.is_none() && arena.elements > cap {
-                overflow = Some(McuExecError::ArenaOverflow {
-                    arena: kind.name(),
-                    node,
-                    needed: arena.elements,
-                    capacity: cap,
-                });
+            *at += n;
+            span
+        };
+
+        // Spans carve in ascending order within each arena; the
+        // executor's disjoint-borrow helpers rely on it.
+        let mut n = NodeLayout::EMPTY;
+        match spec.kind {
+            NodeKind::Window { size, hop, .. } => {
+                let (size, hop) = (size as usize, hop as usize);
+                if size == 0 || hop == 0 || hop > size {
+                    return bad("window size and hop must be positive");
+                }
+                input(ValueKind::Scalar)?;
+                // Ring + taper table + output payload.
+                n.aux_p = carve(ArenaKind::Sample, size);
+                n.coeffs = carve(ArenaKind::Sample, size);
+                n.vec = carve(ArenaKind::Sample, size);
+                (n.out, n.out_len) = (ValueKind::Vector, size);
+            }
+            NodeKind::Fft => {
+                let len = transform(input(ValueKind::Vector)?)?;
+                n.swaps = carve(ArenaKind::Swap, fft::swap_count(len));
+                n.fwd = carve(ArenaKind::Complex, fft::twiddle_count(len));
+                n.wide_in = carve(ArenaKind::Scalar, len);
+                n.spec = carve(ArenaKind::Complex, len);
+                (n.out, n.out_len) = (ValueKind::Spectrum, len);
+            }
+            NodeKind::Ifft => {
+                let len = transform(input(ValueKind::Spectrum)?)?;
+                n.swaps = carve(ArenaKind::Swap, fft::swap_count(len));
+                n.inv = carve(ArenaKind::Complex, fft::twiddle_count(len));
+                // The spectrum span doubles as the inverse scratch.
+                n.spec = carve(ArenaKind::Complex, len);
+                n.vec = carve(ArenaKind::Sample, len);
+                (n.out, n.out_len) = (ValueKind::Vector, len);
+            }
+            NodeKind::SpectralMagnitude => {
+                // Spectra come from transforms, so `len >= 1`.
+                let m = input(ValueKind::Spectrum)? / 2 + 1;
+                n.vec = carve(ArenaKind::Sample, m);
+                (n.out, n.out_len) = (ValueKind::Vector, m);
+            }
+            NodeKind::MovingAvg { window } => {
+                if window == 0 {
+                    return bad("moving-average window must be positive");
+                }
+                input(ValueKind::Scalar)?;
+                n.aux_f = carve(ArenaKind::Scalar, window as usize);
+            }
+            NodeKind::ExpMovingAvg { alpha } => {
+                if !(alpha > 0.0 && alpha <= 1.0) {
+                    return bad("smoothing factor must be in (0, 1]");
+                }
+                input(ValueKind::Scalar)?;
+            }
+            NodeKind::LowPass { .. } | NodeKind::HighPass { .. } => {
+                let len = transform(input(ValueKind::Vector)?)?;
+                let twiddles = fft::twiddle_count(len);
+                n.swaps = carve(ArenaKind::Swap, fft::swap_count(len));
+                n.fwd = carve(ArenaKind::Complex, twiddles);
+                n.inv = carve(ArenaKind::Complex, twiddles);
+                n.mask = carve(ArenaKind::Mask, len);
+                n.wide_in = carve(ArenaKind::Scalar, len);
+                n.spec = carve(ArenaKind::Complex, len);
+                n.vec = carve(ArenaKind::Sample, len);
+                (n.out, n.out_len) = (ValueKind::Vector, len);
+            }
+            NodeKind::ZcrVariance { sub_windows } => {
+                input(ValueKind::Vector)?;
+                n.aux_p = carve(ArenaKind::Sample, sub_windows as usize);
+            }
+            NodeKind::Goertzel { lo_hz, hi_hz }
+            | NodeKind::GoertzelFreq { lo_hz, hi_hz }
+            | NodeKind::GoertzelRatio { lo_hz, hi_hz } => {
+                if !(lo_hz.is_finite() && hi_hz.is_finite() && 0.0 <= lo_hz && lo_hz <= hi_hz) {
+                    return bad("goertzel band must be finite with 0 <= lo <= hi");
+                }
+                // One probe per bin at most: `0..=len/2`.
+                let len = input(ValueKind::Vector)?;
+                n.aux_f = carve(ArenaKind::Scalar, len / 2 + 1);
+            }
+            NodeKind::Zcr
+            | NodeKind::Stat(_)
+            | NodeKind::DominantRatio
+            | NodeKind::DominantFreq => {
+                input(ValueKind::Vector)?;
+            }
+            NodeKind::VectorMagnitude
+            | NodeKind::MinThreshold { .. }
+            | NodeKind::MaxThreshold { .. }
+            | NodeKind::BandThreshold { .. }
+            | NodeKind::OutsideThreshold { .. }
+            | NodeKind::Sustained { .. }
+            | NodeKind::AllOf
+            | NodeKind::AnyOf => {
+                input(ValueKind::Scalar)?;
             }
         }
+        n.staged = spec.consumer_mask != 0;
+        layout.nodes[i] = n;
     }
-    Ok((fp, overflow))
+    layout.footprint = tally(layout.nodes(), usize::MAX)?;
+    Ok(layout)
+}
+
+/// The exact per-arena occupancy of `image`: its layout's totals.
+///
+/// # Errors
+///
+/// As the layout walk reports them: [`McuExecError::BadParameter`],
+/// [`McuExecError::TypeError`] or [`McuExecError::BadTransformLength`]
+/// at the first offending node.
+pub fn image_footprint(image: &McuImage) -> Result<ImageFootprint, McuExecError> {
+    image_layout(image).map(|layout| layout.footprint)
+}
+
+/// [`image_footprint`] plus admission against a core of capacity `cap`.
+///
+/// # Errors
+///
+/// As [`image_footprint`], then [`ImageLayout::check_fit`].
+pub fn check_fit(image: &McuImage, cap: usize) -> Result<ImageFootprint, McuExecError> {
+    let layout = image_layout(image)?;
+    layout.check_fit(cap)?;
+    Ok(layout.footprint)
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@
 //! 1 when any target panicked (the offending input is written under the
 //! artifacts directory for upload).
 
-use sidewinder_fuzz::{fnv1a, mutate, SplitMix64, TARGETS};
+use sidewinder_fuzz::{fnv1a, load_corpus, mutate, SplitMix64, TARGETS};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
@@ -67,20 +67,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-/// Loads a target's corpus directory in filename order (determinism:
-/// readdir order is filesystem-dependent, sorted order is not).
-fn load_corpus(dir: &Path) -> Vec<Vec<u8>> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_file())
-        .collect();
-    paths.sort();
-    paths.iter().filter_map(|p| std::fs::read(p).ok()).collect()
 }
 
 /// Runs one target for its budget; returns the failing iteration and

@@ -23,6 +23,8 @@
 
 pub mod targets;
 
+use std::path::{Path, PathBuf};
+
 /// SplitMix64: tiny, seedable, and identical everywhere — the only
 /// randomness the harness uses, so a `(seed, iteration)` pair fully
 /// determines every generated input.
@@ -111,6 +113,21 @@ pub fn mutate(base: &[u8], corpus: &[Vec<u8>], rng: &mut SplitMix64) -> Vec<u8> 
     data
 }
 
+/// Loads a target's corpus directory in filename order (determinism:
+/// readdir order is filesystem-dependent, sorted order is not). A
+/// missing directory is an empty corpus.
+pub fn load_corpus(dir: &Path) -> Vec<Vec<u8>> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_file())
+        .collect();
+    paths.sort();
+    paths.iter().filter_map(|p| std::fs::read(p).ok()).collect()
+}
+
 /// A fuzz target: arbitrary bytes in, panic on any violated invariant.
 pub type Target = fn(&[u8]);
 
@@ -144,6 +161,21 @@ mod tests {
         for seed in 0..50 {
             let out = mutate(&corpus[1], &corpus, &mut SplitMix64(seed));
             assert!(out.len() <= MAX_INPUT);
+        }
+    }
+
+    /// Every committed corpus entry passes its target verbatim, so the
+    /// fit-boundary seeds and the golden fixtures guard every test run,
+    /// not only the fuzz-smoke job.
+    #[test]
+    fn committed_corpora_replay_cleanly() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpora");
+        for (name, target) in TARGETS {
+            let corpus = load_corpus(&root.join(name));
+            assert!(!corpus.is_empty(), "{name}: no committed corpus");
+            for entry in &corpus {
+                target(entry);
+            }
         }
     }
 

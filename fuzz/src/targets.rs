@@ -2,7 +2,7 @@
 //! violated invariant, so the runner's `catch_unwind` is the oracle.
 
 use crate::{fnv1a, SplitMix64};
-use sidewinder_cert::{certify_program, emission_bound, CertTarget, Precision};
+use sidewinder_cert::{certify_program, emission_bound, CertError, CertTarget, Precision};
 use sidewinder_dsp::complex::Complex;
 use sidewinder_dsp::fft;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
@@ -27,10 +27,15 @@ pub const FIXTURES: [&str; 6] = [
 /// to fill the fixtures' 2048-sample windows twice over.
 const SAMPLE_BUDGET: usize = 4096;
 
+/// Samples [`ir_totality`] pushes per channel into a loaded program —
+/// enough to fill the small windows mutations tend to produce.
+const TOTALITY_SAMPLES: usize = 256;
+
 /// Totality: the parser must accept or reject arbitrary bytes without
 /// panicking, and everything downstream of a successful parse — the
 /// validator, the linter, the host loader, the image compiler — must be
-/// total too, returning typed errors at worst.
+/// total too, returning typed errors at worst. A program that loads
+/// cannot fail at run time: pushes on every channel it reads succeed.
 pub fn ir_totality(data: &[u8]) {
     let text = String::from_utf8_lossy(data);
     let Ok(program) = text.parse::<Program>() else {
@@ -39,8 +44,16 @@ pub fn ir_totality(data: &[u8]) {
     let rates = ChannelRates::default();
     let _ = program.validate();
     let _ = sidewinder_lint::lint(&program, &rates);
-    let _ = HubRuntime::load(&program, &rates);
     let _ = compile_image(&program, &rates);
+    let Ok(mut hub) = HubRuntime::load(&program, &rates) else {
+        return;
+    };
+    let samples = sample_schedule(data, TOTALITY_SAMPLES);
+    for channel in program.channels() {
+        if let Err(e) = hub.push_samples(channel, &samples) {
+            panic!("a loaded program failed at run time on {channel:?}: {e}");
+        }
+    }
 }
 
 /// Interprets the input as raw `f64` bit patterns — NaNs, infinities,
@@ -87,14 +100,15 @@ fn assert_bits_equal(a: &[Complex], b: &[Complex], what: &str) {
     }
 }
 
-/// Expands the input bytes into a per-channel sample schedule: the raw
-/// floats first (preserving adversarial bit patterns), then a
-/// bytes-seeded PRNG stream up to the budget, so short inputs still
-/// exercise the windowed pipelines.
-fn sample_schedule(data: &[u8]) -> Vec<f64> {
+/// Expands the input bytes into a `len`-sample per-channel schedule:
+/// the raw floats first (preserving adversarial bit patterns), then a
+/// bytes-seeded PRNG stream, so short inputs still exercise the
+/// windowed pipelines.
+fn sample_schedule(data: &[u8], len: usize) -> Vec<f64> {
     let mut samples = raw_floats(data);
+    samples.truncate(len);
     let mut rng = SplitMix64(fnv1a(data));
-    while samples.len() < SAMPLE_BUDGET {
+    while samples.len() < len {
         // Mostly tame amplitudes so thresholds and windows see both
         // sides; every 16th value is a raw bit pattern.
         let x = if rng.below(16) == 0 {
@@ -119,7 +133,7 @@ fn pick_program(data: &[u8]) -> Program {
 /// program reads.
 pub fn ingest_differential(data: &[u8]) {
     let program = pick_program(data);
-    let samples = sample_schedule(data);
+    let samples = sample_schedule(data, SAMPLE_BUDGET);
     let rates = ChannelRates::default();
     let mut batched = HubRuntime::load(&program, &rates).expect("fixture loads");
     let mut serial = HubRuntime::load(&program, &rates).expect("fixture loads");
@@ -155,10 +169,12 @@ pub fn ingest_differential(data: &[u8]) {
 const CERT_CAP: usize = 1538;
 
 /// Certificate soundness: `certify_program` must be total on arbitrary
-/// parseable programs, must agree exactly with the loader about what
-/// fits, and its bounds must dominate everything a real execution
-/// measures — arena occupancy, staging high-water marks, and per-node
-/// emission counts.
+/// parseable programs and must agree exactly with the loader — it errs
+/// exactly when `load` rejects the image for a non-arena reason, and
+/// `fits_cap` says whether `load` finds room. A loaded image must run
+/// without error, and the certificate's bounds must dominate everything
+/// the run measures — arena occupancy, staging high-water marks, and
+/// per-node emission counts.
 pub fn cert_soundness(data: &[u8]) {
     let text = String::from_utf8_lossy(data);
     let Ok(program) = text.parse::<Program>() else {
@@ -184,18 +200,19 @@ pub fn cert_soundness(data: &[u8]) {
         assert!(cert.is_err(), "certified a program the compiler rejects");
         return;
     };
-    let cert = cert.expect("compilable programs certify");
-
-    // The loader and the certificate must agree exactly on fit.
+    // The loader and the certificate share one static model.
     let mut core: McuCore<f64, CERT_CAP> = McuCore::new();
-    match core.load(&image) {
-        Ok(()) => assert!(
-            cert.fits_cap,
-            "load succeeded but the certificate claims overflow \
-             (required {})",
-            cert.required_capacity
-        ),
-        Err(McuExecError::ArenaOverflow { .. }) => {
+    let cert = match (cert, core.load(&image)) {
+        (Ok(cert), Ok(())) => {
+            assert!(
+                cert.fits_cap,
+                "load succeeded but the certificate claims overflow \
+                 (required {})",
+                cert.required_capacity
+            );
+            cert
+        }
+        (Ok(cert), Err(McuExecError::ArenaOverflow { .. })) => {
             assert!(
                 !cert.fits_cap,
                 "load overflowed but the certificate claims required {} <= {}",
@@ -203,8 +220,15 @@ pub fn cert_soundness(data: &[u8]) {
             );
             return;
         }
-        Err(e) => panic!("load failed for a non-arena reason: {e:?}"),
-    }
+        (Err(CertError::Image(c)), Err(l)) => {
+            assert_eq!(c, l, "certificate and loader name different faults");
+            return;
+        }
+        (cert, loaded) => panic!(
+            "certificate ({:?}) and loader ({loaded:?}) disagree",
+            cert.err()
+        ),
+    };
 
     // Exact arena accounting: carved == certified, element for element.
     let used = core.arena_used();
@@ -219,16 +243,13 @@ pub fn cert_soundness(data: &[u8]) {
 
     // Execute a deterministic schedule under the high-water probe; every
     // measured mark must stay at or under its certified bound.
-    let samples = sample_schedule(data);
+    let samples = sample_schedule(data, SAMPLE_BUDGET);
     let mut probe = HighWaterProbe::new();
     let mut pushes = [0u64; sidewinder_mcu::image::MAX_CHANNELS];
     for channel in program.channels() {
         let ci = channel.index();
-        if core
-            .push_samples_probed(ci as u8, &samples, &mut |_| {}, &mut probe)
-            .is_err()
-        {
-            return; // runtime fault (e.g. NaN guard); bounds are vacuous
+        if let Err(e) = core.push_samples_probed(ci as u8, &samples, &mut |_| {}, &mut probe) {
+            panic!("a loaded image failed at run time on {channel:?}: {e}");
         }
         pushes[ci] += samples.len() as u64;
     }
