@@ -60,5 +60,5 @@ pub use mcu::Mcu;
 pub use mcu_image::compile_image;
 pub use runtime::{HubError, HubRuntime, HubRuntime32, LoadError, WakeEvent};
 pub use sidewinder_dsp::Sample;
-pub use sidewinder_mcu::image::MAX_NODES;
+pub use sidewinder_mcu::image::{MAX_CHANNELS, MAX_NODES};
 pub use sidewinder_mcu::{McuCore, McuExecError, McuImage, DEFAULT_ARENA};

@@ -20,6 +20,7 @@
 use crate::mcu_image::compile_image;
 use sidewinder_dsp::Sample;
 use sidewinder_ir::{NodeId, Program, ValidateError};
+use sidewinder_mcu::image::MAX_CHANNELS;
 use sidewinder_mcu::{ExecProbe, HostCore, McuExecError};
 use sidewinder_obs::{Event, EventSink, NullSink};
 use sidewinder_sensors::SensorChannel;
@@ -352,29 +353,49 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
             sink,
         } = self;
         wake_buf.clear();
-        let channel = channel.index() as u8;
-        if S::ENABLED {
-            let out = ids[core.image().out_index()];
-            let mut probe = SinkProbe {
-                sink,
-                ids,
-                started: None,
-            };
-            for &sample in samples {
-                let before = wake_buf.len();
-                core.push_sample_probed(channel, sample, &mut |w| wake_buf.push(w), &mut probe)?;
-                for w in &wake_buf[before..] {
-                    probe.sink.record(Event::Wake {
-                        node: out,
-                        seq: w.seq,
-                        value: w.value,
-                    });
-                }
-            }
-        } else {
-            core.push_samples(channel, samples, &mut |w| wake_buf.push(w))?;
-        }
+        push_core(
+            core,
+            ids,
+            sink,
+            &[channel.index() as u8],
+            &[samples],
+            &mut |_, w| wake_buf.push(w),
+        )?;
         Ok(wake_buf)
+    }
+
+    /// Feeds frames of co-sampled channels: frame `k` pushes
+    /// `columns[m][k]` on `channels[m]` for each member `m` in order —
+    /// equivalent to pushing each sample in that order, and
+    /// allocation-free. `on_wake` receives every wake the frames raise,
+    /// in order, with the index of the member whose sample raised it.
+    ///
+    /// # Errors
+    ///
+    /// [`HubError::Exec`] with [`McuExecError::FrameShape`] when the
+    /// columns do not match the channels one for one, differ in length
+    /// or number more than [`MAX_CHANNELS`] (nothing is pushed);
+    /// otherwise as
+    /// [`HubRuntime::push_sample`].
+    pub fn push_frames(
+        &mut self,
+        channels: &[SensorChannel],
+        columns: &[&[f64]],
+        mut on_wake: impl FnMut(usize, WakeEvent),
+    ) -> Result<(), HubError> {
+        if channels.len() > MAX_CHANNELS {
+            return Err(McuExecError::FrameShape.into());
+        }
+        let mut indices = [0u8; MAX_CHANNELS];
+        for (index, channel) in indices.iter_mut().zip(channels) {
+            *index = channel.index() as u8;
+        }
+        let indices = &indices[..channels.len()];
+        let HubRuntime {
+            core, ids, sink, ..
+        } = self;
+        push_core(core, ids, sink, indices, columns, &mut on_wake)?;
+        Ok(())
     }
 
     /// Clears all node state and counters, keeping the configuration.
@@ -396,8 +417,35 @@ impl<S: EventSink, P: Sample> std::fmt::Debug for HubRuntime<S, P> {
     }
 }
 
-/// Turns the core's node-run hooks into [`Event::NodeExecuted`]s.
+/// The one push behind [`HubRuntime::push_samples`] and
+/// [`HubRuntime::push_frames`]: the core's probe is live exactly when
+/// the sink is.
+fn push_core<S: EventSink, P: Sample>(
+    core: &mut HostCore<P>,
+    ids: &[NodeId],
+    sink: &mut S,
+    channels: &[u8],
+    columns: &[&[f64]],
+    on_wake: &mut impl FnMut(usize, WakeEvent),
+) -> Result<(), McuExecError> {
+    if S::ENABLED {
+        let mut probe = SinkProbe {
+            out: ids[core.image().out_index()],
+            sink,
+            ids,
+            started: None,
+        };
+        core.push_frames_probed(channels, columns, on_wake, &mut probe)
+    } else {
+        core.push_frames(channels, columns, on_wake)
+    }
+}
+
+/// Turns the core's node-run and wake hooks into
+/// [`Event::NodeExecuted`]s and [`Event::Wake`]s.
 struct SinkProbe<'a, S: EventSink> {
+    /// The node feeding `OUT`, which wake events name.
+    out: NodeId,
     sink: &'a mut S,
     ids: &'a [NodeId],
     started: Option<Instant>,
@@ -419,6 +467,14 @@ impl<S: EventSink> ExecProbe for SinkProbe<'_, S> {
                 .take()
                 .map_or(0, |t| t.elapsed().as_nanos() as u64),
             produced,
+        });
+    }
+
+    fn wake(&mut self, wake: WakeEvent) {
+        self.sink.record(Event::Wake {
+            node: self.out,
+            seq: wake.seq,
+            value: wake.value,
         });
     }
 }
@@ -927,5 +983,36 @@ mod tests {
             HubError::Exec(McuExecError::BadTransformLength { node: 3, len: 33 })
         );
         assert!(err.to_string().contains("node 3"), "{err}");
+    }
+
+    #[test]
+    fn load_refuses_a_valid_but_huge_buffer_with_a_typed_error() {
+        // Both pass IR validation; their rings would need gigabytes, so
+        // the host core refuses them against its per-arena cap before
+        // allocating anything.
+        for (text, arena) in [
+            (
+                include_str!("../../../fuzz/corpora/ir_totality/huge_window.swir"),
+                "sample arena",
+            ),
+            (
+                include_str!("../../../fuzz/corpora/ir_totality/huge_moving_avg.swir"),
+                "scalar arena",
+            ),
+        ] {
+            let program: Program = text.parse().unwrap();
+            program.validate().unwrap();
+            let err = HubRuntime::load(&program, &ChannelRates::default()).unwrap_err();
+            let HubError::Exec(McuExecError::ArenaOverflow {
+                arena: got,
+                node: 0,
+                capacity,
+                ..
+            }) = err
+            else {
+                panic!("{text}: expected an arena overflow at node 0, got {err:?}");
+            };
+            assert_eq!((got, capacity), (arena, sidewinder_mcu::HOST_ARENA_CAP));
+        }
     }
 }

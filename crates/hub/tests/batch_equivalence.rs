@@ -1,13 +1,15 @@
 //! `push_samples` must be observationally identical to a `push_sample`
 //! loop: same wake events (bit for bit), same wake counts, and the same
-//! error for an out-of-range channel. The batch form exists purely to
-//! amortize per-call overhead, so any divergence is a bug.
+//! error for an out-of-range channel. `push_frames` must be identical to
+//! `push_sample` interleaved frame by frame, members in order. The batch
+//! forms exist purely to amortize per-call overhead, so any divergence is
+//! a bug.
 //!
 //! The fixtures are the six golden wake-up conditions the determinism
 //! conformance suite replays; between them they cover windows, FFT-backed
 //! filters, ZCR features, joins, and sustained streaks.
 
-use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
+use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32, WakeEvent};
 use sidewinder_hub::{compile_image, McuCore, McuExecError};
 use sidewinder_ir::Program;
 use sidewinder_mcu::image::MAX_CHANNELS;
@@ -135,6 +137,107 @@ fn batched_ingestion_matches_serial_on_all_golden_fixtures() {
             "{name}: test signal never woke — fixture not exercised"
         );
     }
+}
+
+/// Every channel framed together — the fixture's own channel carrying
+/// its signal, the others a drive of their own — against one
+/// `push_sample` per sample in frame order.
+#[test]
+fn frames_match_serial_interleaved_pushes_on_all_golden_fixtures() {
+    let channels = SensorChannel::ALL;
+    for (name, text, driven, signal) in FIXTURES {
+        let columns: Vec<Vec<f64>> = channels
+            .iter()
+            .map(|&c| {
+                (0..8192)
+                    .map(|i| {
+                        if c == driven {
+                            signal(i)
+                        } else {
+                            acc_bursts(i + 150)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut serial_hub = load(text);
+        let mut serial = Vec::new();
+        let mut members = Vec::new();
+        for k in 0..8192 {
+            for (m, (&c, column)) in channels.iter().zip(&columns).enumerate() {
+                for w in serial_hub.push_sample(c, column[k]).unwrap() {
+                    serial.push(w);
+                    members.push(m);
+                }
+            }
+        }
+        assert!(!serial.is_empty(), "{name}: fixture not exercised");
+        for chunk in [1usize, 7, 64, 1024, 8192] {
+            let mut frame_hub = load(text);
+            let (mut framed, mut framed_members) = (Vec::new(), Vec::new());
+            for start in (0..8192).step_by(chunk) {
+                let end = (start + chunk).min(8192);
+                let rows: Vec<&[f64]> = columns.iter().map(|c| &c[start..end]).collect();
+                frame_hub
+                    .push_frames(&channels, &rows, |m, w| {
+                        framed.push(w);
+                        framed_members.push(m);
+                    })
+                    .unwrap();
+            }
+            let what = format!("{name} frames of {chunk}");
+            assert_wakes_equal(&serial, &framed, &what);
+            assert_eq!(members, framed_members, "{what}: wake members differ");
+            assert_eq!(serial_hub.wake_count(), frame_hub.wake_count(), "{what}");
+        }
+    }
+}
+
+/// The window fill narrows samples to the core's precision as the pass
+/// does: at `f32`, one batch per fixture matches one `push_sample` per
+/// sample.
+#[test]
+fn f32_batches_match_serial_on_all_golden_fixtures() {
+    for (name, text, channel, signal) in FIXTURES {
+        let program: Program = text.parse().unwrap();
+        let rates = ChannelRates::default();
+        let samples: Vec<f64> = (0..8192).map(signal).collect();
+        let mut serial_hub = HubRuntime32::load_f32(&program, &rates).unwrap();
+        let mut serial = Vec::new();
+        for &s in &samples {
+            serial.extend(serial_hub.push_sample(channel, s).unwrap());
+        }
+        let mut batch_hub = HubRuntime32::load_f32(&program, &rates).unwrap();
+        let batched = batch_hub.push_samples(channel, &samples).unwrap();
+        assert_wakes_equal(&serial, batched, &format!("{name} at f32"));
+    }
+}
+
+/// A frame whose columns do not match its channels is refused before
+/// any sample runs.
+#[test]
+fn ragged_frames_are_refused_whole() {
+    let (_, text, channel, signal) = FIXTURES[4];
+    let samples: Vec<f64> = (0..512).map(signal).collect();
+    let mut hub = load(text);
+    let mut reference = load(text);
+    // One channel more than a frame can carry, with a column for each of
+    // the first `MAX_CHANNELS`.
+    let wide = [channel; MAX_CHANNELS + 1];
+    for (channels, columns) in [
+        (
+            &[channel, SensorChannel::AccY][..],
+            &[&samples[..], &samples[..511]][..],
+        ),
+        (&[channel][..], &[&samples[..], &samples[..]][..]),
+        (&wide[..], &[&samples[..]; MAX_CHANNELS][..]),
+    ] {
+        let err = hub.push_frames(channels, columns, |_, _| {}).unwrap_err();
+        assert_eq!(err, McuExecError::FrameShape.into());
+    }
+    let a = hub.push_samples(channel, &samples).unwrap().to_vec();
+    let b = reference.push_samples(channel, &samples).unwrap();
+    assert_wakes_equal(b, &a, "after the refused frames");
 }
 
 #[test]

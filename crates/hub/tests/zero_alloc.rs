@@ -175,6 +175,71 @@ fn music_steady_state_performs_zero_allocations() {
     );
 }
 
+/// Frames of co-sampled channels take the pass one sample at a time
+/// without touching the allocator: a two-axis program pushed as AccX +
+/// AccY frames, with the probe off and with counters on.
+#[test]
+fn two_channel_frames_perform_zero_allocations() {
+    fn check<S: EventSink>(mut hub: HubRuntime<S>, label: &str) {
+        let x = step_signal(8192);
+        let y: Vec<f64> = x.iter().map(|v| -v).collect();
+        let channels = [SensorChannel::AccX, SensorChannel::AccY];
+        let columns = [x.as_slice(), y.as_slice()];
+        hub.push_frames(&channels, &columns, |_, _| {}).unwrap();
+        let before = allocations();
+        let mut wakes = [0u64; 2];
+        hub.push_frames(&channels, &columns, |m, _| wakes[m] += 1)
+            .unwrap();
+        let allocated = allocations() - before;
+        assert!(
+            wakes[0] > 0 && wakes[1] > 0,
+            "{label}: both axes must wake, got {wakes:?}"
+        );
+        assert_eq!(allocated, 0, "{label}: frames allocated {allocated} times");
+    }
+    let program = fixture(
+        "ACC_X -> movingAvg(id=1, params={3});
+         ACC_Y -> movingAvg(id=2, params={3});
+         1 -> minThreshold(id=3, params={2});
+         2 -> maxThreshold(id=4, params={-2});
+         3,4 -> anyOf(id=5);
+         5 -> OUT;",
+    );
+    let rates = ChannelRates::default();
+    check(HubRuntime::load(&program, &rates).unwrap(), "null sink");
+    check(
+        HubRuntime::load_with_sink(&program, &rates, CounterSink::with_nodes(5)).unwrap(),
+        "counters",
+    );
+}
+
+/// The music condition reads MIC through windows only, so with the probe
+/// off its samples fill the rings by slice; that path is as
+/// allocation-free as the pass, whether MIC is pushed alone or framed
+/// with a channel the program does not read.
+#[test]
+fn music_window_fill_performs_zero_allocations() {
+    let mut hub = HubRuntime::load(&music(), &ChannelRates::default()).unwrap();
+    let mic = music_signal(8192);
+    let idle = vec![0.0; mic.len()];
+    let channels = [SensorChannel::Mic, SensorChannel::AccX];
+    let columns = [mic.as_slice(), idle.as_slice()];
+    hub.push_frames(&channels, &columns, |_, _| {}).unwrap();
+    // Grows the wake buffer `push_samples` returns.
+    hub.push_samples(SensorChannel::Mic, &mic).unwrap();
+    let before = allocations();
+    let mut wakes = 0u64;
+    hub.push_frames(&channels, &columns, |m, _| {
+        assert_eq!(m, 0, "only MIC feeds the music condition");
+        wakes += 1;
+    })
+    .unwrap();
+    hub.push_samples(SensorChannel::Mic, &mic).unwrap();
+    let allocated = allocations() - before;
+    assert!(wakes > 0, "the tone must wake the music condition");
+    assert_eq!(allocated, 0, "window fill allocated {allocated} times");
+}
+
 /// The precision parameter does not change the allocation story on the
 /// scalar steps chain either.
 #[test]

@@ -8,9 +8,12 @@
 //! node needs a span in one of seven arenas (samples, scalars, complex
 //! values, swap tables, keep masks, and the two staging buffers
 //! payloads are copied through). An image that loads cannot fail at
-//! run time: `push_samples` returns only [`McuExecError::NotLoaded`]
-//! and [`McuExecError::BadChannel`]. Where the arenas live is the
-//! core's [`ArenaStorage`] parameter:
+//! run time: a push returns only [`McuExecError::NotLoaded`],
+//! [`McuExecError::BadChannel`] and, for a ragged frame,
+//! [`McuExecError::FrameShape`], before any sample runs. Samples enter
+//! as frames of co-sampled channels ([`ExecCore::push_frames`]); a
+//! one-channel batch is the one-member frame. Where the arenas live is
+//! the core's [`ArenaStorage`] parameter:
 //!
 //! * [`McuCore<P, CAP>`](McuCore) keeps them inline as `[T; CAP]`
 //!   arrays — the firmware form, const-constructible into a `static`.
@@ -83,6 +86,10 @@ pub trait ExecProbe {
     /// A spectrum payload of `len` elements was copied through the
     /// spectrum staging arena from `node`'s result slot.
     fn staged_spectrum(&mut self, _node: u16, _len: usize) {}
+
+    /// The pass that just ended raised `wake`; reported after the
+    /// pass's last `node_end`, just before the wake callback runs.
+    fn wake(&mut self, _wake: WakeEvent) {}
 }
 
 /// The default probe: observes nothing, costs nothing.
@@ -155,6 +162,9 @@ pub enum McuExecError {
         /// The offending channel index.
         channel: u8,
     },
+    /// A frame push whose columns do not match its channels one for
+    /// one, differ in length, or number more than [`MAX_CHANNELS`].
+    FrameShape,
     /// A transform node is fed a payload whose length is not a power
     /// of two.
     BadTransformLength {
@@ -198,6 +208,12 @@ impl core::fmt::Display for McuExecError {
             McuExecError::NotLoaded => write!(f, "no program image loaded"),
             McuExecError::BadChannel { channel } => {
                 write!(f, "channel {channel} beyond the core's channel limit")
+            }
+            McuExecError::FrameShape => {
+                write!(
+                    f,
+                    "frame columns do not match its channels in count or length"
+                )
             }
             McuExecError::BadTransformLength { node, len } => {
                 write!(f, "node {node}: window length {len} is not a power of two")
@@ -311,8 +327,17 @@ impl<P: Sample, const CAP: usize> ArenaStorage for InlineArenas<P, CAP> {
     }
 }
 
+/// Elements per arena a [`HeapArenas`] will allocate: 4 Mi elements
+/// (64 MiB of complex values), 256 times the fleet's 16 Ki-element
+/// certification arena and far above any evaluation program's
+/// footprint. A valid program that needs more, such as
+/// `window(1073741824)`, is refused at `load` with a typed
+/// [`McuExecError::ArenaOverflow`] instead of asking the allocator for
+/// gigabytes.
+pub const HOST_ARENA_CAP: usize = 1 << 22;
+
 /// Heap arenas sized to each loaded image's exact footprint — the host
-/// storage.
+/// storage, up to [`HOST_ARENA_CAP`] elements per arena.
 #[cfg(feature = "std")]
 #[derive(Debug, Clone, Default)]
 pub struct HeapArenas<P: Sample> {
@@ -331,6 +356,7 @@ impl<P: Sample> ArenaStorage for HeapArenas<P> {
 
     fn fit(&mut self, layout: &ImageLayout) -> Result<(), McuExecError> {
         use std::vec;
+        layout.check_fit(HOST_ARENA_CAP)?;
         let fp = layout.footprint();
         let n = |kind: ArenaKind| fp.arena(kind).elements;
         *self = HeapArenas {
@@ -546,6 +572,8 @@ pub struct ExecCore<A: ArenaStorage> {
     /// Elements `load` carved from each bump arena (sample, scalar,
     /// complex, swap, mask) — pinned against the static footprint.
     arena_used: [u32; 5],
+    /// Channels whose pushes may fill windows by slice (one bit each).
+    fill_channels: u8,
     arenas: A,
 }
 
@@ -628,6 +656,7 @@ impl<A: ArenaStorage> ExecCore<A> {
             channel_seq: [0; MAX_CHANNELS],
             wake_count: 0,
             arena_used: [0; 5],
+            fill_channels: 0,
             arenas,
         }
     }
@@ -704,6 +733,7 @@ impl<A: ArenaStorage> ExecCore<A> {
         for (used, kind) in self.arena_used.iter_mut().zip(ArenaKind::ALL) {
             *used = fp.arena(kind).elements as u32;
         }
+        self.fill_channels = window_fill_channels(image);
         self.image = *image;
         self.loaded = true;
         Ok(())
@@ -759,13 +789,8 @@ impl<A: ArenaStorage> ExecCore<A> {
         self.push_samples_probed(channel, samples, on_wake, &mut NoProbe)
     }
 
-    /// [`push_samples`](Self::push_samples) with an [`ExecProbe`].
-    ///
-    /// Each sample runs one pass: the single-source entry nodes of
-    /// `channel` first, in increasing index order, then the ready set
-    /// drains in index (topological) order — a node's consumers always
-    /// have larger indices, so newly readied bits are still ahead of the
-    /// cursor.
+    /// [`push_samples`](Self::push_samples) with an [`ExecProbe`]: the
+    /// one-channel call of [`push_frames_probed`](Self::push_frames_probed).
     ///
     /// # Errors
     ///
@@ -777,119 +802,104 @@ impl<A: ArenaStorage> ExecCore<A> {
         on_wake: &mut impl FnMut(WakeEvent),
         probe: &mut Pr,
     ) -> Result<(), McuExecError> {
+        self.push_frames_probed(&[channel], &[samples], &mut |_, w| on_wake(w), probe)
+    }
+
+    /// Ingests `frames` of co-sampled channels: frame `k` pushes
+    /// `columns[m][k]` on `channels[m]` for each member `m` in order,
+    /// exactly as if each sample were pushed in turn. `on_wake` receives
+    /// each wake-up with the index of the member whose sample raised it.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_sample`](Self::push_sample), plus
+    /// [`McuExecError::FrameShape`] when the columns do not match the
+    /// channels one for one or differ in length; all before any sample
+    /// runs.
+    pub fn push_frames(
+        &mut self,
+        channels: &[u8],
+        columns: &[&[f64]],
+        on_wake: &mut impl FnMut(usize, WakeEvent),
+    ) -> Result<(), McuExecError> {
+        self.push_frames_probed(channels, columns, on_wake, &mut NoProbe)
+    }
+
+    /// [`push_frames`](Self::push_frames) with an [`ExecProbe`] — the
+    /// one entry every push goes through.
+    ///
+    /// Each sample runs one interpreter pass, the core's one per-sample
+    /// body. With the probe off, samples that only fill non-overlapping
+    /// windows skip the pass: when a push reaches only windows whose hop
+    /// equals their size, the samples up to the next emission are copied
+    /// straight into the rings (narrowed to the core's precision), the
+    /// channels' sequence counters advance past them, and only the
+    /// emitting sample runs a pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_frames`](Self::push_frames).
+    pub fn push_frames_probed<Pr: ExecProbe>(
+        &mut self,
+        channels: &[u8],
+        columns: &[&[f64]],
+        on_wake: &mut impl FnMut(usize, WakeEvent),
+        probe: &mut Pr,
+    ) -> Result<(), McuExecError> {
         if !self.loaded {
             return Err(McuExecError::NotLoaded);
         }
-        let ci = channel as usize;
-        if ci >= MAX_CHANNELS {
-            return Err(McuExecError::BadChannel { channel });
-        }
+        let frames = frame_count(channels, columns)?;
         let ExecCore {
             image,
             states,
             slots,
             channel_seq,
             wake_count,
+            fill_channels,
             arenas,
             ..
         } = self;
-        let ArenaViews {
-            p,
-            f,
-            c,
-            s,
-            b,
-            stage_p,
-            stage_c,
-        } = arenas.views();
-        let nodes = image.nodes();
-        let out = image.out_index();
-        for &sample in samples {
-            let seq = channel_seq[ci];
-            channel_seq[ci] += 1;
-            let mut direct = image.direct_feed_mask(ci);
-            let mut ready = image.entry_mask(ci);
-            let mut fresh: Mask = 0;
-            loop {
-                let i = if direct != 0 {
-                    take_lowest(&mut direct)
-                } else if ready != 0 {
-                    take_lowest(&mut ready)
-                } else {
-                    break;
-                };
-                let spec = &nodes[i];
-                // Producers precede consumers, so node i's sources all
-                // live in `done`.
-                let (done, rest) = slots.split_at_mut(i);
-                let slot = &mut rest[0];
-                slot.kind = SlotKind::Empty;
-                if Pr::ENABLED {
-                    probe.node_start(i as u16);
-                }
-                for (port, &source) in spec.sources[..spec.port_count as usize].iter().enumerate() {
-                    let (seq, input) = match source {
-                        PortSource::Channel(ch) if ch == channel => (seq, In::Scalar(sample)),
-                        PortSource::Channel(_) => continue,
-                        PortSource::Node(src) if fresh & (1 << src) != 0 => {
-                            // Payloads are copied through staging so the
-                            // consumer can borrow its input while it
-                            // writes its own spans of the same arena.
-                            let from = &done[src as usize];
-                            let input = match from.kind {
-                                SlotKind::Empty => continue,
-                                SlotKind::Scalar => In::Scalar(from.scalar),
-                                SlotKind::Vector => {
-                                    let len = from.vec_len as usize;
-                                    if Pr::ENABLED {
-                                        probe.staged_vector(src, len);
-                                    }
-                                    stage_p[..len].copy_from_slice(&p[from.vec.range(len)]);
-                                    In::Vector(&stage_p[..len])
-                                }
-                                SlotKind::Spectrum => {
-                                    let len = from.spec_len as usize;
-                                    if Pr::ENABLED {
-                                        probe.staged_spectrum(src, len);
-                                    }
-                                    stage_c[..len].copy_from_slice(&c[from.spec.range(len)]);
-                                    In::Spectrum(&stage_c[..len])
-                                }
-                            };
-                            (from.seq, input)
-                        }
-                        PortSource::Node(_) => continue,
-                    };
-                    exec_kind(
-                        FeedCtx { port, seq },
-                        spec,
-                        &mut states[i],
-                        slot,
-                        Arenas {
-                            p: &mut *p,
-                            f: &mut *f,
-                            c: &mut *c,
-                            s: &mut *s,
-                            b: &mut *b,
-                        },
-                        input,
+        let fill = if Pr::ENABLED {
+            0
+        } else {
+            window_fill_mask(image, *fill_channels, channels)
+        };
+        let mut views = arenas.views();
+        // Frame `k`, member `m`: one loop over every sample in push order.
+        let (mut k, mut m) = (0, 0);
+        while k < frames {
+            if m == 0 && fill != 0 {
+                let run = fill_run(image, states, fill).min(frames - k);
+                if run > 0 {
+                    let rows = k..k + run;
+                    fill_windows(
+                        image,
+                        states,
+                        slots,
+                        channel_seq,
+                        views.p,
+                        channels,
+                        columns,
+                        rows,
                     );
+                    k += run;
+                    continue;
                 }
-                let produced = slot.kind != SlotKind::Empty;
-                if Pr::ENABLED {
-                    probe.node_end(i as u16, produced);
-                }
-                if produced {
-                    fresh |= 1 << i;
-                    ready |= spec.consumer_mask;
-                    if i == out && slot.kind == SlotKind::Scalar {
-                        *wake_count += 1;
-                        on_wake(WakeEvent {
-                            seq: slot.seq,
-                            value: slot.scalar,
-                        });
-                    }
-                }
+            }
+            let pass = Pass {
+                image,
+                states: &mut *states,
+                slots: &mut *slots,
+                channel_seq: &mut *channel_seq,
+                wake_count: &mut *wake_count,
+                views: &mut views,
+            };
+            pass.run(channels[m], columns[m][k], &mut |w| on_wake(m, w), probe);
+            m += 1;
+            if m == channels.len() {
+                m = 0;
+                k += 1;
             }
         }
         Ok(())
@@ -907,6 +917,242 @@ impl<A: ArenaStorage> ExecCore<A> {
         }
         self.channel_seq = [0; MAX_CHANNELS];
         self.wake_count = 0;
+    }
+}
+
+/// Checks a frame push's shape and returns its frame count: at most
+/// [`MAX_CHANNELS`] members, every channel in range, one column per
+/// channel, all of one length.
+fn frame_count(channels: &[u8], columns: &[&[f64]]) -> Result<usize, McuExecError> {
+    if let Some(&channel) = channels.iter().find(|&&c| c as usize >= MAX_CHANNELS) {
+        return Err(McuExecError::BadChannel { channel });
+    }
+    let frames = columns.first().map_or(0, |c| c.len());
+    if channels.len() > MAX_CHANNELS
+        || columns.len() != channels.len()
+        || columns.iter().any(|c| c.len() != frames)
+    {
+        return Err(McuExecError::FrameShape);
+    }
+    Ok(frames)
+}
+
+/// The channels of `image` whose samples may fill windows by slice, one
+/// bit per channel: those that feed only windows with `hop == size`
+/// (or nothing), and no join.
+fn window_fill_channels(image: &McuImage) -> u8 {
+    (0..MAX_CHANNELS)
+        .filter(|&ci| {
+            let mut fed = image.direct_feed_mask(ci);
+            image.entry_mask(ci) == 0
+                && core::iter::from_fn(|| (fed != 0).then(|| take_lowest(&mut fed))).all(|i| {
+                    matches!(image.nodes()[i].kind, NodeKind::Window { size, hop, .. } if size == hop)
+                })
+        })
+        .fold(0, |bits, ci| bits | 1 << ci)
+}
+
+/// The windows a push on `channels` may fill by slice: every node they
+/// feed when each is one of the `fill_channels`, otherwise none. A
+/// channel that appears twice in a frame interleaves its samples, so it
+/// takes the pass.
+fn window_fill_mask(image: &McuImage, fill_channels: u8, channels: &[u8]) -> Mask {
+    let mut seen = 0u8;
+    let mut mask: Mask = 0;
+    for &channel in channels {
+        let bit = 1 << channel;
+        if fill_channels & bit == 0 || seen & bit != 0 {
+            return 0;
+        }
+        seen |= bit;
+        mask |= image.direct_feed_mask(channel as usize);
+    }
+    mask
+}
+
+/// Samples every window in `fill` can take before one of them emits:
+/// the smallest `size - 1 - fill` among them.
+fn fill_run(image: &McuImage, states: &[NodeState; MAX_NODES], fill: Mask) -> usize {
+    let mut rest = fill;
+    let mut run = usize::MAX;
+    while rest != 0 {
+        let i = take_lowest(&mut rest);
+        if let NodeKind::Window { size, .. } = image.nodes()[i].kind {
+            run = run.min(size as usize - 1 - states[i].fill as usize);
+        }
+    }
+    run
+}
+
+/// Copies `rows` of each member's column into the rings of the windows
+/// its channel feeds, narrowing to `P`, and advances the channels'
+/// sequence counters — what a pass per sample does when no window
+/// emits. `rows` must fit below every ring's emission.
+#[allow(clippy::too_many_arguments)]
+fn fill_windows<P: Sample>(
+    image: &McuImage,
+    states: &mut [NodeState; MAX_NODES],
+    slots: &mut [Slot; MAX_NODES],
+    channel_seq: &mut [u64; MAX_CHANNELS],
+    p: &mut [P],
+    channels: &[u8],
+    columns: &[&[f64]],
+    rows: Range<usize>,
+) {
+    for (&channel, column) in channels.iter().zip(columns) {
+        let ci = channel as usize;
+        let src = &column[rows.clone()];
+        let mut fed = image.direct_feed_mask(ci);
+        while fed != 0 {
+            let i = take_lowest(&mut fed);
+            let st = &mut states[i];
+            let at = st.aux_p.start as usize + st.fill as usize;
+            for (dst, &x) in p[at..at + src.len()].iter_mut().zip(src) {
+                *dst = P::from_f64(x);
+            }
+            st.fill += src.len() as u32;
+            slots[i].kind = SlotKind::Empty;
+        }
+        channel_seq[ci] += src.len() as u64;
+    }
+}
+
+/// The core's state as one pass borrows it.
+struct Pass<'a, 'v, P: Sample> {
+    image: &'a McuImage,
+    states: &'a mut [NodeState; MAX_NODES],
+    slots: &'a mut [Slot; MAX_NODES],
+    channel_seq: &'a mut [u64; MAX_CHANNELS],
+    wake_count: &'a mut u64,
+    views: &'a mut ArenaViews<'v, P>,
+}
+
+impl<P: Sample> Pass<'_, '_, P> {
+    /// One interpreter pass for `sample` on `channel`: the single-source
+    /// entry nodes of `channel` first, in increasing index order, then
+    /// the ready set drains in index (topological) order — a node's
+    /// consumers always have larger indices, so newly readied bits are
+    /// still ahead of the cursor.
+    ///
+    /// This is the interpreter's one per-sample body; its one call site
+    /// is [`ExecCore::push_frames_probed`]'s frame loop.
+    #[inline(always)]
+    fn run<Pr: ExecProbe>(
+        self,
+        channel: u8,
+        sample: f64,
+        on_wake: &mut impl FnMut(WakeEvent),
+        probe: &mut Pr,
+    ) {
+        let Pass {
+            image,
+            states,
+            slots,
+            channel_seq,
+            wake_count,
+            views:
+                ArenaViews {
+                    p,
+                    f,
+                    c,
+                    s,
+                    b,
+                    stage_p,
+                    stage_c,
+                },
+        } = self;
+        let nodes = image.nodes();
+        let out = image.out_index();
+        let ci = channel as usize;
+        let seq = channel_seq[ci];
+        channel_seq[ci] += 1;
+        let mut direct = image.direct_feed_mask(ci);
+        let mut ready = image.entry_mask(ci);
+        let mut fresh: Mask = 0;
+        let mut wake = None;
+        loop {
+            let i = if direct != 0 {
+                take_lowest(&mut direct)
+            } else if ready != 0 {
+                take_lowest(&mut ready)
+            } else {
+                break;
+            };
+            let spec = &nodes[i];
+            // Producers precede consumers, so node i's sources all
+            // live in `done`.
+            let (done, rest) = slots.split_at_mut(i);
+            let slot = &mut rest[0];
+            slot.kind = SlotKind::Empty;
+            if Pr::ENABLED {
+                probe.node_start(i as u16);
+            }
+            for (port, &source) in spec.sources[..spec.port_count as usize].iter().enumerate() {
+                let (seq, input) = match source {
+                    PortSource::Channel(ch) if ch == channel => (seq, In::Scalar(sample)),
+                    PortSource::Channel(_) => continue,
+                    PortSource::Node(src) if fresh & (1 << src) != 0 => {
+                        // Payloads are copied through staging so the
+                        // consumer can borrow its input while it
+                        // writes its own spans of the same arena.
+                        let from = &done[src as usize];
+                        let input = match from.kind {
+                            SlotKind::Empty => continue,
+                            SlotKind::Scalar => In::Scalar(from.scalar),
+                            SlotKind::Vector => {
+                                let len = from.vec_len as usize;
+                                if Pr::ENABLED {
+                                    probe.staged_vector(src, len);
+                                }
+                                stage_p[..len].copy_from_slice(&p[from.vec.range(len)]);
+                                In::Vector(&stage_p[..len])
+                            }
+                            SlotKind::Spectrum => {
+                                let len = from.spec_len as usize;
+                                if Pr::ENABLED {
+                                    probe.staged_spectrum(src, len);
+                                }
+                                stage_c[..len].copy_from_slice(&c[from.spec.range(len)]);
+                                In::Spectrum(&stage_c[..len])
+                            }
+                        };
+                        (from.seq, input)
+                    }
+                    PortSource::Node(_) => continue,
+                };
+                exec_kind(
+                    FeedCtx { port, seq },
+                    spec,
+                    &mut states[i],
+                    slot,
+                    Arenas { p, f, c, s, b },
+                    input,
+                );
+            }
+            let produced = slot.kind != SlotKind::Empty;
+            if Pr::ENABLED {
+                probe.node_end(i as u16, produced);
+            }
+            if produced {
+                fresh |= 1 << i;
+                ready |= spec.consumer_mask;
+                if i == out && slot.kind == SlotKind::Scalar {
+                    wake = Some(WakeEvent {
+                        seq: slot.seq,
+                        value: slot.scalar,
+                    });
+                }
+            }
+        }
+        // `out` runs at most once per pass, so a pass raises at most
+        // one wake; it is reported once every node has run.
+        if let Some(w) = wake {
+            *wake_count += 1;
+            if Pr::ENABLED {
+                probe.wake(w);
+            }
+            on_wake(w);
+        }
     }
 }
 

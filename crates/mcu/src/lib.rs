@@ -45,7 +45,7 @@ pub mod zcr;
 pub use complex::Complex;
 pub use exec::{
     ArenaStorage, ArenaViews, ExecCore, ExecProbe, HighWaterProbe, InlineArenas, McuCore,
-    McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA,
+    McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA, HOST_ARENA_CAP,
 };
 #[cfg(feature = "std")]
 pub use exec::{HeapArenas, HostCore};

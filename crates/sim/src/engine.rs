@@ -16,7 +16,7 @@ use sidewinder_hub::fault::{
 };
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
-use sidewinder_hub::{HubError, Sample};
+use sidewinder_hub::{HubError, Sample, MAX_CHANNELS};
 use sidewinder_ir::Program;
 use sidewinder_obs::{Event, EventSink, FrameOutcome, NullSink};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace, TimeSeries};
@@ -510,36 +510,68 @@ fn hub_inputs<'t>(
     Ok((inputs, rates))
 }
 
-/// Cuts the next run off the serial replay of `inputs`, where
-/// `cursors[i]` is the next unread sample of input `i`.
+/// Every program input fits a core frame: inputs are distinct sensor
+/// channels.
+const _: () = assert!(SensorChannel::COUNT <= MAX_CHANNELS);
+
+/// Splits `inputs` into groups of adjacent inputs with equal rate and
+/// equal length, which sample at the same instants; with `co_sample`
+/// off, every input is its own group. Returns the groups' member ranges,
+/// in input order, and their count.
+fn input_groups(inputs: &[Input<'_>], co_sample: bool) -> ([Range<usize>; MAX_CHANNELS], usize) {
+    let mut groups = [const { 0..0 }; MAX_CHANNELS];
+    let mut count = 0;
+    for (i, &(_, series)) in inputs.iter().enumerate() {
+        let joins = co_sample && count > 0 && {
+            let lead = inputs[groups[count - 1].start].1;
+            lead.rate_hz() == series.rate_hz() && lead.len() == series.len()
+        };
+        if joins {
+            groups[count - 1].end = i + 1;
+        } else {
+            groups[count] = i..i + 1;
+            count += 1;
+        }
+    }
+    (groups, count)
+}
+
+/// Cuts the next run off the serial replay of `inputs`, taken as
+/// `groups` ([`input_groups`]), where `cursors[g]` is the next unread
+/// sample of group `g`.
 ///
 /// The serial replay feeds the hub the earliest next sample across all
-/// inputs, the first input winning ties. A run is the longest stretch of
-/// one input that keeps winning that pick: its samples must stay
-/// strictly earlier than the next sample of every input before it and no
-/// later than that of every input after it. Returns the input's index
-/// and the run's sample range, and advances its cursor past the run;
-/// `None` once every input is drained.
-fn next_run(inputs: &[Input<'_>], cursors: &mut [usize]) -> Option<(usize, Range<usize>)> {
-    let next = |j: usize| {
-        let (_, series) = inputs[j];
-        (cursors[j] < series.len()).then(|| series.time_of(cursors[j]))
-    };
+/// inputs, the first input winning ties. A group's members tie at every
+/// instant and sit next to each other, so the serial pick takes them one
+/// frame at a time, in input order, and the pick rule applies to a
+/// group as to one input. A run is the longest stretch of one group that
+/// keeps winning that pick: its samples must stay strictly earlier than
+/// the next sample of every group before it and no later than that of
+/// every group after it. Returns the group's index and the run's sample
+/// range, and advances its cursor past the run; `None` once every group
+/// is drained.
+fn next_run(
+    inputs: &[Input<'_>],
+    groups: &[Range<usize>],
+    cursors: &mut [usize],
+) -> Option<(usize, Range<usize>)> {
+    let clock = |g: usize| inputs[groups[g].start].1;
+    let next = |g: usize| (cursors[g] < clock(g).len()).then(|| clock(g).time_of(cursors[g]));
     let mut best: Option<(usize, Micros)> = None;
-    for j in 0..inputs.len() {
-        if let Some(t) = next(j) {
+    for g in 0..groups.len() {
+        if let Some(t) = next(g) {
             if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((j, t));
+                best = Some((g, t));
             }
         }
     }
     let (i, _) = best?;
-    // The other inputs' next-sample times are fixed while this one runs.
+    // The other groups' next-sample times are fixed while this one runs.
     let mut before_min: Option<Micros> = None;
     let mut after_min: Option<Micros> = None;
-    for j in (0..inputs.len()).filter(|&j| j != i) {
-        if let Some(t) = next(j) {
-            let slot = if j < i {
+    for g in (0..groups.len()).filter(|&g| g != i) {
+        if let Some(t) = next(g) {
+            let slot = if g < i {
                 &mut before_min
             } else {
                 &mut after_min
@@ -548,7 +580,7 @@ fn next_run(inputs: &[Input<'_>], cursors: &mut [usize]) -> Option<(usize, Range
         }
     }
     let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-    let series = inputs[i].1;
+    let series = clock(i);
     let start = cursors[i];
     let mut end = start + 1;
     while end < series.len() && wins(series.time_of(end)) {
@@ -676,16 +708,19 @@ struct Replay {
 /// Replays `trace` through `program` on the hub at vector precision `P`
 /// under `plan` — the one place trace samples enter a [`HubRuntime`].
 ///
-/// Samples go in the serial pick's order ([`next_run`]). Each run is cut
-/// again at its channel's next plan edge ([`FaultPlan::channel_state`]), so a
-/// stretch meets one hub state: due resets fire before its first sample,
-/// a stretch the hub or channel drops is only counted, and a live one is
-/// pushed as one batch. Traced runs (`S::ENABLED`) cut every sample into
-/// its own stretch so each event carries its sample's trace time. Every
-/// wake then crosses the link, its frame retried with capped exponential
-/// backoff until it is delivered or the retry budget runs out; frame
-/// fates are drawn in wake order. A clean first attempt costs nothing
-/// extra, so an empty plan delivers every wake at its trigger time.
+/// Samples go in the serial pick's order ([`next_run`]), co-sampled
+/// inputs as frames of their group. Each run is cut again at the first
+/// plan edge of any member ([`FaultPlan::channel_state`]), so a stretch
+/// meets one hub state: due resets fire before its first frame, a
+/// member the hub or its channel drops is only counted, and the live
+/// members are pushed in one [`HubRuntime::push_frames`] call. Traced
+/// runs (`S::ENABLED`) do not group inputs and cut every run into
+/// one-sample stretches, so each event carries its sample's trace time
+/// and events keep the serial order. Every wake then crosses the
+/// link, its frame retried with capped exponential backoff until it is
+/// delivered or the retry budget runs out; frame fates are drawn in
+/// wake order. A clean first attempt costs nothing extra, so an empty
+/// plan delivers every wake at its trigger time.
 fn replay<S: EventSink, P: Sample>(
     trace: &SensorTrace,
     program: &Program,
@@ -700,22 +735,25 @@ fn replay<S: EventSink, P: Sample>(
     let retry = plan.retry();
     let mut out = Replay::default();
     let mut next_reset = 0;
+    let (groups, group_count) = input_groups(&inputs, !S::ENABLED);
+    let groups = &groups[..group_count];
     // Samples each input has fed the hub since its last reset. The hub
     // tags a wake with its channel's sample count, which restarts at
     // zero on reset and skips dropped samples, so a wake maps back to an
     // offset from the start of the stretch that raised it.
-    let mut fed = vec![0u64; inputs.len()];
+    let mut fed = [0u64; MAX_CHANNELS];
     // Per input, whether its samples reach the hub, and until when.
-    let mut state = vec![(true, Micros::ZERO); inputs.len()];
+    let mut state = [(true, Micros::ZERO); MAX_CHANNELS];
     let mut triggers: Vec<Micros> = Vec::new();
-    let mut cursors = vec![0usize; inputs.len()];
-    while let Some((i, run)) = next_run(&inputs, &mut cursors) {
-        let (channel, series) = inputs[i];
+    let mut cursors = [0usize; MAX_CHANNELS];
+    while let Some((g, run)) = next_run(&inputs, groups, &mut cursors) {
+        let members = groups[g].clone();
+        let clock = inputs[members.start].1;
         let mut start = run.start;
         while start < run.end {
             // The stretch's start time, needed only while an edge lies
             // ahead or to stamp traced events.
-            let t = || series.time_of(start);
+            let t = || clock.time_of(start);
             // Fire any watchdog reset that has come due: the hub loses
             // all filter state and its sequence counters, and the phone
             // pays reboot + re-download + probe to bring it back.
@@ -733,37 +771,51 @@ fn replay<S: EventSink, P: Sample>(
                 out.fault.recovery_time += plan.recovery();
                 next_reset += 1;
             }
-            if state[i].1 != Micros::MAX && t() >= state[i].1 {
-                state[i] = plan.channel_state(channel, t());
+            let mut edge = Micros::MAX;
+            for m in members.clone() {
+                if state[m].1 != Micros::MAX && t() >= state[m].1 {
+                    state[m] = plan.channel_state(inputs[m].0, t());
+                }
+                edge = edge.min(state[m].1);
             }
-            let (live, until) = state[i];
-            let end = match until {
+            let end = match edge {
                 _ if S::ENABLED => start + 1,
                 Micros::MAX => run.end,
                 edge => (start + 1..run.end)
-                    .find(|&s| series.time_of(s) >= edge)
+                    .find(|&s| clock.time_of(s) >= edge)
                     .unwrap_or(run.end),
             };
+            let rows = start..end;
             if S::ENABLED {
                 hub.sink_mut().set_time(t());
             }
-            if !live {
-                out.fault.samples_dropped += (end - start) as u64;
-                if S::ENABLED {
-                    hub.sink_mut().record(Event::SampleDropped { channel });
+            let mut channels = [inputs[members.start].0; MAX_CHANNELS];
+            let mut columns: [&[f64]; MAX_CHANNELS] = [&[]; MAX_CHANNELS];
+            let mut base = [0u64; MAX_CHANNELS];
+            let mut live = 0;
+            for m in members.clone() {
+                let (channel, series) = inputs[m];
+                if !state[m].0 {
+                    out.fault.samples_dropped += rows.len() as u64;
+                    if S::ENABLED {
+                        hub.sink_mut().record(Event::SampleDropped { channel });
+                    }
+                    continue;
                 }
-                start = end;
+                channels[live] = channel;
+                columns[live] = &series.samples()[rows.clone()];
+                base[live] = fed[m];
+                fed[m] += rows.len() as u64;
+                live += 1;
+            }
+            start = end;
+            if live == 0 {
                 continue;
             }
-            let base = fed[i];
-            fed[i] += (end - start) as u64;
-            let wakes = hub.push_samples(channel, &series.samples()[start..end])?;
             triggers.clear();
-            triggers.extend(
-                wakes
-                    .iter()
-                    .map(|w| series.time_of(start + (w.seq - base) as usize)),
-            );
+            hub.push_frames(&channels[..live], &columns[..live], |j, w| {
+                triggers.push(clock.time_of(rows.start + (w.seq - base[j]) as usize))
+            })?;
             // Transfer each wake notification: retry corrupted or dropped
             // frames with capped exponential backoff until delivery or
             // budget exhaustion.
@@ -801,7 +853,6 @@ fn replay<S: EventSink, P: Sample>(
                     out.fault.recovery_time += probe_time + frame_time;
                 }
             }
-            start = end;
         }
     }
     Ok(out)
@@ -853,13 +904,52 @@ mod tests {
         }
     }
 
+    /// The serial pick, one sample at a time: `(input, sample index)`
+    /// in the order the hub must see them.
+    fn serial_order(inputs: &[Input<'_>]) -> Vec<(usize, usize)> {
+        let mut cursors = vec![0usize; inputs.len()];
+        let mut order = Vec::new();
+        while let Some(j) = (0..inputs.len())
+            .filter(|&j| cursors[j] < inputs[j].1.len())
+            .min_by_key(|&j| (inputs[j].1.time_of(cursors[j]), j))
+        {
+            order.push((j, cursors[j]));
+            cursors[j] += 1;
+        }
+        order
+    }
+
+    /// The runs [`next_run`] cuts over [`input_groups`].
+    fn grouped_runs(inputs: &[Input<'_>]) -> Vec<(Range<usize>, Range<usize>)> {
+        let (groups, count) = input_groups(inputs, true);
+        let groups = &groups[..count];
+        let mut cursors = [0usize; MAX_CHANNELS];
+        std::iter::from_fn(|| next_run(inputs, groups, &mut cursors))
+            .map(|(g, run)| (groups[g].clone(), run))
+            .collect()
+    }
+
+    /// The runs expanded frame by frame, members in input order.
+    fn frame_order(runs: &[(Range<usize>, Range<usize>)]) -> Vec<(usize, usize)> {
+        runs.iter()
+            .flat_map(|(members, run)| {
+                run.clone()
+                    .flat_map(move |k| members.clone().map(move |m| (m, k)))
+            })
+            .collect()
+    }
+
+    fn zeros(rate: f64, len: usize) -> TimeSeries {
+        TimeSeries::from_samples(rate, vec![0.0; len]).unwrap()
+    }
+
     #[test]
     fn runs_merge_the_serial_pick_exactly() {
         // Rates whose sample times collide often, so ties (first input
         // wins) decide many picks.
         let series: Vec<TimeSeries> = [100.0, 40.0, 50.0]
             .iter()
-            .map(|&rate| TimeSeries::from_samples(rate, vec![0.0; 37]).unwrap())
+            .map(|&rate| zeros(rate, 37))
             .collect();
         let channels = [
             SensorChannel::AccX,
@@ -867,26 +957,55 @@ mod tests {
             SensorChannel::AccZ,
         ];
         let inputs: Vec<Input<'_>> = channels.iter().copied().zip(series.iter()).collect();
+        let runs = grouped_runs(&inputs);
+        assert!(runs.iter().all(|(members, _)| members.len() == 1));
+        assert_eq!(frame_order(&runs), serial_order(&inputs));
 
-        // The serial pick, one sample at a time, merged into runs.
-        let mut cursors = vec![0usize; inputs.len()];
+        // The serial pick merged into runs: `next_run` cuts the longest.
         let mut expected: Vec<(usize, Range<usize>)> = Vec::new();
-        loop {
-            let pick = (0..inputs.len())
-                .filter(|&j| cursors[j] < inputs[j].1.len())
-                .min_by_key(|&j| (inputs[j].1.time_of(cursors[j]), j));
-            let Some(j) = pick else { break };
+        for (j, k) in serial_order(&inputs) {
             match expected.last_mut() {
                 Some((last, run)) if *last == j => run.end += 1,
-                _ => expected.push((j, cursors[j]..cursors[j] + 1)),
+                _ => expected.push((j, k..k + 1)),
             }
-            cursors[j] += 1;
         }
-
-        let mut cursors = vec![0usize; inputs.len()];
-        let runs: Vec<_> = std::iter::from_fn(|| next_run(&inputs, &mut cursors)).collect();
+        let runs: Vec<_> = runs.into_iter().map(|(m, run)| (m.start, run)).collect();
         assert_eq!(runs, expected);
         assert!(runs.len() < 3 * 37, "runs must batch some samples");
+    }
+
+    #[test]
+    fn co_sampled_axes_form_one_group_and_one_run() {
+        let (x, y) = (zeros(50.0, 120), zeros(50.0, 120));
+        let inputs = [(SensorChannel::AccX, &x), (SensorChannel::AccY, &y)];
+        let runs = grouped_runs(&inputs);
+        assert_eq!(runs, [(0..2, 0..120)]);
+        assert_eq!(frame_order(&runs), serial_order(&inputs));
+    }
+
+    #[test]
+    fn groups_of_other_rates_keep_the_serial_order() {
+        let (x, mic) = (zeros(50.0, 60), zeros(8000.0, 9600));
+        let inputs = [(SensorChannel::AccX, &x), (SensorChannel::Mic, &mic)];
+        let runs = grouped_runs(&inputs);
+        assert!(runs.iter().all(|(members, _)| members.len() == 1));
+        assert_eq!(frame_order(&runs), serial_order(&inputs));
+        // Each accelerometer sample interrupts the microphone's run.
+        assert_eq!(runs.len(), 2 * 60);
+    }
+
+    #[test]
+    fn equal_rates_of_unequal_length_are_separate_groups() {
+        let (x, y, z) = (zeros(50.0, 40), zeros(50.0, 30), zeros(50.0, 30));
+        let inputs = [
+            (SensorChannel::AccX, &x),
+            (SensorChannel::AccY, &y),
+            (SensorChannel::AccZ, &z),
+        ];
+        let (groups, count) = input_groups(&inputs, true);
+        assert_eq!(groups[..count], [0..1, 1..3]);
+        let runs = grouped_runs(&inputs);
+        assert_eq!(frame_order(&runs), serial_order(&inputs));
     }
 
     /// 120 s at 50 Hz with bursts of 10 at [30,32) and [90,92).

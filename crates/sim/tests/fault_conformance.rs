@@ -6,8 +6,11 @@
 //! reproduce every pinned faulted result bit for bit.
 
 use sidewinder_apps::{
-    HeadbuttsApp, MusicJournalApp, PhraseDetectionApp, SirenDetectorApp, StepsApp, TransitionsApp,
+    accelerometer_apps, HeadbuttsApp, MusicJournalApp, PhraseDetectionApp, SirenDetectorApp,
+    StepsApp, TransitionsApp,
 };
+use sidewinder_hub::runtime::ChannelRates;
+use sidewinder_opt::{optimize_suite, OptOptions};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
     simulate, simulate_with_faults, Application, BatchRunner, ChannelDropout, FaultSchedule,
@@ -277,5 +280,78 @@ fn faulted_results_match_their_pinned_digests() {
     );
 }
 
+/// The fleet's default served program: the three accelerometer
+/// conditions optimized and fused, reading AccX and AccY at the same
+/// instants.
+fn default_fused_program() -> sidewinder_ir::Program {
+    let conditions: Vec<_> = accelerometer_apps()
+        .iter()
+        .map(|app| app.wake_condition())
+        .collect();
+    optimize_suite(
+        &conditions,
+        &ChannelRates::default(),
+        &OptOptions::default(),
+    )
+    .fused()
+    .expect("three conditions fuse")
+}
+
+/// Pins the fused two-axis program under a dropout of one axis only
+/// (AccY, so AccX keeps feeding the hub while its partner is dropped)
+/// and a watchdog reset well after it, so for 55 s each axis's wakes map
+/// back to trace time through its own sample count; corrupted frames
+/// draw frame fates in wake order.
+#[test]
+fn fused_program_with_a_one_axis_dropout_matches_its_pin() {
+    let program = default_fused_program();
+    assert_eq!(
+        program.channels(),
+        [SensorChannel::AccX, SensorChannel::AccY]
+    );
+    let trace = combined_trace(75, 120);
+    let schedule = FaultSchedule::seeded(0xACC7)
+        .with_frame_corruption(0.2)
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::AccY,
+            Micros::from_secs(30),
+            Micros::from_millis(45_010),
+        ))
+        .with_hub_reset_at(Micros::from_millis(100_001));
+    let app = StepsApp::new();
+    let digest = [
+        Strategy::HubWake {
+            program: program.clone(),
+            hub_mw: app.wake_condition_hub_mw(),
+            label: "Sw",
+        },
+        Strategy::HubWakeDegraded {
+            program,
+            hub_mw: app.wake_condition_hub_mw(),
+            label: "Sw+",
+            fallback_sleep: Micros::from_secs(5),
+        },
+    ]
+    .iter()
+    .fold(0xcbf2_9ce4_8422_2325, |hash, strategy| {
+        let result = simulate_with_faults(
+            &trace,
+            &app,
+            strategy,
+            &PhonePowerProfile::NEXUS4,
+            &SimConfig::default(),
+            &schedule,
+        )
+        .expect("fused cell");
+        assert!(result.fault.samples_dropped > 0 && result.fault.hub_resets == 1);
+        fnv1a(hash, format!("{result:?}").as_bytes())
+    });
+    assert_eq!(
+        digest, FUSED_DROPOUT_DIGEST,
+        "fused faulted result moved: {digest:#018x}"
+    );
+}
+
+const FUSED_DROPOUT_DIGEST: u64 = 0xf79b_29dc_1735_41cc;
 const STRESS_DIGEST: u64 = 0xc96b_897b_3c58_248a;
 const EDGE_DIGEST: u64 = 0x2e95_1030_0422_e392;

@@ -12,12 +12,13 @@
 //! Both pins hold under fault schedules too, where the counters must
 //! also tally exactly the fault activity the result reports.
 
-use sidewinder_apps::{accelerometer_apps, audio_apps};
+use sidewinder_apps::{accelerometer_apps, audio_apps, StepsApp};
+use sidewinder_obs::Event;
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
     attribute_energy, attribute_energy_with_faults, simulate, simulate_traced,
     simulate_with_faults, simulate_with_faults_traced, Application, ChannelDropout, CounterSink,
-    FaultSchedule, NullSink, PhonePowerProfile, SimConfig, Strategy,
+    EventSink, FaultSchedule, NullSink, PhonePowerProfile, SimConfig, Strategy,
 };
 use sidewinder_tracegen::{
     audio_trace, robot_group_runs, ActivityGroup, AudioEnvironment, AudioTraceConfig,
@@ -233,4 +234,88 @@ fn traced_fault_runs_match_plain_runs_and_tally_their_faults() {
             );
         }
     }
+}
+
+/// Hashes every event with the trace time it was recorded at, in
+/// emission order; node timings are left out.
+struct StreamDigest {
+    now: Micros,
+    hash: u64,
+    events: u64,
+}
+
+impl EventSink for StreamDigest {
+    fn record(&mut self, mut event: Event) {
+        if let Event::NodeExecuted { elapsed_ns, .. } = &mut event {
+            *elapsed_ns = 0;
+        }
+        for b in format!("{:?} {event:?};", self.now).bytes() {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
+        }
+        self.events += 1;
+    }
+
+    fn set_time(&mut self, t: Micros) {
+        self.now = t;
+    }
+}
+
+/// Pins the traced event stream of a program reading three co-sampled
+/// axes while the middle one is dropped: every node run, wake, dropped
+/// sample, frame attempt and reset, in order and at its trace time.
+#[test]
+fn traced_stream_with_a_dropped_middle_axis_matches_its_pin() {
+    let program = "ACC_X -> movingAvg(id=1, params={4});
+                   ACC_Y -> movingAvg(id=2, params={4});
+                   ACC_Z -> movingAvg(id=3, params={4});
+                   1 -> minThreshold(id=4, params={1.5});
+                   2 -> minThreshold(id=5, params={1.5});
+                   3 -> minThreshold(id=6, params={11});
+                   4,5,6 -> anyOf(id=7);
+                   7 -> OUT;"
+        .parse()
+        .unwrap();
+    let strategy = Strategy::HubWake {
+        program,
+        hub_mw: 3.6,
+        label: "Sw",
+    };
+    let trace = six_apps().swap_remove(0).1;
+    let schedule = FaultSchedule::seeded(0x5EC)
+        .with_frame_corruption(0.3)
+        .with_dropout(ChannelDropout::new(
+            SensorChannel::AccY,
+            Micros::from_secs(20),
+            Micros::from_millis(50_010),
+        ))
+        .with_hub_reset_at(Micros::from_millis(70_001));
+    let (profile, config) = (PhonePowerProfile::NEXUS4, SimConfig::default());
+    let app = StepsApp::new();
+    let plain =
+        simulate_with_faults(&trace, &app, &strategy, &profile, &config, &schedule).unwrap();
+    let mut stream = StreamDigest {
+        now: Micros::ZERO,
+        hash: 0xcbf2_9ce4_8422_2325,
+        events: 0,
+    };
+    let traced = simulate_with_faults_traced(
+        &trace,
+        &app,
+        &strategy,
+        &profile,
+        &config,
+        &schedule,
+        &mut stream,
+    )
+    .unwrap();
+    assert_eq!(plain, traced);
+    assert!(plain.fault.samples_dropped > 0 && plain.fault.frames_corrupted > 0);
+    assert_eq!(
+        (stream.events, stream.hash),
+        (37_325, 0xa12e_a5f1_01c3_0a6e),
+        "traced stream moved: {} events, digest {:#018x}",
+        stream.events,
+        stream.hash
+    );
 }

@@ -15,8 +15,9 @@
 //!   errors);
 //! * [`targets::fft_differential`] — the host's planned FFT path must
 //!   be bit-identical to the reference transform;
-//! * [`targets::ingest_differential`] — batched sample ingestion must
-//!   be bit-identical to pushing the same samples one at a time;
+//! * [`targets::ingest_differential`] — frames and batches must be
+//!   bit-identical to pushing the same samples one at a time through
+//!   the probed per-sample pass;
 //! * [`targets::cert_soundness`] — the static resource certificate must
 //!   agree with the loader about what fits and dominate every measured
 //!   arena high-water mark and emission count.

@@ -5,11 +5,13 @@ use crate::{fnv1a, SplitMix64};
 use sidewinder_cert::{certify_program, emission_bound, CertError, CertTarget, Precision};
 use sidewinder_dsp::complex::Complex;
 use sidewinder_dsp::fft;
-use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
+use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
 use sidewinder_hub::{compile_image, McuCore};
 use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
 use sidewinder_mcu::{ArenaKind, HighWaterProbe, McuExecError};
+use sidewinder_obs::CounterSink;
+use sidewinder_sensors::SensorChannel;
 
 /// The six golden fixtures double as structured seeds: mutated wake
 /// conditions for the totality target, program choices for the
@@ -121,42 +123,105 @@ fn sample_schedule(data: &[u8], len: usize) -> Vec<f64> {
     samples
 }
 
-/// Picks the fixture program the input's first byte selects.
+/// Programs reading more than one channel, for the frame differential:
+/// the two accelerometer axes the fleet's fused suite reads (the pass),
+/// and non-overlapping windows on two channels that wake often on the
+/// schedule's noise (the window fill).
+const MULTI_CHANNEL: [&str; 2] = [
+    "ACC_X -> movingAvg(id=1, params={3});
+     ACC_Y -> movingAvg(id=2, params={5});
+     1 -> outsideThreshold(id=3, params={-2, 2});
+     2 -> minThreshold(id=4, params={3});
+     3,4 -> anyOf(id=5);
+     5 -> OUT;",
+    "MIC -> window(id=1, params={64, 64, 0});
+     1 -> variance(id=2);
+     2 -> minThreshold(id=3, params={30});
+     ACC_Z -> window(id=4, params={32, 32, 0});
+     4 -> mean(id=5);
+     5 -> outsideThreshold(id=6, params={-1.5, 1.5});
+     3,6 -> anyOf(id=7);
+     7 -> OUT;",
+];
+
+/// Picks the program the input's first byte selects: a golden fixture
+/// or a multi-channel program.
 fn pick_program(data: &[u8]) -> Program {
-    let idx = data.first().map_or(0, |&b| b as usize % FIXTURES.len());
-    FIXTURES[idx].parse().expect("committed fixture parses")
+    let idx = data
+        .first()
+        .map_or(0, |&b| b as usize % (FIXTURES.len() + MULTI_CHANNEL.len()));
+    FIXTURES
+        .iter()
+        .chain(&MULTI_CHANNEL)
+        .nth(idx)
+        .expect("index in range")
+        .parse()
+        .expect("committed program parses")
 }
 
-/// Differential ingestion: one batched `push_samples` call must be
-/// bit-identical — same wakes, same order, same result bits — to
-/// pushing the same samples one at a time, on every channel the
-/// program reads.
+/// Differential ingestion: every channel is pushed as frames of a
+/// data-chosen length, and — for a program that reads one channel — its
+/// samples as one `push_samples` batch. Both must be bit-identical —
+/// same wakes, same order, same member, same result bits — to the
+/// reference: a runtime with live counters, which runs every sample
+/// through the per-sample pass, fed one `push_sample` at a time in frame
+/// order. The fast paths (window fill, the unobserved pass) are thereby
+/// checked against the probed one.
 pub fn ingest_differential(data: &[u8]) {
     let program = pick_program(data);
-    let samples = sample_schedule(data, SAMPLE_BUDGET);
     let rates = ChannelRates::default();
-    let mut batched = HubRuntime::load(&program, &rates).expect("fixture loads");
-    let mut serial = HubRuntime::load(&program, &rates).expect("fixture loads");
-    for channel in program.channels() {
-        let batch_wakes: Vec<_> = batched
-            .push_samples(channel, &samples)
-            .expect("fixture executes")
-            .to_vec();
-        let mut serial_wakes = Vec::with_capacity(batch_wakes.len());
-        for &x in &samples {
-            serial_wakes.extend(serial.push_sample(channel, x).expect("fixture executes"));
+    let channels = SensorChannel::ALL;
+    let schedule = sample_schedule(data, SAMPLE_BUDGET * channels.len());
+    let columns: Vec<&[f64]> = schedule.chunks(SAMPLE_BUDGET).collect();
+
+    let counters = CounterSink::with_nodes(program.nodes().count());
+    let mut reference =
+        HubRuntime::load_with_sink(&program, &rates, counters).expect("program loads");
+    let mut expected = Vec::new();
+    for k in 0..SAMPLE_BUDGET {
+        for (m, (&channel, column)) in channels.iter().zip(&columns).enumerate() {
+            let wakes = reference
+                .push_sample(channel, column[k])
+                .expect("program executes");
+            expected.extend(wakes.into_iter().map(|w| (m, w)));
         }
-        assert_eq!(
-            batch_wakes.len(),
-            serial_wakes.len(),
-            "wake count diverged on {channel:?}"
+    }
+
+    let frame = 1 + data.get(1).map_or(0, |&b| b as usize) * 17;
+    let mut framed = HubRuntime::load(&program, &rates).expect("program loads");
+    let mut got = Vec::with_capacity(expected.len());
+    for start in (0..SAMPLE_BUDGET).step_by(frame) {
+        let end = (start + frame).min(SAMPLE_BUDGET);
+        let rows: Vec<&[f64]> = columns.iter().map(|c| &c[start..end]).collect();
+        framed
+            .push_frames(&channels, &rows, |m, w| got.push((m, w)))
+            .expect("program executes");
+    }
+    assert_same_wakes(&expected, &got, &format!("frames of {frame}"));
+
+    if let [channel] = program.channels()[..] {
+        let m = channels
+            .iter()
+            .position(|&c| c == channel)
+            .expect("a channel");
+        let mut batched = HubRuntime::load(&program, &rates).expect("program loads");
+        let got: Vec<_> = batched
+            .push_samples(channel, columns[m])
+            .expect("program executes")
+            .iter()
+            .map(|&w| (m, w))
+            .collect();
+        assert_same_wakes(&expected, &got, "one batch");
+    }
+}
+
+fn assert_same_wakes(expected: &[(usize, WakeEvent)], got: &[(usize, WakeEvent)], what: &str) {
+    assert_eq!(expected.len(), got.len(), "{what}: wake count diverged");
+    for (k, ((em, e), (gm, g))) in expected.iter().zip(got).enumerate() {
+        assert!(
+            em == gm && e.seq == g.seq && e.value.to_bits() == g.value.to_bits(),
+            "{what}: wake #{k} diverged: {e:?} on member {em} vs {g:?} on member {gm}"
         );
-        for (k, (b, s)) in batch_wakes.iter().zip(serial_wakes.iter()).enumerate() {
-            assert!(
-                b.seq == s.seq && b.value.to_bits() == s.value.to_bits(),
-                "wake #{k} diverged on {channel:?}: {b:?} vs {s:?}"
-            );
-        }
     }
 }
 
