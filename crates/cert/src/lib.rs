@@ -11,9 +11,9 @@
 //!   [`McuCore::load`](sidewinder_mcu::McuCore) applies — with per-arena
 //!   attribution of the heaviest node;
 //! * **cycle bounds** — worst-case flops and cycles per second per
-//!   node, copied from [`PipelineCost`]'s one cost walk over the
-//!   program, so the certifier and the SW006/SW007 lints read the same
-//!   numbers;
+//!   node, copied from the [`PipelineCost`] rows that price the
+//!   program's one dataflow-fact table ([`sidewinder_ir::flow`]), so
+//!   the certifier and the SW006/SW007 lints read the same numbers;
 //! * **schedulability** — [`Mcu::supports_cost`] on that cost, against
 //!   the target MCU or the catalog's first-fit part;
 //! * **an energy ceiling** — certified flop rate priced at
@@ -256,9 +256,9 @@ pub fn dense_rates(rates: &ChannelRates) -> [f64; MAX_CHANNELS] {
 }
 
 /// Compiles and certifies a program: arena occupancy from the image's
-/// layout, demand from [`PipelineCost::analyze`], node names, IR ids and
-/// source lines from the program's abstract interpretation, and the
-/// tighter of the two walks' wake-rate bounds.
+/// layout, and every node's rates, lengths and demand — the wake-rate
+/// bound included — from the one table [`PipelineCost::analyze`] prices
+/// the program's dataflow facts into.
 ///
 /// # Errors
 ///
@@ -277,37 +277,28 @@ pub fn certify_program(
     let cost = PipelineCost::analyze(program, rates);
 
     // The image preserves statement order, so the i-th image node is the
-    // i-th cost row; the abstract interpreter walks the same order.
-    let analysis = sidewinder_lint::absint::analyze(program, rates);
+    // i-th cost row.
     let nodes: Vec<NodeCert> = cost
         .nodes()
         .iter()
-        .zip(analysis.facts())
         .enumerate()
-        .map(|(i, (c, fact))| NodeCert {
+        .map(|(i, c)| NodeCert {
             index: i as u16,
-            kind: fact.kind.ir_name(),
-            ir_id: Some(c.id.0),
-            line: fact.line,
-            input_rate_hz: c.input_rate_hz,
-            out_rate_hz: c.out_rate_hz,
-            out_len: c.out_len,
-            base_rate_hz: c.base_rate_hz,
-            channels_mask: c.channels_mask,
+            kind: c.flow.kind.ir_name(),
+            ir_id: Some(c.flow.id.0),
+            line: program.line_of(c.flow.id),
+            input_rate_hz: c.flow.input_rate_hz,
+            out_rate_hz: c.flow.out_rate_hz,
+            out_len: c.flow.out_len,
+            base_rate_hz: c.flow.base_rate_hz,
+            channels_mask: c.flow.channels_mask,
             flops_per_input: c.flops_per_input,
             flops_per_second: c.flops_per_second(),
             memory_bytes: c.memory_bytes,
         })
         .collect();
     let total_flops_per_second = cost.total_flops_per_second();
-    // Both the cost walk's out-rate and the absint emission fact are
-    // sound wake-rate bounds; take the tighter.
-    let mut wake_rate_hz = nodes[image.out_index()].out_rate_hz;
-    if let Some(fact) = analysis.out_fact() {
-        if fact.rate_hz.is_finite() && fact.rate_hz < wake_rate_hz {
-            wake_rate_hz = fact.rate_hz;
-        }
-    }
+    let wake_rate_hz = nodes[image.out_index()].out_rate_hz;
 
     let (mcu, fit) = match target.mcu {
         Some(mcu) => (mcu, mcu.supports_cost(&cost)),
@@ -496,10 +487,10 @@ mod tests {
             );
             assert_eq!(cert.total_memory_bytes, cost.total_memory_bytes());
             for (nc, cc) in cert.nodes.iter().zip(cost.nodes()) {
-                assert_eq!(nc.input_rate_hz.to_bits(), cc.input_rate_hz.to_bits());
+                assert_eq!(nc.input_rate_hz.to_bits(), cc.flow.input_rate_hz.to_bits());
                 assert_eq!(nc.flops_per_input.to_bits(), cc.flops_per_input.to_bits());
                 assert_eq!(nc.memory_bytes, cc.memory_bytes);
-                assert_eq!(nc.ir_id, Some(cc.id.0));
+                assert_eq!(nc.ir_id, Some(cc.flow.id.0));
             }
         }
     }

@@ -4,16 +4,16 @@
 //! [`McuImage`] instead of walking the IR: parsing, validation, and this
 //! compilation step stay on the host (the paper's phone-side runtime),
 //! and only the fixed-capacity image crosses the serial link to the hub
-//! (DESIGN.md §6j). [`compile_image`] resolves each node's rate (from
-//! its first source) and its dense define-before-use index. The
+//! (DESIGN.md §6j). [`compile_image`] gives each node its base rate from
+//! the program's dataflow facts ([`sidewinder_ir::flow`]) and resolves
+//! its dense define-before-use index. The
 //! [`HubRuntime`](crate::HubRuntime) runs the same image on a heap-backed
 //! core, so the host and an [`McuCore`](sidewinder_mcu::McuCore) are one
 //! interpreter.
 
 use crate::runtime::{ChannelRates, HubError, LoadError};
-use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, StatFn, WindowShapeParam};
+use sidewinder_ir::{flow, AlgorithmKind, Program, Source, StatFn, WindowShapeParam};
 use sidewinder_mcu::{ImageBuilder, McuImage, NodeKind, PortSource, StatKind, WindowShape};
-use std::collections::BTreeMap;
 
 /// Compiles a program into the fixed-capacity image the MCU core
 /// executes.
@@ -37,49 +37,40 @@ pub(crate) fn compile_validated(
     program: &Program,
     rates: &ChannelRates,
 ) -> Result<McuImage, HubError> {
-    let mut node_rates: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut index_of: BTreeMap<NodeId, u16> = BTreeMap::new();
+    let flow = flow::analyze(program, rates);
+    let mut dense: Vec<PortSource> = Vec::new();
     let mut builder = ImageBuilder::new();
-    for (sources, id, kind) in program.nodes() {
-        let Some(first) = sources.first() else {
+    for (at, ((sources, id, kind), facts)) in program.nodes().zip(flow.rows()).enumerate() {
+        if sources.is_empty() {
             return Err(HubError::Invalid(sidewinder_ir::ValidateError::BadArity {
                 id,
                 algorithm: kind.ir_name(),
                 got: 0,
             }));
-        };
-        // Rate propagation: a node inherits the rate of its first source
-        // (joins merge branches of equal rate in practice).
-        let rate = match first {
-            Source::Channel(c) => rates.rate_of(*c),
-            Source::Node(src) => *node_rates.get(src).ok_or(LoadError::UnknownSource {
-                at: id,
-                source: *src,
-            })?,
-        };
-        node_rates.insert(id, rate);
-        let dense: Vec<PortSource> = sources
-            .iter()
-            .map(|s| match s {
-                Source::Channel(c) => Ok(PortSource::Channel(c.index() as u8)),
-                Source::Node(src) => index_of.get(src).map(|&i| PortSource::Node(i)).ok_or(
-                    LoadError::UnknownSource {
+        }
+        // Node `at` lands at dense index `at`: every earlier push succeeded.
+        dense.clear();
+        for s in sources {
+            dense.push(match s {
+                Source::Channel(c) => PortSource::Channel(c.index() as u8),
+                Source::Node(src) => {
+                    let row = flow.resolve(*src, at).ok_or(LoadError::UnknownSource {
                         at: id,
                         source: *src,
-                    },
-                ),
-            })
-            .collect::<Result<_, _>>()?;
-        let index = builder.push_node(node_kind(kind), &dense, rate)?;
-        index_of.insert(id, index);
+                    })?;
+                    PortSource::Node(row as u16)
+                }
+            });
+        }
+        builder.push_node(node_kind(kind), &dense, facts.base_rate_hz)?;
     }
     let out_id = program
         .out_source()
         .ok_or(HubError::Invalid(sidewinder_ir::ValidateError::MissingOut))?;
-    let out_index = *index_of
-        .get(&out_id)
+    let out_index = flow
+        .resolve(out_id, usize::MAX)
         .ok_or(LoadError::UnknownOut { source: out_id })?;
-    Ok(builder.finish(out_index)?)
+    Ok(builder.finish(out_index as u16)?)
 }
 
 /// IR algorithm → image node kind. The two enums are deliberately
@@ -145,6 +136,7 @@ fn stat_kind(f: StatFn) -> StatKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidewinder_ir::NodeId;
     use sidewinder_mcu::McuCore;
     use sidewinder_sensors::SensorChannel;
 
@@ -216,7 +208,7 @@ mod tests {
 
     #[test]
     fn unvalidated_forward_rate_reference_is_a_typed_error() {
-        // Node 1's rate comes from node 2, which is defined later.
+        // Node 1 reads node 2, which is defined later.
         let mut program = Program::new();
         program.push_node(
             vec![Source::Node(NodeId(2))],
@@ -242,8 +234,7 @@ mod tests {
 
     #[test]
     fn unvalidated_undefined_port_source_is_a_typed_error() {
-        // A join whose second port (not the rate-defining first) is
-        // undefined exercises the dense-source lookup.
+        // A join whose second port is undefined.
         let mut program = Program::new();
         program.push_node(
             vec![Source::Channel(SensorChannel::AccX)],

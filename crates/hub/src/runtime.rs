@@ -24,53 +24,10 @@ use sidewinder_mcu::image::MAX_CHANNELS;
 use sidewinder_mcu::{ExecProbe, HostCore, McuExecError};
 use sidewinder_obs::{Event, EventSink, NullSink};
 use sidewinder_sensors::SensorChannel;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
+pub use sidewinder_ir::flow::ChannelRates;
 pub use sidewinder_mcu::WakeEvent;
-
-/// Per-channel sample rates used to configure frequency-aware stages.
-///
-/// `Default` yields each channel's [`SensorChannel::default_rate_hz`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelRates {
-    rates: BTreeMap<SensorChannel, f64>,
-}
-
-impl Default for ChannelRates {
-    fn default() -> Self {
-        ChannelRates {
-            rates: SensorChannel::ALL
-                .into_iter()
-                .map(|c| (c, c.default_rate_hz()))
-                .collect(),
-        }
-    }
-}
-
-impl ChannelRates {
-    /// Overrides one channel's rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_hz` is not positive and finite.
-    pub fn with_rate(mut self, channel: SensorChannel, rate_hz: f64) -> Self {
-        assert!(
-            rate_hz.is_finite() && rate_hz > 0.0,
-            "sample rate must be positive, got {rate_hz}"
-        );
-        self.rates.insert(channel, rate_hz);
-        self
-    }
-
-    /// The rate configured for `channel`.
-    pub fn rate_of(&self, channel: SensorChannel) -> f64 {
-        self.rates
-            .get(&channel)
-            .copied()
-            .unwrap_or_else(|| channel.default_rate_hz())
-    }
-}
 
 /// Errors raised while loading or running a program on the hub.
 #[derive(Debug, Clone, PartialEq)]

@@ -23,7 +23,10 @@
 //!   `parse ∘ print` is the identity;
 //! * [`validate`] — structural checks a hub performs before admitting a
 //!   program (unique ids, define-before-use, arity, value types, parameter
-//!   ranges, single `OUT`, no dead nodes).
+//!   ranges, single `OUT`, no dead nodes);
+//! * [`flow`] — the one forward walk that derives every node's rates,
+//!   vector length, period and base rate, which the cost model, the
+//!   analyzer, the certifier and the image compiler all read.
 //!
 //! # Example
 //!
@@ -43,11 +46,13 @@
 
 pub mod ast;
 pub mod diagram;
+pub mod flow;
 pub mod parse;
 pub mod rewrite;
 pub mod validate;
 
 pub use ast::{AlgorithmKind, NodeId, Program, Source, StatFn, Stmt, ValueType, WindowShapeParam};
+pub use flow::{ChannelRates, Flow, InputRates, NodeFlow};
 pub use parse::ParseError;
 pub use rewrite::{canonicalize_ids, live_from_out, Rewrite, StructuralKey};
 pub use validate::{validate_located, LocatedValidateError, ValidateError};

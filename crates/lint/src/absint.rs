@@ -1,14 +1,15 @@
 //! Abstract interpretation of IR dataflow graphs.
 //!
-//! One forward pass propagates four abstract properties through the
-//! (acyclic, define-before-use) program:
+//! The analyzer sits on the program's dataflow facts
+//! ([`sidewinder_ir::flow`]): every node's emission rate, period in
+//! source ticks, vector length and base rate come from that one walk,
+//! and are embedded in each node's [`NodeFacts`] as its
+//! [`flow`](NodeFacts::flow) row. On top of them one forward pass
+//! propagates what is the analyzer's own:
 //!
 //! * a **value interval** per emitted element, seeded from the physical
 //!   sensor bounds (±2 g accelerometer, ±1 normalized audio);
-//! * an **emission rate** in Hz and the expected **period in source
-//!   sample ticks** between emissions (what `sustained` compares its
-//!   `max_gap` against);
-//! * the **vector length** flowing along each edge;
+//! * whether a value may be **non-finite**;
 //! * **feasibility** flags: can the node ever emit, and does it emit for
 //!   every upstream arrival (the two ends of the admission-control
 //!   spectrum — a dead wake condition versus a wake storm).
@@ -21,6 +22,7 @@
 
 use crate::interval::Interval;
 use sidewinder_hub::runtime::ChannelRates;
+use sidewinder_ir::flow::{self, NodeFlow};
 use sidewinder_ir::{AlgorithmKind, NodeId, Program, Source, StatFn};
 use sidewinder_sensors::SensorChannel;
 use std::collections::BTreeMap;
@@ -42,33 +44,20 @@ pub fn channel_interval(channel: SensorChannel) -> Interval {
 /// Everything the analyzer derived about one node.
 #[derive(Debug, Clone)]
 pub struct NodeFacts {
-    /// The node.
-    pub id: NodeId,
+    /// The node's dataflow facts: id, algorithm, rates, lengths, period
+    /// and base rate.
+    pub flow: NodeFlow,
     /// Source line of its declaration, when parsed from text.
     pub line: Option<u32>,
-    /// The algorithm running at this node.
-    pub kind: AlgorithmKind,
     /// Per-element interval of emitted values ([`Interval::EMPTY`] when
     /// the node provably never emits).
     pub value: Interval,
     /// Hull of the incoming element intervals.
     pub input_value: Interval,
-    /// Emission rate of each input edge, in Hz.
-    pub input_rates: Vec<f64>,
     /// Whether an emitted value could be NaN or ±∞.
     pub may_non_finite: bool,
     /// Whether any incoming value could be NaN or ±∞.
     pub input_may_non_finite: bool,
-    /// Emissions per second (upper bound).
-    pub rate_hz: f64,
-    /// Elements per emission (1 for scalars).
-    pub len: usize,
-    /// Expected source-sample ticks between emissions — the unit
-    /// `sustained` compares its `max_gap` parameter against.
-    pub period_ticks: f64,
-    /// Sample rate of the driving sensor channel (Nyquist context for
-    /// `dominantFreq`).
-    pub base_rate_hz: f64,
     /// Whether the node can ever emit.
     pub feasible: bool,
     /// Whether the node emits for *every* upstream arrival.
@@ -117,15 +106,11 @@ impl Analysis {
     }
 }
 
-/// An upstream edge resolved to its abstract properties.
-#[derive(Debug, Clone)]
+/// An upstream edge resolved to its abstract value properties.
+#[derive(Debug, Clone, Copy)]
 struct Up {
     value: Interval,
     may_non_finite: bool,
-    rate_hz: f64,
-    len: usize,
-    period_ticks: f64,
-    base_rate_hz: f64,
     feasible: bool,
     always: bool,
 }
@@ -138,10 +123,6 @@ impl Up {
         Up {
             value: Interval::UNBOUNDED,
             may_non_finite: true,
-            rate_hz: 0.0,
-            len: 1,
-            period_ticks: f64::INFINITY,
-            base_rate_hz: 0.0,
             feasible: true,
             always: false,
         }
@@ -154,36 +135,26 @@ pub fn analyze(program: &Program, rates: &ChannelRates) -> Analysis {
     let mut facts: BTreeMap<NodeId, NodeFacts> = BTreeMap::new();
     let mut order = Vec::new();
 
-    for (sources, id, kind) in program.nodes() {
+    let rows = flow::analyze(program, rates).into_rows();
+    for ((sources, id, _), flow) in program.nodes().zip(rows) {
         let ups: Vec<Up> = sources
             .iter()
             .map(|s| match s {
-                Source::Channel(c) => {
-                    let rate = rates.rate_of(*c);
-                    Up {
-                        value: channel_interval(*c),
-                        may_non_finite: false,
-                        rate_hz: rate,
-                        len: 1,
-                        period_ticks: 1.0,
-                        base_rate_hz: rate,
-                        feasible: true,
-                        always: true,
-                    }
-                }
+                Source::Channel(c) => Up {
+                    value: channel_interval(*c),
+                    may_non_finite: false,
+                    feasible: true,
+                    always: true,
+                },
                 Source::Node(n) => facts.get(n).map_or_else(Up::unknown, |f| Up {
                     value: f.value,
                     may_non_finite: f.may_non_finite,
-                    rate_hz: f.rate_hz,
-                    len: f.len,
-                    period_ticks: f.period_ticks,
-                    base_rate_hz: f.base_rate_hz,
                     feasible: f.feasible,
                     always: f.always_emits,
                 }),
             })
             .collect();
-        let fact = transfer(id, program.line_of(id), kind, &ups);
+        let fact = transfer(program.line_of(id), flow, &ups);
         if !facts.contains_key(&id) {
             order.push(id);
         }
@@ -199,73 +170,58 @@ pub fn analyze(program: &Program, rates: &ChannelRates) -> Analysis {
 }
 
 /// Applies one node's transfer function to its resolved inputs.
-fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> NodeFacts {
+fn transfer(line: Option<u32>, flow: NodeFlow, ups: &[Up]) -> NodeFacts {
     // Aggregate input properties; a node with no inputs (malformed)
     // degrades to the conservative unknown edge.
-    let ups_or_unknown: Vec<Up> = if ups.is_empty() {
-        vec![Up::unknown()]
-    } else {
-        ups.to_vec()
-    };
-    let ups = &ups_or_unknown[..];
+    let unknown = [Up::unknown()];
+    let ups = if ups.is_empty() { &unknown[..] } else { ups };
     let primary = &ups[0];
     let input_value = ups
         .iter()
         .fold(Interval::EMPTY, |acc, u| acc.hull(&u.value));
-    let input_rates: Vec<f64> = ups.iter().map(|u| u.rate_hz).collect();
     let input_may_non_finite = ups.iter().any(|u| u.may_non_finite);
     let inputs_feasible = ups.iter().all(|u| u.feasible);
-    let base_rate_hz = ups.iter().fold(0.0f64, |m, u| m.max(u.base_rate_hz));
+    let base_rate_hz = flow.base_rate_hz;
 
-    let n = primary.len as f64;
+    let len = flow.input_len;
+    let n = len as f64;
     let m = primary.value.abs_bound();
     let v = primary.value;
 
     // Defaults: scalar pass-through of the primary edge.
     let mut value = v;
     let mut may_non_finite = input_may_non_finite;
-    let mut rate_hz = primary.rate_hz;
-    let mut len = 1usize;
-    let mut period_ticks = primary.period_ticks;
     let mut feasible = inputs_feasible;
     let mut always_emits = ups.iter().all(|u| u.always);
     let mut passes_all = false;
     let mut passes_none = false;
 
-    match *kind {
-        AlgorithmKind::Window { size, hop, shape } => {
+    match flow.kind {
+        AlgorithmKind::Window { shape, .. } => {
             value = match shape {
                 sidewinder_ir::WindowShapeParam::Rectangular => v,
                 _ => v.tapered(),
             };
-            let hop = hop.max(1) as f64;
-            rate_hz = primary.rate_hz / hop;
-            period_ticks = primary.period_ticks * hop;
-            len = size as usize;
         }
         AlgorithmKind::Fft => {
             // An N-point transform's bins are bounded by Σ|x| ≤ N·max|x|.
             value = Interval::symmetric(n.max(1.0) * m);
             may_non_finite |= !v.is_bounded();
-            len = primary.len;
         }
         AlgorithmKind::Ifft => {
             // Normalized inverse: |y| ≤ (1/N)·Σ|X| ≤ max|X|.
             value = Interval::symmetric(m);
             may_non_finite |= !v.is_bounded();
-            len = primary.len;
         }
         AlgorithmKind::SpectralMagnitude => {
             // |re + j·im| ≤ √2·max(|re|, |im|).
             value = Interval::new(0.0, std::f64::consts::SQRT_2 * m);
-            len = primary.len / 2 + 1;
         }
         AlgorithmKind::LowPass { .. } | AlgorithmKind::HighPass { .. } => {
             // fft → mask → ifft; ringing can overshoot the input range
             // but stays within the spectral bound.
             value = Interval::symmetric(n.max(1.0) * m);
             may_non_finite |= !v.is_bounded();
-            len = primary.len;
         }
         AlgorithmKind::MovingAvg { .. } | AlgorithmKind::ExpMovingAvg { .. } => {
             // Convex combinations of history stay inside the input hull.
@@ -274,8 +230,6 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
         AlgorithmKind::VectorMagnitude => {
             let sq: f64 = ups.iter().map(|u| u.value.abs_bound().powi(2)).sum();
             value = Interval::new(0.0, sq.sqrt());
-            rate_hz = min_rate(&input_rates);
-            period_ticks = ups.iter().fold(0.0f64, |p, u| p.max(u.period_ticks));
         }
         AlgorithmKind::Zcr => value = Interval::new(0.0, 1.0),
         AlgorithmKind::ZcrVariance { .. } => {
@@ -303,7 +257,7 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
             // close to zero while the peak stays large, so the ratio is
             // unbounded above.
             value = if v.lo >= 0.0 {
-                Interval::new(1.0, (primary.len.saturating_sub(1)).max(1) as f64)
+                Interval::new(1.0, (len.saturating_sub(1)).max(1) as f64)
             } else {
                 Interval::new(1.0, f64::INFINITY)
             };
@@ -319,8 +273,8 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
             may_non_finite |= !v.is_bounded();
             // With a known bin grid, an empty probe set (no bin center
             // inside the band) means the node can never emit.
-            if base_rate_hz > 0.0 && primary.len > 0 {
-                let bins = primary.len;
+            if base_rate_hz > 0.0 && len > 0 {
+                let bins = len;
                 let bin_hz = base_rate_hz / bins as f64;
                 let any_in_band = (0..=bins / 2).any(|k| {
                     let f = k as f64 * bin_hz;
@@ -342,8 +296,8 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
             };
             let hi = hi_hz.min(nyquist);
             value = Interval::new(lo_hz.min(hi), hi);
-            if base_rate_hz > 0.0 && primary.len > 0 {
-                let bins = primary.len;
+            if base_rate_hz > 0.0 && len > 0 {
+                let bins = len;
                 let bin_hz = base_rate_hz / bins as f64;
                 // DC is never probed — the chains this node strength-
                 // reduces search `mags[1..]`.
@@ -361,9 +315,9 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
             // `peak · bins / sum` lies in [1, bins] with bins = len/2 —
             // Goertzel magnitudes are nonnegative by construction, so
             // unlike `dominantRatio` no signed-input caveat applies.
-            value = Interval::new(1.0, (primary.len / 2).max(1) as f64);
-            if base_rate_hz > 0.0 && primary.len > 0 {
-                let bins = primary.len;
+            value = Interval::new(1.0, (len / 2).max(1) as f64);
+            if base_rate_hz > 0.0 && len > 0 {
+                let bins = len;
                 let bin_hz = base_rate_hz / bins as f64;
                 let any_in_band = (1..=bins / 2).any(|k| {
                     let f = k as f64 * bin_hz;
@@ -412,20 +366,17 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
         AlgorithmKind::Sustained { count, max_gap } => {
             // Arrivals are "consecutive" when their sequence tags are at
             // most max_gap ticks apart; an input cadence wider than the
-            // gap can never chain count ≥ 2 arrivals.
-            passes_none = count >= 2 && (max_gap as f64) < primary.period_ticks;
+            // gap can never chain count ≥ 2 arrivals. The node keeps its
+            // input's cadence, so its own period is the input's.
+            passes_none = count >= 2 && (max_gap as f64) < flow.period_ticks;
             passes_all = !passes_none;
         }
         AlgorithmKind::AllOf => {
             // Forwards the last input's value once every branch delivered.
             value = ups.last().map_or(Interval::EMPTY, |u| u.value);
-            rate_hz = min_rate(&input_rates);
-            period_ticks = ups.iter().fold(0.0f64, |p, u| p.max(u.period_ticks));
         }
         AlgorithmKind::AnyOf => {
             value = input_value;
-            rate_hz = input_rates.iter().sum();
-            period_ticks = ups.iter().fold(f64::INFINITY, |p, u| p.min(u.period_ticks));
             feasible = ups.iter().any(|u| u.feasible);
             always_emits = ups.iter().any(|u| u.always);
         }
@@ -434,7 +385,7 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
     if passes_none {
         feasible = false;
     }
-    if is_gate(kind) {
+    if is_gate(&flow.kind) {
         always_emits = always_emits && passes_all;
     }
     if !feasible {
@@ -442,18 +393,12 @@ fn transfer(id: NodeId, line: Option<u32>, kind: &AlgorithmKind, ups: &[Up]) -> 
     }
 
     NodeFacts {
-        id,
+        flow,
         line,
-        kind: *kind,
         value,
         input_value,
-        input_rates,
         may_non_finite,
         input_may_non_finite,
-        rate_hz,
-        len,
-        period_ticks,
-        base_rate_hz,
         feasible,
         always_emits,
         passes_all,
@@ -487,15 +432,6 @@ pub fn is_gate(kind: &AlgorithmKind) -> bool {
     )
 }
 
-fn min_rate(rates: &[f64]) -> f64 {
-    let r = rates.iter().copied().fold(f64::INFINITY, f64::min);
-    if r.is_finite() {
-        r
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,12 +462,12 @@ mod tests {
              3 -> OUT;",
         );
         let w = a.fact(NodeId(1)).unwrap();
-        assert_eq!(w.len, 512);
-        assert!((w.rate_hz - 8000.0 / 512.0).abs() < 1e-9);
-        assert_eq!(w.period_ticks, 512.0);
+        assert_eq!(w.flow.out_len, 512);
+        assert!((w.flow.out_rate_hz - 8000.0 / 512.0).abs() < 1e-9);
+        assert_eq!(w.flow.period_ticks, 512.0);
         let rms = a.fact(NodeId(2)).unwrap();
         assert_eq!(rms.value, Interval::new(0.0, 1.0));
-        assert_eq!(rms.len, 1);
+        assert_eq!(rms.flow.out_len, 1);
     }
 
     #[test]
@@ -609,8 +545,8 @@ mod tests {
              5 -> OUT;",
         );
         let vm = a.fact(NodeId(4)).unwrap();
-        assert_eq!(vm.input_rates, vec![50.0, 50.0, 50.0]);
-        assert!((vm.rate_hz - 50.0).abs() < 1e-9);
+        assert_eq!(*vm.flow.input_rates, [50.0, 50.0, 50.0]);
+        assert!((vm.flow.out_rate_hz - 50.0).abs() < 1e-9);
         // √(3·(2g)²) ≈ 33.97 — the 15 m/s² wake threshold is reachable.
         let bound = (3.0f64 * (2.0 * G).powi(2)).sqrt();
         assert!((vm.value.hi - bound).abs() < 1e-9);

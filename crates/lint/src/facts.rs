@@ -78,7 +78,7 @@ impl Redundancy {
             }
             Redundancy::FilterlessGate => format!(
                 "`{}` passes every value in {}; it filters nothing",
-                facts.kind.ir_name(),
+                facts.flow.kind.ir_name(),
                 facts.input_value
             ),
         }
@@ -88,7 +88,7 @@ impl Redundancy {
 /// The SW003 predicate: whether `facts` describes a node that provably
 /// does nothing, and why.
 pub fn redundancy(facts: &NodeFacts) -> Option<Redundancy> {
-    match facts.kind {
+    match facts.flow.kind {
         AlgorithmKind::MovingAvg { window } if window <= 1 => {
             Some(Redundancy::IdentityMovingAvg { window })
         }

@@ -44,7 +44,7 @@ fn dead_wake(analysis: &Analysis, report: &mut LintReport) {
     // `passes_none` gate in order is where feasibility was lost.
     let origin = analysis.facts().find(|f| f.passes_none);
     let (node, line, detail) = match origin {
-        Some(f) => (Some(f.id), f.line, dead_gate_detail(f)),
+        Some(f) => (Some(f.flow.id), f.line, dead_gate_detail(f)),
         None => (
             analysis.out_source(),
             analysis.out_line(),
@@ -62,7 +62,7 @@ fn dead_wake(analysis: &Analysis, report: &mut LintReport) {
 /// Explains *why* a gate rejects everything, with the concrete interval.
 fn dead_gate_detail(f: &NodeFacts) -> String {
     let input = f.input_value;
-    match f.kind {
+    match f.flow.kind {
         AlgorithmKind::MinThreshold { threshold } => {
             format!("no value in {input} can reach the >= {threshold} threshold")
         }
@@ -78,9 +78,9 @@ fn dead_gate_detail(f: &NodeFacts) -> String {
         AlgorithmKind::Sustained { count, max_gap } => format!(
             "`sustained` needs {count} arrivals at most {max_gap} ticks apart, \
              but inputs arrive every {:.0} ticks",
-            f.period_ticks
+            f.flow.period_ticks
         ),
-        _ => format!("`{}` provably never emits", f.kind.ir_name()),
+        _ => format!("`{}` provably never emits", f.flow.kind.ir_name()),
     }
 }
 
@@ -89,7 +89,7 @@ fn wake_storm(analysis: &Analysis, report: &mut LintReport) {
     let Some(out) = analysis.out_fact() else {
         return;
     };
-    if out.feasible && out.always_emits && out.rate_hz > 0.0 {
+    if out.feasible && out.always_emits && out.flow.out_rate_hz > 0.0 {
         report.diagnostics.push(Diagnostic::new(
             LintCode::WakeStorm,
             analysis.out_source(),
@@ -97,7 +97,7 @@ fn wake_storm(analysis: &Analysis, report: &mut LintReport) {
             format!(
                 "wake condition fires for every upstream arrival \
                  (~{:.1} wakes/s); no gate on the path to OUT filters anything",
-                out.rate_hz
+                out.flow.out_rate_hz
             ),
         ));
     }
@@ -113,7 +113,7 @@ fn redundant_nodes(analysis: &Analysis, report: &mut LintReport) {
         };
         report.diagnostics.push(Diagnostic::new(
             LintCode::RedundantNode,
-            Some(f.id),
+            Some(f.flow.id),
             f.line,
             format!("redundant node: {}", r.detail(f)),
         ));
@@ -131,7 +131,7 @@ fn redundant_nodes(analysis: &Analysis, report: &mut LintReport) {
 fn numeric_hazards(analysis: &Analysis, report: &mut LintReport) {
     for f in analysis.facts() {
         let fft_family = matches!(
-            f.kind,
+            f.flow.kind,
             AlgorithmKind::Fft
                 | AlgorithmKind::Ifft
                 | AlgorithmKind::LowPass { .. }
@@ -140,13 +140,13 @@ fn numeric_hazards(analysis: &Analysis, report: &mut LintReport) {
         if fft_family && (f.input_may_non_finite || !f.input_value.is_bounded()) {
             report.diagnostics.push(Diagnostic::new(
                 LintCode::NumericHazard,
-                Some(f.id),
+                Some(f.flow.id),
                 f.line,
                 format!(
                     "`{}` consumes values that are not provably finite \
                      (input interval {}); NaN/Inf would propagate through \
                      every bin of the transform",
-                    f.kind.ir_name(),
+                    f.flow.kind.ir_name(),
                     f.input_value
                 ),
             ));
@@ -158,12 +158,13 @@ fn numeric_hazards(analysis: &Analysis, report: &mut LintReport) {
 fn rate_mismatches(analysis: &Analysis, report: &mut LintReport) {
     for f in analysis.facts() {
         if !matches!(
-            f.kind,
+            f.flow.kind,
             AlgorithmKind::VectorMagnitude | AlgorithmKind::AllOf
         ) {
             continue;
         }
-        let rates: Vec<f64> = f.input_rates.iter().copied().filter(|r| *r > 0.0).collect();
+        let input_rates = &f.flow.input_rates;
+        let rates: Vec<f64> = input_rates.iter().copied().filter(|r| *r > 0.0).collect();
         if rates.len() < 2 {
             continue;
         }
@@ -174,15 +175,15 @@ fn rate_mismatches(analysis: &Analysis, report: &mut LintReport) {
         // window pair joins on every 4th fast emission); anything else
         // drifts and the join fires rarely or never.
         if (ratio - ratio.round()).abs() > 1e-9 {
-            let listed: Vec<String> = f.input_rates.iter().map(|r| format!("{r:.3}")).collect();
+            let listed: Vec<String> = input_rates.iter().map(|r| format!("{r:.3}")).collect();
             report.diagnostics.push(Diagnostic::new(
                 LintCode::RateMismatch,
-                Some(f.id),
+                Some(f.flow.id),
                 f.line,
                 format!(
                     "`{}` joins inputs emitting at [{}] Hz; the {ratio:.3}:1 \
                      ratio is not an integer, so sequence tags rarely align",
-                    f.kind.ir_name(),
+                    f.flow.kind.ir_name(),
                     listed.join(", ")
                 ),
             ));
@@ -201,7 +202,7 @@ fn schedulability(
     if cost.nodes().is_empty() {
         return;
     }
-    let attribution = attribution(&cost, analysis);
+    let attribution = attribution(&cost);
     match Mcu::first_fit(&cost) {
         (mcu, Ok(())) if mcu == Mcu::CATALOG[0] => {}
         (mcu, Ok(())) => {
@@ -234,12 +235,7 @@ fn schedulability(
 }
 
 /// Names the heaviest compute and memory contributors for SW006/SW007.
-fn attribution(cost: &PipelineCost, analysis: &Analysis) -> String {
-    let name = |id| {
-        analysis
-            .fact(id)
-            .map_or("?", |f: &NodeFacts| f.kind.ir_name())
-    };
+fn attribution(cost: &PipelineCost) -> String {
     let hottest = cost
         .nodes()
         .iter()
@@ -249,11 +245,11 @@ fn attribution(cost: &PipelineCost, analysis: &Analysis) -> String {
         (Some(h), Some(m)) => format!(
             "heaviest compute: `{}` (id {}) at {:.0} flop/s; \
              largest buffer: `{}` (id {}) at {} B",
-            name(h.id),
-            h.id.0,
+            h.flow.kind.ir_name(),
+            h.flow.id.0,
             h.flops_per_second(),
-            name(m.id),
-            m.id.0,
+            m.flow.kind.ir_name(),
+            m.flow.id.0,
             m.memory_bytes
         ),
         _ => String::new(),

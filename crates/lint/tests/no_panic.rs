@@ -1,10 +1,11 @@
-//! Totality: the analyzer and every lint pass must accept *anything*
-//! that parses — validated or not — without panicking, and the report
-//! must hold its structural invariants.
+//! Totality: the dataflow-fact walk, the analyzer and every lint pass
+//! must accept *anything* that parses — validated or not — without
+//! panicking, and the fact table and the report must hold their
+//! structural invariants.
 
 use proptest::prelude::*;
 use sidewinder_hub::runtime::ChannelRates;
-use sidewinder_ir::Program;
+use sidewinder_ir::{flow, Program};
 use sidewinder_lint::testing::arb_program;
 use sidewinder_lint::{analyze, lint_program, LintReport};
 
@@ -19,6 +20,17 @@ fn check_report_invariants(report: &LintReport) {
     }
 }
 
+/// The fact walk returns exactly one row per node statement, in
+/// statement order, with one input rate per source.
+fn check_flow_rows(p: &Program) {
+    let rows = flow::analyze(p, &ChannelRates::default()).into_rows();
+    assert_eq!(rows.len(), p.nodes().count(), "one row per node statement");
+    for ((sources, id, _), row) in p.nodes().zip(&rows) {
+        assert_eq!(row.id, id);
+        assert_eq!(row.input_rates.len(), sources.len());
+    }
+}
+
 proptest! {
     /// Arbitrary bytes: whatever survives the parser must survive the
     /// linter too — including programs that fail validation.
@@ -28,6 +40,7 @@ proptest! {
     ) {
         let text = String::from_utf8_lossy(&bytes);
         if let Ok(p) = text.parse::<Program>() {
+            check_flow_rows(&p);
             let report = lint_program(&p, &ChannelRates::default());
             check_report_invariants(&report);
         }
@@ -37,6 +50,7 @@ proptest! {
     /// JSON/human renderings are total too.
     #[test]
     fn generated_programs_never_panic_the_linter(p in arb_program()) {
+        check_flow_rows(&p);
         let report = lint_program(&p, &ChannelRates::default());
         check_report_invariants(&report);
         let _ = report.render_human("generated");
@@ -55,6 +69,7 @@ proptest! {
     ) {
         if let Some(truncated) = text.get(..cut) {
             if let Ok(p) = truncated.parse::<Program>() {
+                check_flow_rows(&p);
                 let report = lint_program(&p, &ChannelRates::default());
                 check_report_invariants(&report);
             }
@@ -68,11 +83,11 @@ proptest! {
     fn analysis_facts_are_consistent(p in arb_program()) {
         let analysis = analyze(&p, &ChannelRates::default());
         for f in analysis.facts() {
-            prop_assert!(f.rate_hz >= 0.0);
-            prop_assert!(f.period_ticks >= 0.0);
-            prop_assert!(f.len >= 1);
+            prop_assert!(f.flow.out_rate_hz >= 0.0);
+            prop_assert!(f.flow.period_ticks >= 0.0);
+            prop_assert!(f.flow.out_len >= 1);
             if !f.feasible {
-                prop_assert!(f.value.is_empty(), "infeasible node {} kept a value", f.id.0);
+                prop_assert!(f.value.is_empty(), "infeasible node {} kept a value", f.flow.id.0);
             }
             prop_assert!(!(f.passes_all && f.passes_none && !f.input_value.is_empty()));
         }

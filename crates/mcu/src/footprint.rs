@@ -294,6 +294,12 @@ impl ImageLayout {
         &self.nodes[..self.count]
     }
 
+    /// Elements per emission of each node in dense image order (1 for
+    /// scalars).
+    pub fn out_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nodes().iter().map(|n| n.out_len.max(1))
+    }
+
     /// Per-arena totals and peak nodes.
     pub fn footprint(&self) -> ImageFootprint {
         self.footprint
@@ -348,7 +354,7 @@ fn tally(nodes: &[NodeLayout], cap: usize) -> Result<ImageFootprint, McuExecErro
 /// does not consume (or a payload length other than its first port's),
 /// and [`McuExecError::BadTransformLength`] for an `fft`, `ifft`,
 /// `lowPass` or `highPass` fed a length that is not a power of two.
-pub(crate) fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
+pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
     let mut layout = ImageLayout {
         nodes: [NodeLayout::EMPTY; MAX_NODES],
         count: image.node_count(),

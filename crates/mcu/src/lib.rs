@@ -49,7 +49,9 @@ pub use exec::{
 };
 #[cfg(feature = "std")]
 pub use exec::{HeapArenas, HostCore};
-pub use footprint::{check_fit, image_footprint, ArenaKind, ArenaUse, ImageFootprint, ImageLayout};
+pub use footprint::{
+    check_fit, image_footprint, image_layout, ArenaKind, ArenaUse, ImageFootprint, ImageLayout,
+};
 pub use image::{
     CapacityError, ImageBuilder, ImageError, Mask, McuImage, NodeKind, NodeSpec, PortSource,
     StatKind,

@@ -180,7 +180,7 @@ fn candidate(
             }
             AlgorithmKind::Window { size, .. } => {
                 let n = *size as usize;
-                let base = analysis.fact(nid)?.base_rate_hz;
+                let base = analysis.fact(nid)?.flow.base_rate_hz;
                 if !base.is_finite() || base <= 0.0 || n == 0 {
                     return None;
                 }

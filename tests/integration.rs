@@ -285,3 +285,75 @@ fn faulted_fleet_replay_is_worker_count_invariant() {
     assert!(totals.fault.hub_resets > 0, "no hub reset fired");
     assert!(totals.degraded_time > Micros::ZERO, "no device degraded");
 }
+
+#[test]
+fn golden_fixture_runs_through_every_layer() {
+    // parse → optimize → certify → load → interpret → simulate, on one
+    // golden fixture; the digest pins the wake stream and the simulated
+    // outcome together.
+    use sidewinder::cert::{certify_program, CertTarget, Precision};
+    let text = include_str!("../crates/ir/tests/fixtures/transitions.swir");
+    let program: Program = text.parse().unwrap();
+    program.validate().unwrap();
+    let rates = ChannelRates::default();
+    let (optimized, _) = optimize(&program, &rates, &OptOptions::aggressive());
+
+    let target = CertTarget::default();
+    let cert = certify_program(&optimized, &rates, Precision::F64, &target).unwrap();
+    assert!(
+        cert.fits_cap && cert.required_capacity <= target.cap,
+        "needs {} elements per arena, cap {}",
+        cert.required_capacity,
+        target.cap
+    );
+
+    let trace = robot_run(&RobotRunConfig {
+        duration: Micros::from_secs(120),
+        idle_fraction: 0.5,
+        rate_hz: 50.0,
+        seed: 77,
+    });
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut hub = HubRuntime::load(&optimized, &rates).unwrap();
+    let samples = trace.channel(SensorChannel::AccY).unwrap().samples();
+    let wakes = hub
+        .push_samples(SensorChannel::AccY, samples)
+        .unwrap()
+        .to_vec();
+    assert!(!wakes.is_empty(), "the trace must wake the condition");
+    for w in &wakes {
+        word(w.seq);
+        word(w.value.to_bits());
+    }
+
+    let app = sidewinder::apps::TransitionsApp::new();
+    let strategy = Strategy::HubWake {
+        program: optimized,
+        hub_mw: app.wake_condition_hub_mw(),
+        label: "Sw",
+    };
+    let result = simulate(
+        &trace,
+        &app,
+        &strategy,
+        &PhonePowerProfile::NEXUS4,
+        &SimConfig::default(),
+    )
+    .unwrap();
+    assert!(result.wake_ups > 0 && result.wake_ups <= wakes.len());
+    word(result.wake_ups as u64);
+    word(result.average_power_mw.to_bits());
+    for d in &result.detections {
+        word(d.as_micros());
+    }
+    assert_eq!(
+        hash, 0xe29d_94dd_35ae_2db4,
+        "wake digest drifted: {hash:#018x}"
+    );
+}
