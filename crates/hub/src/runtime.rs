@@ -272,7 +272,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     /// Feeds one sensor sample and propagates it through the pipeline.
     ///
     /// Returns the wake events raised by this sample (at most one per
-    /// `OUT`-feeding emission).
+    /// `OUT`-feeding emission), borrowing the buffer the next push
+    /// reuses, as [`HubRuntime::push_samples`] does.
     ///
     /// # Errors
     ///
@@ -283,13 +284,12 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         &mut self,
         channel: SensorChannel,
         sample: f64,
-    ) -> Result<Vec<WakeEvent>, HubError> {
+    ) -> Result<&[WakeEvent], HubError> {
         self.push_samples(channel, std::slice::from_ref(&sample))
-            .map(<[WakeEvent]>::to_vec)
     }
 
-    /// Feeds a batch of consecutive samples from one channel — the
-    /// allocation-free bulk form of [`HubRuntime::push_sample`].
+    /// Feeds a batch of consecutive samples from one channel — the bulk
+    /// form of [`HubRuntime::push_sample`], allocation-free like it.
     ///
     /// Equivalent to pushing each sample in order; the returned slice
     /// holds every wake event the batch raised, in order, and borrows a
@@ -822,7 +822,7 @@ mod tests {
             let a = roundtrip.push_sample(SensorChannel::Mic, x).unwrap();
             let b = direct.push_sample(SensorChannel::Mic, x).unwrap();
             assert_eq!(a.len(), b.len(), "wake mismatch at sample {i}");
-            for (wa, wb) in a.iter().zip(&b) {
+            for (wa, wb) in a.iter().zip(b) {
                 assert!((wa.value - wb.value).abs() < 1e-9);
             }
         }
@@ -905,7 +905,7 @@ mod tests {
             let a = h64.push_sample(SensorChannel::Mic, x).unwrap();
             let b = h32.push_sample(SensorChannel::Mic, x).unwrap();
             assert_eq!(a.len(), b.len(), "wake count diverged at sample {i}");
-            for (wa, wb) in a.iter().zip(&b) {
+            for (wa, wb) in a.iter().zip(b) {
                 assert_eq!(wa.seq, wb.seq);
                 assert!(
                     (wa.value - wb.value).abs() < 1e-4,

@@ -165,7 +165,7 @@ fn frames_match_serial_interleaved_pushes_on_all_golden_fixtures() {
         let mut members = Vec::new();
         for k in 0..8192 {
             for (m, (&c, column)) in channels.iter().zip(&columns).enumerate() {
-                for w in serial_hub.push_sample(c, column[k]).unwrap() {
+                for &w in serial_hub.push_sample(c, column[k]).unwrap() {
                     serial.push(w);
                     members.push(m);
                 }

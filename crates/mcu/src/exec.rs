@@ -5,10 +5,13 @@
 //! `load`. `load` applies the image's static model, the layout walk in
 //! [`footprint`](crate::footprint): it types every edge, validates
 //! every parameter and transform length, and assigns every buffer a
-//! node needs a span in one of seven arenas (samples, scalars, complex
-//! values, swap tables, keep masks, and the two staging buffers
-//! payloads are copied through). An image that loads cannot fail at
-//! run time: a push returns only [`McuExecError::NotLoaded`],
+//! node needs a span in one of five arenas (samples, scalars, complex
+//! values, swap tables and keep masks). A consumer reads its producers'
+//! payloads where they lie: every node's spans sit above the payloads
+//! it reads, so a pass splits the sample and complex arenas at the
+//! node's base and lends it the lower part to read and the upper part
+//! to write. An image that loads cannot fail at run time: a push
+//! returns only [`McuExecError::NotLoaded`],
 //! [`McuExecError::BadChannel`] and, for a ragged frame,
 //! [`McuExecError::FrameShape`], before any sample runs. Samples enter
 //! as frames of co-sampled channels ([`ExecCore::push_frames`]); a
@@ -30,7 +33,7 @@
 use crate::complex::Complex;
 use crate::fft;
 use crate::filter::{self, BandShape};
-use crate::footprint::{image_layout, ArenaKind, ImageLayout, Span};
+use crate::footprint::{image_layout, ImageLayout, Span};
 use crate::goertzel;
 use crate::image::{
     Mask, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS, MAX_NODES, MAX_PORTS,
@@ -61,9 +64,9 @@ pub struct WakeEvent {
 /// Execution-time observability hooks.
 ///
 /// The interpreter threads an `ExecProbe` through every node run and
-/// staging copy, so a harness can measure what a run *actually* touched
-/// (the soundness pins compare it against the certified bounds) and the
-/// host runtime can turn node runs into observability events. The
+/// payload hand-off, so a harness can measure what a run *actually*
+/// touched (the soundness pins compare it against the certified bounds)
+/// and the host runtime can turn node runs into observability events. The
 /// statically-dispatched `const ENABLED` makes the hooks zero-cost when
 /// disabled: with [`NoProbe`] every call site constant-folds away, which
 /// keeps `push_sample` on the frozen-digest fast path intact.
@@ -79,13 +82,9 @@ pub trait ExecProbe {
     /// result.
     fn node_end(&mut self, _node: u16, _produced: bool) {}
 
-    /// A vector payload of `len` elements was copied through the
-    /// sample staging arena from `node`'s result slot.
-    fn staged_vector(&mut self, _node: u16, _len: usize) {}
-
-    /// A spectrum payload of `len` elements was copied through the
-    /// spectrum staging arena from `node`'s result slot.
-    fn staged_spectrum(&mut self, _node: u16, _len: usize) {}
+    /// A consumer borrowed the `len`-element vector or spectrum payload
+    /// in `src`'s result slot, in place.
+    fn payload(&mut self, _src: u16, _len: usize) {}
 
     /// The pass that just ended raised `wake`; reported after the
     /// pass's last `node_end`, just before the wake callback runs.
@@ -100,14 +99,12 @@ impl ExecProbe for NoProbe {
     const ENABLED: bool = false;
 }
 
-/// Records staging high-water marks and per-node emission counts — the
+/// Records per-node payload high-water marks and emission counts — the
 /// measured side of the `measured ≤ certified` soundness pins.
 #[derive(Debug, Clone, Copy)]
 pub struct HighWaterProbe {
-    /// Largest vector payload staged through `stage_p`, in elements.
-    pub stage_sample_peak: usize,
-    /// Largest spectrum payload staged through `stage_c`, in elements.
-    pub stage_spectrum_peak: usize,
+    /// Largest payload, in elements, a consumer borrowed from each node.
+    pub payload_peak: [usize; MAX_NODES],
     /// Fresh results per node since construction.
     pub emissions: [u64; MAX_NODES],
 }
@@ -116,8 +113,7 @@ impl HighWaterProbe {
     /// A probe with every mark at zero.
     pub const fn new() -> HighWaterProbe {
         HighWaterProbe {
-            stage_sample_peak: 0,
-            stage_spectrum_peak: 0,
+            payload_peak: [0; MAX_NODES],
             emissions: [0; MAX_NODES],
         }
     }
@@ -138,16 +134,9 @@ impl ExecProbe for HighWaterProbe {
         }
     }
 
-    fn staged_vector(&mut self, _node: u16, len: usize) {
-        if len > self.stage_sample_peak {
-            self.stage_sample_peak = len;
-        }
-    }
-
-    fn staged_spectrum(&mut self, _node: u16, len: usize) {
-        if len > self.stage_spectrum_peak {
-            self.stage_spectrum_peak = len;
-        }
+    fn payload(&mut self, src: u16, len: usize) {
+        let peak = &mut self.payload_peak[src as usize];
+        *peak = (*peak).max(len);
     }
 }
 
@@ -239,8 +228,9 @@ impl core::fmt::Display for McuExecError {
 
 impl core::error::Error for McuExecError {}
 
-/// Mutable views of a core's seven arenas, in
-/// [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order.
+/// Mutable views of a core's five arenas, in
+/// [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order — what the
+/// storage lends a push, and what a node's run writes.
 pub struct ArenaViews<'a, P: Sample> {
     /// Window rings, taper tables, vector payloads.
     pub p: &'a mut [P],
@@ -252,10 +242,6 @@ pub struct ArenaViews<'a, P: Sample> {
     pub s: &'a mut [(u32, u32)],
     /// Band-filter keep masks.
     pub b: &'a mut [bool],
-    /// Staging copy of a producer's vector payload while it is fed.
-    pub stage_p: &'a mut [P],
-    /// Staging copy of a producer's spectrum payload while it is fed.
-    pub stage_c: &'a mut [Complex],
 }
 
 /// Where an [`ExecCore`] keeps its arenas.
@@ -282,8 +268,6 @@ pub struct InlineArenas<P: Sample, const CAP: usize> {
     c: [Complex; CAP],
     s: [(u32, u32); CAP],
     b: [bool; CAP],
-    stage_p: [P; CAP],
-    stage_c: [Complex; CAP],
 }
 
 impl<P: Sample, const CAP: usize> InlineArenas<P, CAP> {
@@ -295,8 +279,6 @@ impl<P: Sample, const CAP: usize> InlineArenas<P, CAP> {
             c: [Complex::ZERO; CAP],
             s: [(0, 0); CAP],
             b: [false; CAP],
-            stage_p: [P::ZERO; CAP],
-            stage_c: [Complex::ZERO; CAP],
         }
     }
 }
@@ -321,8 +303,6 @@ impl<P: Sample, const CAP: usize> ArenaStorage for InlineArenas<P, CAP> {
             c: &mut self.c,
             s: &mut self.s,
             b: &mut self.b,
-            stage_p: &mut self.stage_p,
-            stage_c: &mut self.stage_c,
         }
     }
 }
@@ -346,8 +326,6 @@ pub struct HeapArenas<P: Sample> {
     c: std::vec::Vec<Complex>,
     s: std::vec::Vec<(u32, u32)>,
     b: std::vec::Vec<bool>,
-    stage_p: std::vec::Vec<P>,
-    stage_c: std::vec::Vec<Complex>,
 }
 
 #[cfg(feature = "std")]
@@ -355,6 +333,7 @@ impl<P: Sample> ArenaStorage for HeapArenas<P> {
     type Sample = P;
 
     fn fit(&mut self, layout: &ImageLayout) -> Result<(), McuExecError> {
+        use crate::footprint::ArenaKind;
         use std::vec;
         layout.check_fit(HOST_ARENA_CAP)?;
         let fp = layout.footprint();
@@ -365,8 +344,6 @@ impl<P: Sample> ArenaStorage for HeapArenas<P> {
             c: vec![Complex::ZERO; n(ArenaKind::Complex)],
             s: vec![(0, 0); n(ArenaKind::Swap)],
             b: vec![false; n(ArenaKind::Mask)],
-            stage_p: vec![P::ZERO; n(ArenaKind::StageSample)],
-            stage_c: vec![Complex::ZERO; n(ArenaKind::StageSpectrum)],
         };
         Ok(())
     }
@@ -378,17 +355,21 @@ impl<P: Sample> ArenaStorage for HeapArenas<P> {
             c: &mut self.c,
             s: &mut self.s,
             b: &mut self.b,
-            stage_p: &mut self.stage_p,
-            stage_c: &mut self.stage_c,
         }
     }
 }
 
 /// Per-node mutable state plus the arena spans its kind was assigned.
 /// One flat struct for all kinds keeps the state table a plain array;
-/// each kind touches only its own fields.
+/// each kind touches only its own fields. Sample- and complex-arena
+/// spans (here and in the node's [`Slot`]) count from the node's base
+/// in that arena.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
+    /// Where the node's carve begins in the sample arena.
+    base_p: u32,
+    /// Where the node's carve begins in the complex arena.
+    base_c: u32,
     /// Window ring buffer / zcr-variance scratch (sample arena).
     aux_p: Span,
     /// Tabulated taper coefficients (sample arena).
@@ -440,6 +421,8 @@ struct NodeState {
 
 impl NodeState {
     const EMPTY: NodeState = NodeState {
+        base_p: 0,
+        base_c: 0,
         aux_p: Span::EMPTY,
         coeffs: Span::EMPTY,
         aux_f: Span::EMPTY,
@@ -532,16 +515,6 @@ enum In<'a, P: Sample> {
     Spectrum(&'a [Complex]),
 }
 
-/// Mutable views over the carved arenas, handed to the per-kind
-/// executor.
-struct Arenas<'a, P: Sample> {
-    p: &'a mut [P],
-    f: &'a mut [f64],
-    c: &'a mut [Complex],
-    s: &'a mut [(u32, u32)],
-    b: &'a mut [bool],
-}
-
 /// Identity of one feed: which port, at what sequence.
 #[derive(Clone, Copy)]
 struct FeedCtx {
@@ -569,17 +542,15 @@ pub struct ExecCore<A: ArenaStorage> {
     slots: [Slot; MAX_NODES],
     channel_seq: [u64; MAX_CHANNELS],
     wake_count: u64,
-    /// Elements `load` carved from each bump arena (sample, scalar,
-    /// complex, swap, mask) — pinned against the static footprint.
-    arena_used: [u32; 5],
     /// Channels whose pushes may fill windows by slice (one bit each).
     fill_channels: u8,
     arenas: A,
 }
 
 /// The firmware core: `CAP`-element arenas held inline. The struct is
-/// large (roughly `7 * CAP * 8` bytes at `P = f64`); embed it in a
-/// `static` or a `Box` rather than the stack for big capacities.
+/// large (`41 * CAP` bytes of arenas at `P = f64`, `37 * CAP` at `f32`);
+/// embed it in a `static` or a `Box` rather than the stack for big
+/// capacities.
 pub type McuCore<P = f64, const CAP: usize = DEFAULT_ARENA> = ExecCore<InlineArenas<P, CAP>>;
 
 /// The host core: heap arenas sized exactly to each loaded image.
@@ -655,7 +626,6 @@ impl<A: ArenaStorage> ExecCore<A> {
             slots: [Slot::EMPTY; MAX_NODES],
             channel_seq: [0; MAX_CHANNELS],
             wake_count: 0,
-            arena_used: [0; 5],
             fill_channels: 0,
             arenas,
         }
@@ -674,15 +644,6 @@ impl<A: ArenaStorage> ExecCore<A> {
     /// The loaded image.
     pub fn image(&self) -> &McuImage {
         &self.image
-    }
-
-    /// Elements the last successful `load` carved from each bump arena,
-    /// in [`ArenaKind::ALL`](crate::footprint::ArenaKind::ALL) order
-    /// (sample, scalar, complex, swap, mask): the image's
-    /// [`image_footprint`](crate::image_footprint), since `load`
-    /// applies the layout those totals sum.
-    pub fn arena_used(&self) -> [usize; 5] {
-        self.arena_used.map(|n| n as usize)
     }
 
     /// Loads an image: applies its layout — the one static walk that
@@ -706,32 +667,30 @@ impl<A: ArenaStorage> ExecCore<A> {
         self.slots = [Slot::EMPTY; MAX_NODES];
         self.channel_seq = [0; MAX_CHANNELS];
         self.wake_count = 0;
-        self.arena_used = [0; 5];
 
         let layout = image_layout(image)?;
         self.arenas.fit(&layout)?;
         let p = self.arenas.views().p;
         for (i, (spec, node)) in image.nodes().iter().zip(layout.nodes()).enumerate() {
+            let (bp, bc) = (node.base_p, node.base_c);
             self.states[i] = NodeState {
-                aux_p: node.aux_p,
-                coeffs: node.coeffs,
+                base_p: bp,
+                base_c: bc,
+                aux_p: node.aux_p.above(bp),
+                coeffs: node.coeffs.above(bp),
                 aux_f: node.aux_f,
                 swaps: node.swaps,
-                fwd: node.fwd,
-                inv: node.inv,
+                fwd: node.fwd.above(bc),
+                inv: node.inv.above(bc),
                 mask: node.mask,
                 wide_in: node.wide_in,
                 ..NodeState::EMPTY
             };
-            self.slots[i].vec = node.vec;
-            self.slots[i].spec = node.spec;
+            self.slots[i].vec = node.vec.above(bp);
+            self.slots[i].spec = node.spec.above(bc);
             if let NodeKind::Window { shape, .. } = spec.kind {
                 shape.fill_coefficients(&mut p[node.coeffs.full()]);
             }
-        }
-        let fp = layout.footprint();
-        for (used, kind) in self.arena_used.iter_mut().zip(ArenaKind::ALL) {
-            *used = fp.arena(kind).elements as u32;
         }
         self.fill_channels = window_fill_channels(image);
         self.image = *image;
@@ -758,7 +717,7 @@ impl<A: ArenaStorage> ExecCore<A> {
     }
 
     /// [`push_sample`](Self::push_sample) with an [`ExecProbe`]
-    /// observing node runs and staging copies. With [`NoProbe`] this
+    /// observing node runs and payload hand-offs. With [`NoProbe`] this
     /// *is* `push_sample` — the hooks compile away.
     ///
     /// # Errors
@@ -1006,7 +965,7 @@ fn fill_windows<P: Sample>(
         while fed != 0 {
             let i = take_lowest(&mut fed);
             let st = &mut states[i];
-            let at = st.aux_p.start as usize + st.fill as usize;
+            let at = (st.base_p + st.aux_p.start + st.fill) as usize;
             for (dst, &x) in p[at..at + src.len()].iter_mut().zip(src) {
                 *dst = P::from_f64(x);
             }
@@ -1050,16 +1009,7 @@ impl<P: Sample> Pass<'_, '_, P> {
             slots,
             channel_seq,
             wake_count,
-            views:
-                ArenaViews {
-                    p,
-                    f,
-                    c,
-                    s,
-                    b,
-                    stage_p,
-                    stage_c,
-                },
+            views: ArenaViews { p, f, c, s, b },
         } = self;
         let nodes = image.nodes();
         let out = image.out_index();
@@ -1087,33 +1037,35 @@ impl<P: Sample> Pass<'_, '_, P> {
             if Pr::ENABLED {
                 probe.node_start(i as u16);
             }
+            // The node reads its producers' payloads below its base and
+            // writes its own spans above it.
+            let (p_in, p_own) = p.split_at_mut(states[i].base_p as usize);
+            let (c_in, c_own) = c.split_at_mut(states[i].base_c as usize);
             for (port, &source) in spec.sources[..spec.port_count as usize].iter().enumerate() {
                 let (seq, input) = match source {
                     PortSource::Channel(ch) if ch == channel => (seq, In::Scalar(sample)),
                     PortSource::Channel(_) => continue,
                     PortSource::Node(src) if fresh & (1 << src) != 0 => {
-                        // Payloads are copied through staging so the
-                        // consumer can borrow its input while it
-                        // writes its own spans of the same arena.
                         let from = &done[src as usize];
+                        let owner = &states[src as usize];
                         let input = match from.kind {
                             SlotKind::Empty => continue,
                             SlotKind::Scalar => In::Scalar(from.scalar),
                             SlotKind::Vector => {
                                 let len = from.vec_len as usize;
                                 if Pr::ENABLED {
-                                    probe.staged_vector(src, len);
+                                    probe.payload(src, len);
                                 }
-                                stage_p[..len].copy_from_slice(&p[from.vec.range(len)]);
-                                In::Vector(&stage_p[..len])
+                                let at = (owner.base_p + from.vec.start) as usize;
+                                In::Vector(&p_in[at..at + len])
                             }
                             SlotKind::Spectrum => {
                                 let len = from.spec_len as usize;
                                 if Pr::ENABLED {
-                                    probe.staged_spectrum(src, len);
+                                    probe.payload(src, len);
                                 }
-                                stage_c[..len].copy_from_slice(&c[from.spec.range(len)]);
-                                In::Spectrum(&stage_c[..len])
+                                let at = (owner.base_c + from.spec.start) as usize;
+                                In::Spectrum(&c_in[at..at + len])
                             }
                         };
                         (from.seq, input)
@@ -1125,7 +1077,13 @@ impl<P: Sample> Pass<'_, '_, P> {
                     spec,
                     &mut states[i],
                     slot,
-                    Arenas { p, f, c, s, b },
+                    ArenaViews {
+                        p: p_own,
+                        f,
+                        c: c_own,
+                        s,
+                        b,
+                    },
                     input,
                 );
             }
@@ -1303,10 +1261,10 @@ fn exec_kind<P: Sample>(
     spec: &NodeSpec,
     st: &mut NodeState,
     slot: &mut Slot,
-    ar: Arenas<'_, P>,
+    ar: ArenaViews<'_, P>,
     input: In<'_, P>,
 ) {
-    let Arenas { p, f, c, s, b } = ar;
+    let ArenaViews { p, f, c, s, b } = ar;
     let seq = ctx.seq;
     match spec.kind {
         NodeKind::Window { size, hop, shape } => {
@@ -2239,12 +2197,37 @@ mod tests {
         ));
         reused.load(&fitting).unwrap();
         assert_eq!(collect_wakes(&mut reused, 0, &samples), expected);
-        assert_eq!(reused.arena_used(), [0, 4, 0, 0, 0]);
+        assert_eq!(reused.wake_count(), fresh.wake_count());
     }
 
     #[test]
-    fn arena_used_matches_the_static_footprint() {
-        use crate::footprint::{image_footprint, ArenaKind};
+    fn inline_arenas_are_the_five_arenas_and_nothing_more() {
+        use crate::footprint::ArenaKind;
+        use core::mem::size_of;
+        fn check<P: Sample, const CAP: usize>() {
+            let elements = [
+                size_of::<P>(),
+                size_of::<f64>(),
+                size_of::<Complex>(),
+                size_of::<(u32, u32)>(),
+                size_of::<bool>(),
+            ];
+            for (kind, &bytes) in ArenaKind::ALL.iter().zip(&elements) {
+                assert_eq!(kind.element_bytes(size_of::<P>()), bytes, "{}", kind.name());
+            }
+            assert_eq!(
+                size_of::<InlineArenas<P, CAP>>(),
+                elements.iter().sum::<usize>() * CAP
+            );
+        }
+        check::<f64, 16>();
+        check::<f32, 16>();
+        check::<f64, 16_384>();
+        check::<f32, 16_384>();
+    }
+
+    #[test]
+    fn payload_peaks_stay_within_the_layouts_out_lengths() {
         let mut b = ImageBuilder::new();
         let win = b
             .push_node(
@@ -2267,17 +2250,17 @@ mod tests {
             .push_node(NodeKind::DominantRatio, &[PortSource::Node(mag)], 64.0)
             .unwrap();
         let image = b.finish(dom).unwrap();
-        let fp = image_footprint(&image).unwrap();
+        let layout = image_layout(&image).unwrap();
         let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
-        let used = core.arena_used();
-        for (k, kind) in ArenaKind::ALL[..5].iter().enumerate() {
-            assert_eq!(
-                used[k],
-                fp.arena(*kind).elements,
-                "{} diverged from the footprint",
-                kind.name()
-            );
+        let mut probe = HighWaterProbe::new();
+        let samples: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+        core.push_samples_probed(0, &samples, &mut |_| {}, &mut probe)
+            .unwrap();
+        // window 16, fft 16, spectralMagnitude 9: each consumed, in place.
+        assert_eq!(probe.payload_peak[..4], [16, 16, 9, 0]);
+        for (node, out_len) in layout.out_lens().enumerate() {
+            assert!(probe.payload_peak[node] <= out_len, "node {node}");
         }
     }
 
@@ -2323,15 +2306,7 @@ mod tests {
         let mut host: HostCore = HostCore::new();
         host.load(&image).unwrap();
         let ar = host.arenas.views();
-        let lens = [
-            ar.p.len(),
-            ar.f.len(),
-            ar.c.len(),
-            ar.s.len(),
-            ar.b.len(),
-            ar.stage_p.len(),
-            ar.stage_c.len(),
-        ];
+        let lens = [ar.p.len(), ar.f.len(), ar.c.len(), ar.s.len(), ar.b.len()];
         for kind in ArenaKind::ALL {
             assert_eq!(
                 lens[kind.index()],
@@ -2340,7 +2315,6 @@ mod tests {
                 kind.name()
             );
         }
-        assert_eq!(host.arena_used(), lens[..5]);
 
         // Same wakes as the inline firmware form.
         let samples: Vec<f64> = (0..64).map(|i| (i as f64 * 1.7).sin()).collect();

@@ -11,7 +11,12 @@
 //! length, `spectralMagnitude` gives `n/2+1` — so an image this walk
 //! accepts cannot fail at run time.
 //!
-//! `load` copies the spans into its node tables; [`image_footprint`]
+//! Each arena has one ascending bump cursor, so every span of a node
+//! lies above every payload it reads. The walk records where each
+//! node's carve begins in the sample and complex arenas (its *base*);
+//! `load` copies the spans into its node tables counted from those
+//! bases, and a consumer reads its producers' payloads in place, below
+//! its base, while it writes its own spans above. [`image_footprint`]
 //! and [`check_fit`] read the per-arena totals the same spans sum to,
 //! so the certified occupancy is the carve itself, not a mirror of it.
 
@@ -20,7 +25,7 @@ use crate::fft;
 use crate::image::{McuImage, NodeKind, PortSource, MAX_NODES};
 use core::ops::Range;
 
-/// The seven fixed arenas a [`McuCore`](crate::McuCore) carves at load.
+/// The five fixed arenas a [`McuCore`](crate::McuCore) carves at load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaKind {
     /// `arena_p`: window rings, taper tables, vector payloads.
@@ -33,22 +38,16 @@ pub enum ArenaKind {
     Swap,
     /// `arena_b`: band-filter keep masks.
     Mask,
-    /// `stage_p`: staging copy of the largest fed vector payload.
-    StageSample,
-    /// `stage_c`: staging copy of the largest fed spectrum payload.
-    StageSpectrum,
 }
 
 impl ArenaKind {
     /// Every arena, in declaration order.
-    pub const ALL: [ArenaKind; 7] = [
+    pub const ALL: [ArenaKind; 5] = [
         ArenaKind::Sample,
         ArenaKind::Scalar,
         ArenaKind::Complex,
         ArenaKind::Swap,
         ArenaKind::Mask,
-        ArenaKind::StageSample,
-        ArenaKind::StageSpectrum,
     ];
 
     /// Position in [`ImageFootprint::arenas`].
@@ -59,8 +58,6 @@ impl ArenaKind {
             ArenaKind::Complex => 2,
             ArenaKind::Swap => 3,
             ArenaKind::Mask => 4,
-            ArenaKind::StageSample => 5,
-            ArenaKind::StageSpectrum => 6,
         }
     }
 
@@ -72,8 +69,6 @@ impl ArenaKind {
             ArenaKind::Complex => "complex arena",
             ArenaKind::Swap => "swap arena",
             ArenaKind::Mask => "mask arena",
-            ArenaKind::StageSample => "sample staging arena",
-            ArenaKind::StageSpectrum => "spectrum staging arena",
         }
     }
 
@@ -81,9 +76,9 @@ impl ArenaKind {
     /// (`8` for `f64` cores, `4` for `f32`).
     pub fn element_bytes(self, sample_bytes: usize) -> usize {
         match self {
-            ArenaKind::Sample | ArenaKind::StageSample => sample_bytes,
+            ArenaKind::Sample => sample_bytes,
             ArenaKind::Scalar => 8,
-            ArenaKind::Complex | ArenaKind::StageSpectrum => 16,
+            ArenaKind::Complex => 16,
             ArenaKind::Swap => 8,
             ArenaKind::Mask => 1,
         }
@@ -93,8 +88,7 @@ impl ArenaKind {
 /// One arena's certified occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaUse {
-    /// Total elements the program carves from (or stages through) the
-    /// arena.
+    /// Total elements the program carves from the arena.
     pub elements: usize,
     /// Dense index of the node contributing the most elements.
     pub peak_node: u16,
@@ -110,25 +104,13 @@ impl ArenaUse {
             self.peak_node = node;
         }
     }
-
-    /// Staging arenas hold one payload at a time, so their occupancy is
-    /// the maximum, not the sum.
-    fn stage(&mut self, node: u16, elements: usize) {
-        if elements > self.elements {
-            self.elements = elements;
-        }
-        if elements > self.peak_elements {
-            self.peak_elements = elements;
-            self.peak_node = node;
-        }
-    }
 }
 
 /// Exact per-arena element occupancy of one image, in load order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ImageFootprint {
     /// Occupancy per arena, indexed by [`ArenaKind::index`].
-    pub arenas: [ArenaUse; 7],
+    pub arenas: [ArenaUse; 5],
 }
 
 impl ImageFootprint {
@@ -192,6 +174,16 @@ impl Span {
     pub(crate) fn full(self) -> Range<usize> {
         self.range(self.cap as usize)
     }
+
+    /// The span counted from `base`, the cursor where its node's carve
+    /// begins in the arena. An unused ([`Span::EMPTY`]) span stays empty.
+    pub(crate) fn above(self, base: u32) -> Span {
+        debug_assert!(self.cap == 0 || self.start >= base, "span below its base");
+        Span {
+            start: self.start.saturating_sub(base),
+            cap: self.cap,
+        }
+    }
 }
 
 /// The kind of value a node emits or a channel delivers.
@@ -234,9 +226,11 @@ pub(crate) struct NodeLayout {
     out: ValueKind,
     /// Elements per emitted payload (0 for scalars).
     out_len: usize,
-    /// Whether another node consumes the output, so its payload passes
-    /// through a staging arena on every feed.
-    staged: bool,
+    /// Sample-arena cursor where the node's carve begins: every input
+    /// payload lies below it, every span of the node at or above it.
+    pub(crate) base_p: u32,
+    /// Complex-arena cursor where the node's carve begins.
+    pub(crate) base_c: u32,
 }
 
 impl NodeLayout {
@@ -253,28 +247,19 @@ impl NodeLayout {
         spec: Span::EMPTY,
         out: ValueKind::Scalar,
         out_len: 0,
-        staged: false,
+        base_p: 0,
+        base_c: 0,
     };
 
-    /// Elements the node adds to `arena`: its spans there, or for a
-    /// staging arena the payload it stages.
+    /// Elements the node adds to `arena`: its spans there.
     fn elements(&self, arena: ArenaKind) -> usize {
         let n = |s: Span| s.cap as usize;
-        let staged = |kind: ValueKind| {
-            if self.staged && self.out == kind {
-                self.out_len
-            } else {
-                0
-            }
-        };
         match arena {
             ArenaKind::Sample => n(self.aux_p) + n(self.coeffs) + n(self.vec),
             ArenaKind::Scalar => n(self.aux_f) + n(self.wide_in),
             ArenaKind::Complex => n(self.fwd) + n(self.inv) + n(self.spec),
             ArenaKind::Swap => n(self.swaps),
             ArenaKind::Mask => n(self.mask),
-            ArenaKind::StageSample => staged(ValueKind::Vector),
-            ArenaKind::StageSpectrum => staged(ValueKind::Spectrum),
         }
     }
 }
@@ -325,11 +310,7 @@ fn tally(nodes: &[NodeLayout], cap: usize) -> Result<ImageFootprint, McuExecErro
         let node = i as u16;
         for kind in ArenaKind::ALL {
             let arena = &mut fp.arenas[kind.index()];
-            let elements = layout.elements(kind);
-            match kind {
-                ArenaKind::StageSample | ArenaKind::StageSpectrum => arena.stage(node, elements),
-                _ => arena.add(node, elements),
-            }
+            arena.add(node, layout.elements(kind));
             if arena.elements > cap {
                 return Err(McuExecError::ArenaOverflow {
                     arena: kind.name(),
@@ -389,6 +370,15 @@ pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
             }
         };
         let bad = |what| Err(McuExecError::BadParameter { node, what });
+        // Spans carve in ascending order within each arena; the
+        // executor's disjoint-borrow helpers rely on it, and so does its
+        // hand-off: a consumer reads its producers' payloads below its
+        // own base while it writes its spans above.
+        let mut n = NodeLayout {
+            base_p: used[ArenaKind::Sample.index()] as u32,
+            base_c: used[ArenaKind::Complex.index()] as u32,
+            ..NodeLayout::EMPTY
+        };
         let mut carve = |arena: ArenaKind, n: usize| {
             let at = &mut used[arena.index()];
             let span = Span {
@@ -399,9 +389,6 @@ pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
             span
         };
 
-        // Spans carve in ascending order within each arena; the
-        // executor's disjoint-borrow helpers rely on it.
-        let mut n = NodeLayout::EMPTY;
         match spec.kind {
             NodeKind::Window { size, hop, .. } => {
                 let (size, hop) = (size as usize, hop as usize);
@@ -494,7 +481,6 @@ pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
                 input(ValueKind::Scalar)?;
             }
         }
-        n.staged = spec.consumer_mask != 0;
         layout.nodes[i] = n;
     }
     layout.footprint = tally(layout.nodes(), usize::MAX)?;
@@ -553,10 +539,9 @@ mod tests {
     }
 
     #[test]
-    fn window_chain_counts_ring_taper_payload_and_staging() {
+    fn window_chain_counts_ring_taper_and_payload() {
         let fp = image_footprint(&window_image(64)).unwrap();
         assert_eq!(fp.arena(ArenaKind::Sample).elements, 3 * 64);
-        assert_eq!(fp.arena(ArenaKind::StageSample).elements, 64);
         assert_eq!(fp.arena(ArenaKind::Scalar).elements, 0);
         assert_eq!(fp.required_capacity(), 192);
         assert!(fp.fits(192));
@@ -564,22 +549,60 @@ mod tests {
     }
 
     #[test]
-    fn unconsumed_payload_is_not_staged() {
+    fn every_node_carves_above_the_payloads_it_reads() {
+        // The executor's hand-off splits the sample and complex arenas at
+        // a consumer's base: its producers' payloads must end at or below
+        // it, and its own spans begin at or above it.
         let mut b = ImageBuilder::new();
         let win = b
             .push_node(
                 NodeKind::Window {
                     size: 16,
-                    hop: 16,
-                    shape: WindowShape::Rectangular,
+                    hop: 8,
+                    shape: WindowShape::Hann,
                 },
                 &[PortSource::Channel(0)],
-                50.0,
+                64.0,
             )
             .unwrap();
-        let image = b.finish(win).unwrap();
-        let fp = image_footprint(&image).unwrap();
-        assert_eq!(fp.arena(ArenaKind::StageSample).elements, 0);
+        let hp = b
+            .push_node(
+                NodeKind::HighPass { cutoff_hz: 8.0 },
+                &[PortSource::Node(win)],
+                64.0,
+            )
+            .unwrap();
+        let fft = b
+            .push_node(NodeKind::Fft, &[PortSource::Node(hp)], 64.0)
+            .unwrap();
+        let ifft = b
+            .push_node(NodeKind::Ifft, &[PortSource::Node(fft)], 64.0)
+            .unwrap();
+        let zv = b
+            .push_node(
+                NodeKind::ZcrVariance { sub_windows: 4 },
+                &[PortSource::Node(ifft)],
+                64.0,
+            )
+            .unwrap();
+        let image = b.finish(zv).unwrap();
+        let layout = image_layout(&image).unwrap();
+        let end = |s: Span| s.start + s.cap;
+        for (i, (spec, node)) in image.nodes().iter().zip(layout.nodes()).enumerate() {
+            for &span in &[node.aux_p, node.coeffs, node.vec] {
+                assert!(span.cap == 0 || span.start >= node.base_p, "node {i}");
+            }
+            for &span in &[node.fwd, node.inv, node.spec] {
+                assert!(span.cap == 0 || span.start >= node.base_c, "node {i}");
+            }
+            for &source in &spec.sources[..spec.port_count as usize] {
+                if let PortSource::Node(src) = source {
+                    let from = &layout.nodes()[src as usize];
+                    assert!(end(from.vec) <= node.base_p, "node {i} <- {src}");
+                    assert!(end(from.spec) <= node.base_c, "node {i} <- {src}");
+                }
+            }
+        }
     }
 
     #[test]

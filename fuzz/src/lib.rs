@@ -20,7 +20,7 @@
 //!   the probed per-sample pass;
 //! * [`targets::cert_soundness`] — the static resource certificate must
 //!   agree with the loader about what fits and dominate every measured
-//!   arena high-water mark and emission count.
+//!   payload high-water mark and emission count.
 
 pub mod targets;
 

@@ -9,7 +9,7 @@ use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
 use sidewinder_hub::{compile_image, McuCore};
 use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
-use sidewinder_mcu::{ArenaKind, HighWaterProbe, McuExecError};
+use sidewinder_mcu::{HighWaterProbe, McuExecError};
 use sidewinder_obs::CounterSink;
 use sidewinder_sensors::SensorChannel;
 
@@ -183,7 +183,7 @@ pub fn ingest_differential(data: &[u8]) {
             let wakes = reference
                 .push_sample(channel, column[k])
                 .expect("program executes");
-            expected.extend(wakes.into_iter().map(|w| (m, w)));
+            expected.extend(wakes.iter().map(|&w| (m, w)));
         }
     }
 
@@ -238,8 +238,8 @@ const CERT_CAP: usize = 1538;
 /// exactly when `load` rejects the image for a non-arena reason, and
 /// `fits_cap` says whether `load` finds room. A loaded image must run
 /// without error, and the certificate's bounds must dominate everything
-/// the run measures — arena occupancy, staging high-water marks, and
-/// per-node emission counts.
+/// the run measures — every payload a node hands a consumer within its
+/// certified `out_len`, and per-node emission counts.
 pub fn cert_soundness(data: &[u8]) {
     let text = String::from_utf8_lossy(data);
     let Ok(program) = text.parse::<Program>() else {
@@ -295,17 +295,6 @@ pub fn cert_soundness(data: &[u8]) {
         ),
     };
 
-    // Exact arena accounting: carved == certified, element for element.
-    let used = core.arena_used();
-    for (kind, &u) in ArenaKind::ALL[..5].iter().zip(used.iter()) {
-        assert_eq!(
-            u,
-            cert.arenas[kind.index()].elements,
-            "{} carve diverged from the certificate",
-            kind.name()
-        );
-    }
-
     // Execute a deterministic schedule under the high-water probe; every
     // measured mark must stay at or under its certified bound.
     let samples = sample_schedule(data, SAMPLE_BUDGET);
@@ -318,18 +307,14 @@ pub fn cert_soundness(data: &[u8]) {
         }
         pushes[ci] += samples.len() as u64;
     }
-    let stage_sample = cert.arenas[ArenaKind::StageSample.index()].peak_elements;
-    let stage_spectrum = cert.arenas[ArenaKind::StageSpectrum.index()].peak_elements;
-    assert!(
-        probe.stage_sample_peak <= stage_sample,
-        "staged vector peak {} exceeds certified {stage_sample}",
-        probe.stage_sample_peak
-    );
-    assert!(
-        probe.stage_spectrum_peak <= stage_spectrum,
-        "staged spectrum peak {} exceeds certified {stage_spectrum}",
-        probe.stage_spectrum_peak
-    );
+    for (node, nc) in cert.nodes.iter().enumerate() {
+        assert!(
+            probe.payload_peak[node] <= nc.out_len,
+            "node {node} handed on a {}-element payload > certified out_len {}",
+            probe.payload_peak[node],
+            nc.out_len
+        );
+    }
     for (node, &measured) in probe.emissions.iter().enumerate().take(cert.nodes.len()) {
         let bound = emission_bound(&cert, node, &pushes);
         assert!(
