@@ -89,7 +89,8 @@ impl TimeSeries {
         Micros::from_secs_f64(self.samples.len() as f64 / self.rate_hz)
     }
 
-    /// Timestamp of the sample at `index`.
+    /// Timestamp of the sample at `index`, non-decreasing in `index`
+    /// ([`sample_time`]).
     pub fn time_of(&self, index: usize) -> Micros {
         sample_time(index, self.rate_hz)
     }

@@ -158,6 +158,12 @@ impl std::fmt::Display for Micros {
 
 /// Converts a sample index to its timestamp at `rate_hz`.
 ///
+/// Sample times are non-decreasing in the index: the index-to-float
+/// conversion, the division by a positive rate, the scaling to
+/// microseconds and the rounding are each monotone. The simulator's
+/// replay relies on this to find where a run of samples ends by search
+/// instead of evaluating every sample's time.
+///
 /// # Panics
 ///
 /// Panics if `rate_hz` is not positive and finite.
@@ -243,6 +249,22 @@ mod tests {
         assert_eq!(sample_time(50, 50.0), Micros::from_secs(1));
         assert_eq!(sample_time(0, 8000.0), Micros::ZERO);
         assert_eq!(sample_time(1, 8000.0), Micros(125));
+    }
+
+    #[test]
+    fn sample_times_are_non_decreasing_in_the_index() {
+        let starts = [0usize, 1 << 20, (1 << 32) - 512, 1 << 32, (1 << 33) + 7];
+        for rate in [8000.0, 50.0, 40.0, 100.0, 1000.0 / 3.0, 44100.0, 0.5] {
+            for start in starts {
+                let times: Vec<Micros> = (start..start + 1024)
+                    .map(|i| sample_time(i, rate))
+                    .collect();
+                assert!(
+                    times.windows(2).all(|w| w[0] <= w[1]),
+                    "{rate} Hz from index {start}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -538,7 +538,8 @@ fn input_groups(inputs: &[Input<'_>], co_sample: bool) -> ([Range<usize>; MAX_CH
 
 /// Cuts the next run off the serial replay of `inputs`, taken as
 /// `groups` ([`input_groups`]), where `cursors[g]` is the next unread
-/// sample of group `g`.
+/// sample of group `g` and `time_of` is the sample clock
+/// ([`TimeSeries::time_of`]; tests pass a counting one).
 ///
 /// The serial replay feeds the hub the earliest next sample across all
 /// inputs, the first input winning ties. A group's members tie at every
@@ -547,30 +548,43 @@ fn input_groups(inputs: &[Input<'_>], co_sample: bool) -> ([Range<usize>; MAX_CH
 /// group as to one input. A run is the longest stretch of one group that
 /// keeps winning that pick: its samples must stay strictly earlier than
 /// the next sample of every group before it and no later than that of
-/// every group after it. Returns the group's index and the run's sample
-/// range, and advances its cursor past the run; `None` once every group
-/// is drained.
+/// every group after it. When no other group has a sample left, the run
+/// is the rest of the series and no time is evaluated. Otherwise the
+/// other groups' next times are fixed while this one runs, so winning is
+/// true-then-false in time; sample times are non-decreasing in the
+/// index, so it is true-then-false in the index too, and [`first_cut`]
+/// finds the run's end by search. Returns the group's index and the
+/// run's sample range, and advances its cursor past the run; `None` once
+/// every group is drained.
 fn next_run(
     inputs: &[Input<'_>],
     groups: &[Range<usize>],
     cursors: &mut [usize],
+    mut time_of: impl FnMut(&TimeSeries, usize) -> Micros,
 ) -> Option<(usize, Range<usize>)> {
-    let clock = |g: usize| inputs[groups[g].start].1;
-    let next = |g: usize| (cursors[g] < clock(g).len()).then(|| clock(g).time_of(cursors[g]));
-    let mut best: Option<(usize, Micros)> = None;
-    for g in 0..groups.len() {
-        if let Some(t) = next(g) {
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((g, t));
-            }
+    let series = |g: usize| inputs[groups[g].start].1;
+    let mut pending = (0..groups.len()).filter(|&g| cursors[g] < series(g).len());
+    let first = pending.next()?;
+    if pending.next().is_none() {
+        let run = cursors[first]..series(first).len();
+        cursors[first] = run.end;
+        return Some((first, run));
+    }
+    let mut heads = [None; MAX_CHANNELS];
+    for (g, head) in heads.iter_mut().enumerate().take(groups.len()) {
+        if cursors[g] < series(g).len() {
+            *head = Some(time_of(series(g), cursors[g]));
         }
     }
-    let (i, _) = best?;
-    // The other groups' next-sample times are fixed while this one runs.
+    let (i, _) = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(g, head)| head.map(|t| (g, t)))
+        .min_by_key(|&(g, t)| (t, g))?;
     let mut before_min: Option<Micros> = None;
     let mut after_min: Option<Micros> = None;
-    for g in (0..groups.len()).filter(|&g| g != i) {
-        if let Some(t) = next(g) {
+    for (g, &head) in heads.iter().enumerate().filter(|&(g, _)| g != i) {
+        if let Some(t) = head {
             let slot = if g < i {
                 &mut before_min
             } else {
@@ -580,14 +594,57 @@ fn next_run(
         }
     }
     let wins = |t: Micros| before_min.is_none_or(|m| t < m) && after_min.is_none_or(|m| t <= m);
-    let series = clock(i);
+    let series = series(i);
     let start = cursors[i];
-    let mut end = start + 1;
-    while end < series.len() && wins(series.time_of(end)) {
-        end += 1;
-    }
+    let end = first_cut(
+        start + 1..series.len(),
+        |s| time_of(series, s),
+        |t| !wins(t),
+    );
     cursors[i] = end;
     Some((i, start..end))
+}
+
+/// The first index of `range` whose sample time satisfies `cut`, or
+/// `range.end` if none does; `time_of` maps an index to its sample time.
+///
+/// Exact when `cut` holds on a suffix of `range`: sample times are
+/// non-decreasing in the index ([`TimeSeries::time_of`]), and every
+/// caller's `cut` is false-then-true in time. The search gallops from
+/// `range.start` (offsets 0, 1, 3, 7, …) and then bisects the last
+/// doubling, so a cut `d` indices past `range.start` (or no cut in a
+/// range of `d`) costs at most `2·⌈log2(d + 1)⌉ + 1` evaluations — a
+/// few for the short runs of interleaved inputs, and never one per
+/// sample.
+fn first_cut(
+    range: Range<usize>,
+    mut time_of: impl FnMut(usize) -> Micros,
+    cut: impl Fn(Micros) -> bool,
+) -> usize {
+    // Every index below `lo` is before the cut; `hi` is cut or the end.
+    let (mut lo, mut hi) = (range.start, range.end);
+    let mut reach = 1;
+    loop {
+        let probe = range.start + reach - 1;
+        if probe >= hi {
+            break;
+        }
+        if cut(time_of(probe)) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        reach *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if cut(time_of(mid)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// The link-cost model: every transfer is CRC-framed over the phone's
@@ -713,7 +770,11 @@ struct Replay {
 /// plan edge of any member ([`FaultPlan::channel_state`]), so a stretch
 /// meets one hub state: due resets fire before its first frame, a
 /// member the hub or its channel drops is only counted, and the live
-/// members are pushed in one [`HubRuntime::push_frames`] call. Traced
+/// members are pushed in one [`HubRuntime::push_frames`] call. The edge
+/// lies after the stretch's first sample, and `time >= edge` is
+/// false-then-true over the run's non-decreasing sample times, so
+/// [`first_cut`] finds the cut by search: sample times are evaluated per
+/// run, stretch and wake, never per pushed sample. Traced
 /// runs (`S::ENABLED`) do not group inputs and cut every run into
 /// one-sample stretches, so each event carries its sample's trace time
 /// and events keep the serial order. Every wake then crosses the
@@ -746,7 +807,7 @@ fn replay<S: EventSink, P: Sample>(
     let mut state = [(true, Micros::ZERO); MAX_CHANNELS];
     let mut triggers: Vec<Micros> = Vec::new();
     let mut cursors = [0usize; MAX_CHANNELS];
-    while let Some((g, run)) = next_run(&inputs, groups, &mut cursors) {
+    while let Some((g, run)) = next_run(&inputs, groups, &mut cursors, TimeSeries::time_of) {
         let members = groups[g].clone();
         let clock = inputs[members.start].1;
         let mut start = run.start;
@@ -781,9 +842,7 @@ fn replay<S: EventSink, P: Sample>(
             let end = match edge {
                 _ if S::ENABLED => start + 1,
                 Micros::MAX => run.end,
-                edge => (start + 1..run.end)
-                    .find(|&s| clock.time_of(s) >= edge)
-                    .unwrap_or(run.end),
+                edge => first_cut(start + 1..run.end, |s| clock.time_of(s), |t| t >= edge),
             };
             let rows = start..end;
             if S::ENABLED {
@@ -924,7 +983,7 @@ mod tests {
         let (groups, count) = input_groups(inputs, true);
         let groups = &groups[..count];
         let mut cursors = [0usize; MAX_CHANNELS];
-        std::iter::from_fn(|| next_run(inputs, groups, &mut cursors))
+        std::iter::from_fn(|| next_run(inputs, groups, &mut cursors, TimeSeries::time_of))
             .map(|(g, run)| (groups[g].clone(), run))
             .collect()
     }
@@ -937,6 +996,45 @@ mod tests {
                     .flat_map(move |k| members.clone().map(move |m| (m, k)))
             })
             .collect()
+    }
+
+    /// The serial pick merged into maximal runs of one group — what
+    /// [`next_run`] must cut — as `(members, run)`.
+    fn merged_pick(inputs: &[Input<'_>]) -> Vec<(Range<usize>, Range<usize>)> {
+        let (groups, count) = input_groups(inputs, true);
+        let mut runs: Vec<(Range<usize>, Range<usize>)> = Vec::new();
+        for (j, k) in serial_order(inputs) {
+            let members = groups[..count]
+                .iter()
+                .find(|g| g.contains(&j))
+                .expect("every input is in a group")
+                .clone();
+            match runs.last_mut() {
+                // A later member of the frame the run already holds.
+                Some((m, run)) if *m == members && run.end == k + 1 => {}
+                Some((m, run)) if *m == members && run.end == k => run.end += 1,
+                _ => runs.push((members, k..k + 1)),
+            }
+        }
+        runs
+    }
+
+    /// [`next_run`] under a clock that counts its evaluations: each run
+    /// with the number of sample times it evaluated.
+    fn counted_runs(inputs: &[Input<'_>]) -> Vec<(Range<usize>, usize)> {
+        let (groups, count) = input_groups(inputs, true);
+        let groups = &groups[..count];
+        let mut cursors = [0usize; MAX_CHANNELS];
+        let evaluations = std::cell::Cell::new(0);
+        let clock = |series: &TimeSeries, s: usize| {
+            evaluations.set(evaluations.get() + 1);
+            series.time_of(s)
+        };
+        std::iter::from_fn(|| {
+            evaluations.set(0);
+            next_run(inputs, groups, &mut cursors, clock).map(|(_, run)| (run, evaluations.get()))
+        })
+        .collect()
     }
 
     fn zeros(rate: f64, len: usize) -> TimeSeries {
@@ -960,18 +1058,96 @@ mod tests {
         let runs = grouped_runs(&inputs);
         assert!(runs.iter().all(|(members, _)| members.len() == 1));
         assert_eq!(frame_order(&runs), serial_order(&inputs));
-
         // The serial pick merged into runs: `next_run` cuts the longest.
-        let mut expected: Vec<(usize, Range<usize>)> = Vec::new();
-        for (j, k) in serial_order(&inputs) {
-            match expected.last_mut() {
-                Some((last, run)) if *last == j => run.end += 1,
-                _ => expected.push((j, k..k + 1)),
+        assert_eq!(runs, merged_pick(&inputs));
+        assert!(runs.len() < 3 * 37, "runs must batch some samples");
+    }
+
+    /// Sample rates whose clocks collide (100, 50 and 40 Hz share every
+    /// 100 ms) and rates whose times round (1000/3 and 1000/7 Hz).
+    const RATES: [f64; 6] = [8000.0, 100.0, 50.0, 40.0, 1000.0 / 3.0, 1000.0 / 7.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Over random sets of 1–4 inputs — colliding and rounding
+        /// clocks, unequal lengths, and co-sampled neighbours (`same`
+        /// copies the previous input's rate and length) — the runs are
+        /// the serial pick merged into maximal runs, and the searched
+        /// edge cut is the linear scan's.
+        #[test]
+        fn runs_and_edge_cuts_match_the_linear_scan(
+            specs in proptest::collection::vec((0..RATES.len(), 0..400usize, 0..4u8), 1..5),
+            cuts in proptest::collection::vec((0..4usize, 0..400usize, 0..400usize, 0..3u64), 8),
+        ) {
+            let mut shape: Vec<(f64, usize)> = Vec::new();
+            for &(rate, len, same) in &specs {
+                let next = match shape.last() {
+                    Some(&prev) if same == 0 => prev,
+                    _ => (RATES[rate], len),
+                };
+                shape.push(next);
+            }
+            let series: Vec<TimeSeries> =
+                shape.iter().map(|&(rate, len)| zeros(rate, len)).collect();
+            let inputs: Vec<Input<'_>> =
+                SensorChannel::ALL.into_iter().zip(series.iter()).collect();
+            let runs = grouped_runs(&inputs);
+            proptest::prop_assert_eq!(frame_order(&runs), serial_order(&inputs));
+            proptest::prop_assert_eq!(runs, merged_pick(&inputs));
+
+            for (j, from, at, jitter) in cuts {
+                let clock = &series[j % series.len()];
+                if clock.is_empty() {
+                    continue;
+                }
+                let start = from % clock.len();
+                let end = start + 1 + at % (clock.len() - start);
+                // An edge on, just before or just after a sample time.
+                let edge = Micros(
+                    (clock.time_of(start + at % (clock.len() - start)).0 + jitter).saturating_sub(1),
+                );
+                let linear = (start + 1..end)
+                    .find(|&s| clock.time_of(s) >= edge)
+                    .unwrap_or(end);
+                let mut evaluations = 0;
+                let searched = first_cut(
+                    start + 1..end,
+                    |s| {
+                        evaluations += 1;
+                        clock.time_of(s)
+                    },
+                    |t| t >= edge,
+                );
+                proptest::prop_assert_eq!(searched, linear, "edge {} in {}..{}", edge, start, end);
+                // 2·⌈log2(d + 1)⌉ + 1 for a cut `d` past the range start.
+                let d = searched - (start + 1);
+                let bound = 2 * (usize::BITS - d.leading_zeros()) + 1;
+                proptest::prop_assert!(evaluations <= bound, "{} evaluations for d = {}", evaluations, d);
             }
         }
-        let runs: Vec<_> = runs.into_iter().map(|(m, run)| (m.start, run)).collect();
-        assert_eq!(runs, expected);
-        assert!(runs.len() < 3 * 37, "runs must batch some samples");
+    }
+
+    /// The run end is found by search, not by a per-sample clock scan:
+    /// a lone group's run evaluates no sample time, and a run of an
+    /// interleave costs its two head times plus a logarithmic search.
+    #[test]
+    fn runs_evaluate_logarithmically_many_sample_times() {
+        let audio = zeros(8000.0, 2_400_000);
+        let runs = counted_runs(&[(SensorChannel::Mic, &audio)]);
+        assert_eq!(runs, [(0..2_400_000, 0)]);
+
+        let (x, mic) = (zeros(50.0, 60), zeros(8000.0, 9600));
+        let runs = counted_runs(&[(SensorChannel::AccX, &x), (SensorChannel::Mic, &mic)]);
+        assert_eq!(runs.len(), 2 * 60);
+        for (run, evaluations) in runs {
+            // 2·⌈log2(len + 1)⌉ + 2; the bit length of `len` is ⌈log2(len + 1)⌉.
+            let bound = 2 * (usize::BITS - run.len().leading_zeros()) as usize + 2;
+            assert!(
+                evaluations <= bound,
+                "run {run:?} evaluated {evaluations} sample times (bound {bound})"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   the probed per-sample pass;
 //! * [`targets::cert_soundness`] — the static resource certificate must
 //!   agree with the loader about what fits and dominate every measured
-//!   payload high-water mark and emission count.
+//!   payload high-water mark and emission count;
+//! * [`targets::replay_differential`] — the simulator's replay must wake
+//!   at exactly the times of one-sample pushes in the serial pick's
+//!   order.
 
 pub mod targets;
 
@@ -133,11 +136,12 @@ pub fn load_corpus(dir: &Path) -> Vec<Vec<u8>> {
 pub type Target = fn(&[u8]);
 
 /// The registered targets, in the order `fuzzsmoke` runs them.
-pub const TARGETS: [(&str, Target); 4] = [
+pub const TARGETS: [(&str, Target); 5] = [
     ("ir_totality", targets::ir_totality),
     ("fft_differential", targets::fft_differential),
     ("ingest_differential", targets::ingest_differential),
     ("cert_soundness", targets::cert_soundness),
+    ("replay_differential", targets::replay_differential),
 ];
 
 #[cfg(test)]

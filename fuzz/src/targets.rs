@@ -11,7 +11,8 @@ use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
 use sidewinder_mcu::{HighWaterProbe, McuExecError};
 use sidewinder_obs::CounterSink;
-use sidewinder_sensors::SensorChannel;
+use sidewinder_sensors::{SensorChannel, SensorTrace, TimeSeries};
+use sidewinder_sim::engine::hub_wake_times;
 
 /// The six golden fixtures double as structured seeds: mutated wake
 /// conditions for the totality target, program choices for the
@@ -322,4 +323,98 @@ pub fn cert_soundness(data: &[u8]) {
             "node {node} emitted {measured} > certified bound {bound}"
         );
     }
+}
+
+/// Sample rates for [`replay_differential`]: clocks that collide (100,
+/// 50 and 40 Hz share every 100 ms) and clocks whose times round
+/// (1000/3 and 1000/7 Hz), beside the microphone's 8 kHz.
+const REPLAY_RATES: [f64; 6] = [8000.0, 100.0, 50.0, 40.0, 1000.0 / 3.0, 1000.0 / 7.0];
+
+/// Most samples one channel of a [`replay_differential`] trace holds.
+const REPLAY_SAMPLES: usize = 512;
+
+/// Differential replay: the simulator's replay ([`hub_wake_times`]),
+/// which cuts the trace into runs and frames by searching the sample
+/// clocks, must wake exactly when a naive oracle does. The oracle pushes
+/// one sample at a time in the serial pick's order — the earliest next
+/// sample across the program's inputs, the first input winning ties —
+/// and stamps each wake with the time of the sample that raised it.
+///
+/// The bytes pick 1–3 channels, each with a rate from [`REPLAY_RATES`]
+/// and a bounded length, or the previous channel's rate and length so
+/// that co-sampled groups occur; the samples and each channel's
+/// threshold come from the bytes too. Every channel feeds a
+/// `minThreshold`, joined by `anyOf`.
+pub fn replay_differential(data: &[u8]) {
+    let byte = |k: usize| data.get(k).map_or(0, |&b| b as usize);
+    let count = 1 + byte(0) % 3;
+    let samples = sample_schedule(data, count * REPLAY_SAMPLES);
+    let mut trace = SensorTrace::new("replay_differential");
+    let mut text = String::new();
+    let (mut rate, mut len) = (REPLAY_RATES[0], 0);
+    for k in 0..count {
+        let spec = byte(1 + 3 * k);
+        if k == 0 || spec % 4 != 0 {
+            rate = REPLAY_RATES[spec / 4 % REPLAY_RATES.len()];
+            len = 1 + byte(2 + 3 * k) * 2 % REPLAY_SAMPLES;
+        }
+        let channel = SensorChannel::ALL[(byte(0) / 3 + k) % SensorChannel::COUNT];
+        let column = samples[k * REPLAY_SAMPLES..][..len].to_vec();
+        let series = TimeSeries::from_samples(rate, column).expect("menu rates are positive");
+        trace.insert(channel, series);
+        let threshold = (byte(3 + 3 * k) as f64 - 128.0) / 12.0;
+        text += &format!(
+            "{} -> minThreshold(id={}, params={{{threshold}}});\n",
+            channel.ir_name(),
+            k + 1
+        );
+    }
+    let out = if count == 1 {
+        1
+    } else {
+        let ids: Vec<String> = (1..=count).map(|k| k.to_string()).collect();
+        text += &format!("{} -> anyOf(id={});\n", ids.join(","), count + 1);
+        count + 1
+    };
+    text += &format!("{out} -> OUT;");
+    let program: Program = text.parse().expect("generated program parses");
+
+    let inputs: Vec<(SensorChannel, &TimeSeries)> = program
+        .channels()
+        .into_iter()
+        .map(|c| {
+            (
+                c,
+                trace
+                    .channel(c)
+                    .expect("every read channel is in the trace"),
+            )
+        })
+        .collect();
+    let rates = inputs
+        .iter()
+        .fold(ChannelRates::default(), |rates, &(c, series)| {
+            rates.with_rate(c, series.rate_hz())
+        });
+    let mut oracle = HubRuntime::load(&program, &rates).expect("generated program loads");
+    let mut cursors = vec![0usize; inputs.len()];
+    let mut expected = Vec::new();
+    while let Some(j) = (0..inputs.len())
+        .filter(|&j| cursors[j] < inputs[j].1.len())
+        .min_by_key(|&j| (inputs[j].1.time_of(cursors[j]), j))
+    {
+        let (channel, series) = inputs[j];
+        let at = series.time_of(cursors[j]);
+        let wakes = oracle
+            .push_sample(channel, series.samples()[cursors[j]])
+            .expect("program executes");
+        expected.extend(wakes.iter().map(|_| at));
+        cursors[j] += 1;
+    }
+
+    let got = hub_wake_times(&trace, &program).expect("replay runs");
+    assert_eq!(
+        got, expected,
+        "replay diverged from the serial oracle on:\n{text}"
+    );
 }
