@@ -10,6 +10,7 @@ use sidewinder_dsp::filter::{fft_highpass, MovingAverage};
 use sidewinder_dsp::window::WindowShape;
 use sidewinder_dsp::{fft, goertzel, stats, zcr};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
+use sidewinder_hub::NullSink;
 use sidewinder_opt::{fuse_programs, optimize, OptOptions};
 use sidewinder_sensors::SensorChannel;
 use sidewinder_sim::Application;
@@ -66,7 +67,8 @@ pub fn bench_conditions(c: &mut Criterion) {
     for (name, program, channel) in &cases {
         let samples: Vec<f64> = (0..batch).map(|i| (i as f64 * 0.37).sin()).collect();
         group.bench_function(format!("{name}_f32"), |b| {
-            let mut hub = HubRuntime32::load_f32(program, &ChannelRates::default()).unwrap();
+            let mut hub =
+                HubRuntime32::load_generic(program, &ChannelRates::default(), NullSink).unwrap();
             b.iter(|| {
                 hub.push_samples(*channel, black_box(&samples))
                     .unwrap()

@@ -512,21 +512,44 @@ mod tests {
     }
 
     #[test]
-    fn arena_occupancy_matches_the_footprint_and_the_load() {
+    fn arena_occupancy_matches_the_node_specs_and_the_load() {
         let rates = ChannelRates::default();
         let image = compile_image(&audio(), &rates).unwrap();
         let cert =
             certify_program(&audio(), &rates, Precision::F64, &CertTarget::default()).unwrap();
-        let foot = image_footprint(&image).unwrap();
-        for (kind, arena) in ArenaKind::ALL.iter().zip(&cert.arenas) {
-            assert_eq!(arena.elements, foot.arena(*kind).elements);
-        }
-        // window 3×64 ring+taper+payload, plus fft/specMag vectors.
-        assert!(cert.required_capacity >= 192);
+        let elements = |kind: ArenaKind| cert.arenas[kind.index()].elements;
+        // Worked out by hand from the node specs of
+        // `window(64, 32) → fft → spectralMagnitude → dominantRatio →
+        // minThreshold`; the scalar tail carves nothing.
+        assert_eq!(
+            elements(ArenaKind::Sample),
+            64 // window ring
+                + 64 // window taper
+                + 64 // window payload
+                + 33 // spectralMagnitude payload: 64 / 2 + 1 bins
+        );
+        assert_eq!(elements(ArenaKind::Scalar), 64); // fft widening scratch
+        assert_eq!(
+            elements(ArenaKind::Complex),
+            63 // fft twiddles: 64 - 1
+                + 64 // fft spectrum payload
+        );
+        // fft swaps: the 64 - 8 six-bit indices that are not bit
+        // palindromes, in pairs.
+        assert_eq!(elements(ArenaKind::Swap), 28);
+        assert_eq!(elements(ArenaKind::Mask), 0);
+        assert_eq!(cert.required_capacity, 225);
         assert!(cert.fits_cap);
 
-        let mut core: sidewinder_mcu::McuCore<f64, 4096> = sidewinder_mcu::McuCore::new();
-        core.load(&image).unwrap();
+        // The load agrees: the largest arena fits a core of exactly
+        // that capacity and overflows one element less.
+        let mut fits: sidewinder_mcu::McuCore<f64, 225> = sidewinder_mcu::McuCore::new();
+        fits.load(&image).unwrap();
+        let mut short: sidewinder_mcu::McuCore<f64, 224> = sidewinder_mcu::McuCore::new();
+        assert!(matches!(
+            short.load(&image),
+            Err(sidewinder_mcu::McuExecError::ArenaOverflow { needed: 225, .. })
+        ));
     }
 
     #[test]

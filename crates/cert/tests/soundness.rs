@@ -85,10 +85,10 @@ fn check_measured_bounds<P: Sample>(name: &str, program: &Program, cert: &Resour
     let channels = program.channels();
     for i in 0..SAMPLES {
         for (ci, &channel) in channels.iter().enumerate() {
-            core.push_sample_probed(
-                channel.index() as u8,
-                probe_sample(i, ci),
-                &mut |_| {},
+            core.push_frames_probed(
+                &[channel.index() as u8],
+                &[&[probe_sample(i, ci)]],
+                &mut |_, _| {},
                 &mut probe,
             )
             .unwrap_or_else(|e| panic!("{name}: executes: {e}"));

@@ -1,14 +1,12 @@
 //! Per-node counters and timing histograms.
 
-use crate::event::{Event, EventSink, FrameOutcome};
-use crate::hist::Histogram;
-use sidewinder_ir::NodeId;
+use sidewinder_mcu::{Event, FrameOutcome, Probe, WakeEvent};
+use sidewinder_obs::Histogram;
+use std::time::Instant;
 
 /// Execution statistics for one pipeline node.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeStats {
-    /// The node's IR id.
-    pub node: NodeId,
     /// Interpreter passes that executed this node.
     pub executions: u64,
     /// Executions that produced a result (set the `hasResult` flag).
@@ -17,19 +15,8 @@ pub struct NodeStats {
     pub timing: Histogram,
 }
 
-impl Default for NodeStats {
-    fn default() -> Self {
-        NodeStats {
-            node: NodeId(0),
-            executions: 0,
-            productions: 0,
-            timing: Histogram::new(),
-        }
-    }
-}
-
-/// An [`EventSink`] that tallies everything: per-node execution counts
-/// and timing histograms (dense, in statement order), wake emissions,
+/// A [`Probe`] that tallies everything: per-node execution counts and
+/// timing histograms (dense, in statement order), wake emissions,
 /// link-frame outcomes, and fault activity.
 ///
 /// Sized with [`CounterSink::with_nodes`], recording is allocation-free:
@@ -39,6 +26,8 @@ impl Default for NodeStats {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterSink {
     nodes: Vec<NodeStats>,
+    /// When the running node started; read by its `node_end`.
+    started: Option<Instant>,
     /// Wake-ups raised (values reaching `OUT`).
     pub wakes: u64,
     /// Hub resets observed.
@@ -77,8 +66,7 @@ impl CounterSink {
     }
 
     /// Per-node statistics in dense statement order. Nodes the
-    /// interpreter never executed keep zero counts (and a zero id if the
-    /// sink was preallocated).
+    /// interpreter never executed keep zero counts.
     pub fn nodes(&self) -> &[NodeStats] {
         &self.nodes
     }
@@ -98,25 +86,32 @@ impl CounterSink {
     }
 }
 
-impl EventSink for CounterSink {
+impl Probe for CounterSink {
+    fn node_start(&mut self, _node: u16) {
+        self.started = Some(Instant::now());
+    }
+
+    fn node_end(&mut self, node: u16, produced: bool) {
+        let index = node as usize;
+        if index >= self.nodes.len() {
+            self.nodes.resize(index + 1, NodeStats::default());
+        }
+        let stats = &mut self.nodes[index];
+        stats.executions += 1;
+        stats.productions += u64::from(produced);
+        stats.timing.record(
+            self.started
+                .take()
+                .map_or(0, |t| t.elapsed().as_nanos() as u64),
+        );
+    }
+
+    fn wake(&mut self, _wake: WakeEvent) {
+        self.wakes += 1;
+    }
+
     fn record(&mut self, event: Event) {
         match event {
-            Event::NodeExecuted {
-                index,
-                node,
-                elapsed_ns,
-                produced,
-            } => {
-                if index >= self.nodes.len() {
-                    self.nodes.resize(index + 1, NodeStats::default());
-                }
-                let stats = &mut self.nodes[index];
-                stats.node = node;
-                stats.executions += 1;
-                stats.productions += u64::from(produced);
-                stats.timing.record(elapsed_ns);
-            }
-            Event::Wake { .. } => self.wakes += 1,
             Event::HubReset => self.hub_resets += 1,
             Event::ProgramRedownload => self.redownloads += 1,
             Event::LinkFrame { outcome, attempt } => {
@@ -140,30 +135,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_events_land_in_dense_slots() {
+    fn node_runs_land_in_dense_slots() {
         let mut sink = CounterSink::with_nodes(2);
-        sink.record(Event::NodeExecuted {
-            index: 0,
-            node: NodeId(7),
-            elapsed_ns: 100,
-            produced: true,
-        });
-        sink.record(Event::NodeExecuted {
-            index: 0,
-            node: NodeId(7),
-            elapsed_ns: 300,
-            produced: false,
-        });
-        sink.record(Event::NodeExecuted {
-            index: 1,
-            node: NodeId(9),
-            elapsed_ns: 50,
-            produced: true,
-        });
-        assert_eq!(sink.nodes()[0].node, NodeId(7));
+        for (node, produced) in [(0, true), (0, false), (1, true)] {
+            sink.node_start(node);
+            sink.node_end(node, produced);
+        }
         assert_eq!(sink.nodes()[0].executions, 2);
         assert_eq!(sink.nodes()[0].productions, 1);
-        assert_eq!(sink.nodes()[0].timing.sum_ns(), 400);
+        assert_eq!(sink.nodes()[0].timing.count(), 2);
         assert_eq!(sink.nodes()[1].executions, 1);
         assert_eq!(sink.total_executions(), 3);
         assert_eq!(sink.total_timing().count(), 3);
@@ -172,12 +152,8 @@ mod tests {
     #[test]
     fn undersized_sink_grows_instead_of_dropping() {
         let mut sink = CounterSink::new();
-        sink.record(Event::NodeExecuted {
-            index: 3,
-            node: NodeId(4),
-            elapsed_ns: 10,
-            produced: true,
-        });
+        sink.node_start(3);
+        sink.node_end(3, true);
         assert_eq!(sink.nodes().len(), 4);
         assert_eq!(sink.nodes()[3].executions, 1);
         assert_eq!(sink.nodes()[0].executions, 0);
@@ -201,16 +177,10 @@ mod tests {
         sink.record(Event::FrameLost);
         sink.record(Event::HubReset);
         sink.record(Event::ProgramRedownload);
-        sink.record(Event::SampleDropped {
-            channel: sidewinder_sensors::SensorChannel::Mic,
-        });
+        sink.record(Event::SampleDropped { channel: 3 });
         sink.record(Event::Degraded { entered: true });
         sink.record(Event::Degraded { entered: false });
-        sink.record(Event::Wake {
-            node: NodeId(1),
-            seq: 0,
-            value: 1.0,
-        });
+        sink.wake(WakeEvent { seq: 0, value: 1.0 });
         assert_eq!(sink.frames_sent, 3);
         assert_eq!(sink.frames_corrupted, 1);
         assert_eq!(sink.frames_dropped, 1);

@@ -16,6 +16,7 @@
 //! Two plans built from the same schedule over the same horizon are equal;
 //! a schedule with no faults configured injects nothing at all.
 
+use sidewinder_mcu::FrameOutcome;
 use sidewinder_sensors::{Micros, SensorChannel};
 
 /// Bytes in the hub→phone wake notification frame (event id, sequence
@@ -322,17 +323,6 @@ fn merge_windows(sorted: Vec<(Micros, Micros)>) -> Vec<(Micros, Micros)> {
     out
 }
 
-/// What became of one frame transfer attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFate {
-    /// Arrived intact (CRC verified).
-    Delivered,
-    /// Arrived with a CRC mismatch; the receiver detects and discards it.
-    Corrupted,
-    /// Never arrived; the receiver detects it by timeout.
-    Dropped,
-}
-
 /// A schedule expanded over a concrete horizon: explicit reset instants,
 /// merged hub-downtime windows, per-channel dropout windows, and an owned
 /// generator for per-frame fates. Consumed mutably by one simulation run;
@@ -397,13 +387,13 @@ impl FaultPlan {
     /// Draws the fate of the next frame transfer attempt. Corruption is
     /// checked before loss, so one attempt consumes one or two draws —
     /// always in the same order, keeping runs reproducible.
-    pub fn next_frame_fate(&mut self) -> FrameFate {
+    pub fn next_frame_fate(&mut self) -> FrameOutcome {
         if self.rng.chance(self.corruption_rate) {
-            FrameFate::Corrupted
+            FrameOutcome::Corrupted
         } else if self.rng.chance(self.drop_rate) {
-            FrameFate::Dropped
+            FrameOutcome::Dropped
         } else {
-            FrameFate::Delivered
+            FrameOutcome::Delivered
         }
     }
 }
@@ -443,7 +433,7 @@ mod tests {
         );
         let mut plan = plan;
         for _ in 0..32 {
-            assert_eq!(plan.next_frame_fate(), FrameFate::Delivered);
+            assert_eq!(plan.next_frame_fate(), FrameOutcome::Delivered);
         }
     }
 
@@ -545,9 +535,9 @@ mod tests {
         let mut counts = [0u32; 3];
         for _ in 0..4000 {
             match plan.next_frame_fate() {
-                FrameFate::Delivered => counts[0] += 1,
-                FrameFate::Corrupted => counts[1] += 1,
-                FrameFate::Dropped => counts[2] += 1,
+                FrameOutcome::Delivered => counts[0] += 1,
+                FrameOutcome::Corrupted => counts[1] += 1,
+                FrameOutcome::Dropped => counts[2] += 1,
             }
         }
         // ~56 % delivered, ~25 % corrupted, ~19 % dropped.
@@ -577,6 +567,6 @@ mod tests {
             .with_frame_drops(f64::NAN);
         let mut plan = s.plan(Micros::from_secs(1), Micros::ZERO);
         // Corruption clamps to 1.0 (every frame), NaN drop rate to 0.
-        assert_eq!(plan.next_frame_fate(), FrameFate::Corrupted);
+        assert_eq!(plan.next_frame_fate(), FrameOutcome::Corrupted);
     }
 }

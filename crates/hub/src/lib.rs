@@ -14,6 +14,10 @@
 //!   image the core loads ([`compile_image`]);
 //! * [`runtime`] — [`HubRuntime`], the core's host wrapper: loads a
 //!   program, accepts samples, and emits [`WakeEvent`]s;
+//! * [`counters`] and [`timeline`] — the host's [`Probe`] sinks:
+//!   [`CounterSink`] tallies per-node executions, timing histograms and
+//!   link/fault activity, [`TimelineSink`] records a `chrome://tracing`
+//!   timeline against trace time;
 //! * [`cost`] — a flop/memory cost model for pipelines;
 //! * [`mcu`] — microcontroller capability models; the MSP430 cannot run
 //!   FFT stages in real time, reproducing the paper's Table 2 footnote;
@@ -48,17 +52,23 @@
 //! ```
 
 pub mod cost;
+pub mod counters;
 pub mod energy;
 pub mod fault;
 pub mod link;
 pub mod mcu;
 pub mod mcu_image;
 pub mod runtime;
+pub mod timeline;
 
-pub use fault::{ChannelDropout, FaultPlan, FaultSchedule, FrameFate, RetryPolicy};
+pub use counters::{CounterSink, NodeStats};
+pub use fault::{ChannelDropout, FaultPlan, FaultSchedule, RetryPolicy};
 pub use mcu::Mcu;
 pub use mcu_image::compile_image;
 pub use runtime::{HubError, HubRuntime, HubRuntime32, LoadError, WakeEvent};
 pub use sidewinder_dsp::Sample;
 pub use sidewinder_mcu::image::{MAX_CHANNELS, MAX_NODES};
-pub use sidewinder_mcu::{McuCore, McuExecError, McuImage, DEFAULT_ARENA};
+pub use sidewinder_mcu::{
+    Event, FrameOutcome, McuCore, McuExecError, McuImage, NullSink, Probe, DEFAULT_ARENA,
+};
+pub use timeline::{TimelineEvent, TimelineSink};

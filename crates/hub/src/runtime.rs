@@ -13,18 +13,16 @@
 //! on the hub MCU. [`HubRuntime`] is its host wrapper. It compiles a
 //! validated program into the image the hub loads ([`compile_image`]),
 //! loads that image into a [`HostCore`] whose arenas are sized to the
-//! image's exact footprint, and adapts the core's probe hooks to an
-//! [`EventSink`]. The host therefore runs the very code `swcert`
+//! image's exact footprint, and hands its [`Probe`] straight to the
+//! core on every push. The host therefore runs the very code `swcert`
 //! certifies.
 
 use crate::mcu_image::compile_image;
 use sidewinder_dsp::Sample;
 use sidewinder_ir::{NodeId, Program, ValidateError};
 use sidewinder_mcu::image::MAX_CHANNELS;
-use sidewinder_mcu::{ExecProbe, HostCore, McuExecError};
-use sidewinder_obs::{Event, EventSink, NullSink};
+use sidewinder_mcu::{Event, HostCore, McuExecError, NullSink, Probe};
 use sidewinder_sensors::SensorChannel;
-use std::time::Instant;
 
 pub use sidewinder_ir::flow::ChannelRates;
 pub use sidewinder_mcu::WakeEvent;
@@ -144,31 +142,27 @@ impl From<McuExecError> for HubError {
 /// consumers, down to `OUT`. Readiness lives in one bitmask word, and
 /// after `load` a pass performs no heap allocation.
 ///
-/// The runtime is generic over an observability [`EventSink`]. The
-/// default [`NullSink`] has `ENABLED = false`, which switches the core's
-/// probe off at compile time, so the unobserved runtime is exactly the
+/// The runtime is generic over an observability [`Probe`]. The default
+/// [`NullSink`] has `ENABLED = false`, which switches the core's hooks
+/// off at compile time, so the unobserved runtime is exactly the
 /// uninstrumented interpreter (pinned by `tests/zero_alloc.rs`). Pass a
-/// [`CounterSink`](sidewinder_obs::CounterSink) or
-/// [`TimelineSink`](sidewinder_obs::TimelineSink) via
-/// [`HubRuntime::load_with_sink`] to observe node executions, wake
+/// [`CounterSink`](crate::CounterSink) or
+/// [`TimelineSink`](crate::TimelineSink) to
+/// [`HubRuntime::load_generic`] to observe node executions, wake
 /// emissions, and resets.
 ///
 /// The runtime is also generic over the vector sample precision `P`
-/// (default `f64`). In `f32` mode (the [`HubRuntime32`] alias, loaded
-/// via [`HubRuntime32::load_f32`]) windows and magnitude spectra are
-/// buffered and reduced at single precision — the hardware-faithful
-/// hub mode, since the paper's MCUs have at most an f32 FPU — while
-/// sensor ingestion, scalar features, thresholds, and [`WakeEvent`]s
-/// stay `f64` end to end.
-pub struct HubRuntime<S: EventSink = NullSink, P: Sample = f64> {
+/// (default `f64`). In `f32` mode (the [`HubRuntime32`] alias) windows
+/// and magnitude spectra are buffered and reduced at single precision —
+/// the hardware-faithful hub mode, since the paper's MCUs have at most
+/// an f32 FPU — while sensor ingestion, scalar features, thresholds,
+/// and [`WakeEvent`]s stay `f64` end to end.
+pub struct HubRuntime<S: Probe = NullSink, P: Sample = f64> {
     core: HostCore<P>,
-    /// IR id of each node by dense index; kept only for enabled sinks,
-    /// whose events name nodes.
-    ids: Vec<NodeId>,
     /// Wake events accumulated by the current `push_samples` batch.
     wake_buf: Vec<WakeEvent>,
-    /// Observability sink; [`NullSink`] by default, in which case every
-    /// use below is guarded out at compile time.
+    /// Observability probe; [`NullSink`] by default, in which case the
+    /// core's hooks compile away.
     sink: S,
 }
 
@@ -180,47 +174,18 @@ impl HubRuntime {
     ///
     /// As [`HubRuntime::load_generic`].
     pub fn load(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
-        Self::load_with_sink(program, rates, NullSink)
+        Self::load_generic(program, rates, NullSink)
     }
 }
 
 /// The hub interpreter in single-precision (`f32`) vector mode.
 pub type HubRuntime32<S = NullSink> = HubRuntime<S, f32>;
 
-impl HubRuntime32 {
-    /// Validates `program` and loads it with vector payloads (windows,
-    /// magnitude spectra) at `f32`, with observability disabled
-    /// ([`NullSink`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`HubRuntime::load_generic`].
-    pub fn load_f32(program: &Program, rates: &ChannelRates) -> Result<Self, HubError> {
-        Self::load_generic(program, rates, NullSink)
-    }
-}
-
-impl<S: EventSink> HubRuntime<S, f64> {
-    /// Like [`HubRuntime::load`], but events flow into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// As [`HubRuntime::load_generic`].
-    pub fn load_with_sink(
-        program: &Program,
-        rates: &ChannelRates,
-        sink: S,
-    ) -> Result<Self, HubError> {
-        Self::load_generic(program, rates, sink)
-    }
-}
-
-impl<S: EventSink, P: Sample> HubRuntime<S, P> {
-    /// The precision-generic loader behind [`HubRuntime::load_with_sink`]
-    /// and [`HubRuntime32::load_f32`]: validate, compile the image, load
-    /// it into a core. Callers name the precision at the type level
-    /// (`HubRuntime::<_, f32>::load_generic(..)`); the named loaders
-    /// exist so ordinary call sites never need a turbofish.
+impl<S: Probe, P: Sample> HubRuntime<S, P> {
+    /// Validates `program`, compiles its image and loads it into a core
+    /// at vector precision `P`, reporting to `sink`. Callers name the
+    /// precision at the type level (`HubRuntime::<_, f32>::load_generic(..)`
+    /// or [`HubRuntime32`]).
     ///
     /// # Errors
     ///
@@ -236,14 +201,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
         let image = compile_image(program, rates)?;
         let mut core = HostCore::new();
         core.load(&image)?;
-        let ids = if S::ENABLED {
-            program.nodes().map(|(_, id, _)| id).collect()
-        } else {
-            Vec::new()
-        };
         Ok(HubRuntime {
             core,
-            ids,
             wake_buf: Vec::new(),
             sink,
         })
@@ -305,18 +264,15 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     ) -> Result<&[WakeEvent], HubError> {
         let HubRuntime {
             core,
-            ids,
             wake_buf,
             sink,
         } = self;
         wake_buf.clear();
-        push_core(
-            core,
-            ids,
-            sink,
+        core.push_frames_probed(
             &[channel.index() as u8],
             &[samples],
             &mut |_, w| wake_buf.push(w),
+            sink,
         )?;
         Ok(wake_buf)
     }
@@ -348,10 +304,8 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
             *index = channel.index() as u8;
         }
         let indices = &indices[..channels.len()];
-        let HubRuntime {
-            core, ids, sink, ..
-        } = self;
-        push_core(core, ids, sink, indices, columns, &mut on_wake)?;
+        let HubRuntime { core, sink, .. } = self;
+        core.push_frames_probed(indices, columns, &mut on_wake, sink)?;
         Ok(())
     }
 
@@ -359,80 +313,16 @@ impl<S: EventSink, P: Sample> HubRuntime<S, P> {
     pub fn reset(&mut self) {
         self.core.reset();
         self.wake_buf.clear();
-        if S::ENABLED {
-            self.sink.record(Event::HubReset);
-        }
+        self.sink.record(Event::HubReset);
     }
 }
 
-impl<S: EventSink, P: Sample> std::fmt::Debug for HubRuntime<S, P> {
+impl<S: Probe, P: Sample> std::fmt::Debug for HubRuntime<S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HubRuntime")
             .field("nodes", &self.node_count())
             .field("wake_count", &self.wake_count())
             .finish_non_exhaustive()
-    }
-}
-
-/// The one push behind [`HubRuntime::push_samples`] and
-/// [`HubRuntime::push_frames`]: the core's probe is live exactly when
-/// the sink is.
-fn push_core<S: EventSink, P: Sample>(
-    core: &mut HostCore<P>,
-    ids: &[NodeId],
-    sink: &mut S,
-    channels: &[u8],
-    columns: &[&[f64]],
-    on_wake: &mut impl FnMut(usize, WakeEvent),
-) -> Result<(), McuExecError> {
-    if S::ENABLED {
-        let mut probe = SinkProbe {
-            out: ids[core.image().out_index()],
-            sink,
-            ids,
-            started: None,
-        };
-        core.push_frames_probed(channels, columns, on_wake, &mut probe)
-    } else {
-        core.push_frames(channels, columns, on_wake)
-    }
-}
-
-/// Turns the core's node-run and wake hooks into
-/// [`Event::NodeExecuted`]s and [`Event::Wake`]s.
-struct SinkProbe<'a, S: EventSink> {
-    /// The node feeding `OUT`, which wake events name.
-    out: NodeId,
-    sink: &'a mut S,
-    ids: &'a [NodeId],
-    started: Option<Instant>,
-}
-
-impl<S: EventSink> ExecProbe for SinkProbe<'_, S> {
-    const ENABLED: bool = S::ENABLED;
-
-    fn node_start(&mut self, _node: u16) {
-        self.started = Some(Instant::now());
-    }
-
-    fn node_end(&mut self, node: u16, produced: bool) {
-        self.sink.record(Event::NodeExecuted {
-            index: node as usize,
-            node: self.ids[node as usize],
-            elapsed_ns: self
-                .started
-                .take()
-                .map_or(0, |t| t.elapsed().as_nanos() as u64),
-            produced,
-        });
-    }
-
-    fn wake(&mut self, wake: WakeEvent) {
-        self.sink.record(Event::Wake {
-            node: self.out,
-            seq: wake.seq,
-            value: wake.value,
-        });
     }
 }
 
@@ -891,7 +781,8 @@ mod tests {
              6 -> OUT;";
         let program: Program = text.parse().unwrap();
         let mut h64 = HubRuntime::load(&program, &ChannelRates::default()).unwrap();
-        let mut h32 = HubRuntime32::load_f32(&program, &ChannelRates::default()).unwrap();
+        let mut h32 =
+            HubRuntime32::load_generic(&program, &ChannelRates::default(), NullSink).unwrap();
         for i in 0..512u64 {
             let x = if (i / 8) % 2 == 0 {
                 if i % 2 == 0 {

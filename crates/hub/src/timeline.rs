@@ -1,15 +1,16 @@
 //! Event timeline collection and `chrome://tracing` export.
 //!
 //! [`TimelineSink`] timestamps events against *simulated* trace time (the
-//! engine moves the cursor with [`EventSink::set_time`] as it replays
+//! engine moves the cursor with [`Probe::set_time`] as it replays
 //! samples), so exported timelines are deterministic modulo the measured
 //! per-node durations. [`TimelineSink::chrome_json`] renders the Trace
 //! Event Format JSON that `chrome://tracing` / Perfetto open directly:
 //! node executions become duration (`"X"`) slices on one row per node,
 //! wakes and faults become instant events.
 
-use crate::event::{Event, EventSink, FrameOutcome};
+use sidewinder_mcu::{Event, FrameOutcome, Probe, WakeEvent};
 use sidewinder_sensors::Micros;
+use std::time::Instant;
 
 /// One timestamped entry in the collected timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,11 +73,13 @@ impl TimelineEvent {
 /// chatty run degrades to truncation instead of unbounded memory growth.
 const DEFAULT_LIMIT: usize = 2_000_000;
 
-/// An [`EventSink`] that collects a timestamped event timeline for one
+/// A [`Probe`] that collects a timestamped event timeline for one
 /// simulation run.
 #[derive(Debug, Clone)]
 pub struct TimelineSink {
     now: Micros,
+    /// When the running node started; read by its `node_end`.
+    started: Option<Instant>,
     events: Vec<TimelineEvent>,
     limit: usize,
     /// Events discarded after the cap was hit.
@@ -94,6 +97,7 @@ impl TimelineSink {
     pub fn new() -> TimelineSink {
         TimelineSink {
             now: Micros::ZERO,
+            started: None,
             events: Vec::new(),
             limit: DEFAULT_LIMIT,
             truncated: 0,
@@ -125,8 +129,7 @@ impl TimelineSink {
     ///
     /// `node_names` labels the per-node rows in dense statement order;
     /// missing entries fall back to `node<i>`. All content is generated
-    /// (node labels come from the IR), so no JSON escaping is needed
-    /// beyond what [`crate::energy`] labels already guarantee.
+    /// (node labels come from the IR), so no JSON escaping is needed.
     pub fn chrome_json(&self, node_names: &[String]) -> String {
         use std::fmt::Write as _;
         let name_of = |i: usize| -> String {
@@ -222,60 +225,65 @@ impl TimelineSink {
     }
 }
 
-impl EventSink for TimelineSink {
+impl Probe for TimelineSink {
+    fn node_start(&mut self, _node: u16) {
+        self.started = Some(Instant::now());
+    }
+
+    fn node_end(&mut self, node: u16, produced: bool) {
+        let dur_ns = self
+            .started
+            .take()
+            .map_or(0, |t| t.elapsed().as_nanos() as u64);
+        self.push(TimelineEvent::Node {
+            ts: self.now,
+            index: node as usize,
+            dur_ns,
+            produced,
+        });
+    }
+
+    fn wake(&mut self, wake: WakeEvent) {
+        self.push(TimelineEvent::Wake {
+            ts: self.now,
+            value: wake.value,
+        });
+    }
+
     fn record(&mut self, event: Event) {
-        let now = self.now;
+        let ts = self.now;
         match event {
-            Event::NodeExecuted {
-                index,
-                elapsed_ns,
-                produced,
-                ..
-            } => self.push(TimelineEvent::Node {
-                ts: now,
-                index,
-                dur_ns: elapsed_ns,
-                produced,
-            }),
-            Event::Wake { value, .. } => self.push(TimelineEvent::Wake { ts: now, value }),
-            Event::HubReset => self.push(TimelineEvent::Reset { ts: now }),
+            Event::HubReset => self.push(TimelineEvent::Reset { ts }),
             Event::LinkFrame { outcome, attempt } => self.push(TimelineEvent::Frame {
-                ts: now,
+                ts,
                 outcome,
                 attempt,
             }),
-            Event::Degraded { entered } => self.push(TimelineEvent::Degraded { ts: now, entered }),
+            Event::Degraded { entered } => self.push(TimelineEvent::Degraded { ts, entered }),
             // Pure tallies don't need timeline rows.
             Event::ProgramRedownload | Event::FrameLost | Event::SampleDropped { .. } => {}
         }
     }
 
-    fn set_time(&mut self, t: Micros) {
-        self.now = t;
+    fn set_time(&mut self, micros: u64) {
+        self.now = Micros::from_micros(micros);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sidewinder_ir::NodeId;
+
+    const WAKE: WakeEvent = WakeEvent { seq: 0, value: 1.0 };
 
     #[test]
     fn events_are_stamped_with_the_cursor() {
         let mut sink = TimelineSink::new();
-        sink.set_time(Micros::from_millis(20));
-        sink.record(Event::NodeExecuted {
-            index: 0,
-            node: NodeId(1),
-            elapsed_ns: 1500,
-            produced: true,
-        });
-        sink.set_time(Micros::from_millis(40));
-        sink.record(Event::Wake {
-            node: NodeId(1),
-            seq: 3,
-            value: 2.5,
-        });
+        sink.set_time(20_000);
+        sink.node_start(0);
+        sink.node_end(0, true);
+        sink.set_time(40_000);
+        sink.wake(WAKE);
         assert_eq!(sink.events().len(), 2);
         assert_eq!(sink.events()[0].ts(), Micros::from_millis(20));
         assert_eq!(sink.events()[1].ts(), Micros::from_millis(40));
@@ -294,18 +302,10 @@ mod tests {
     #[test]
     fn chrome_json_is_structurally_sound() {
         let mut sink = TimelineSink::new();
-        sink.set_time(Micros::from_secs(1));
-        sink.record(Event::NodeExecuted {
-            index: 0,
-            node: NodeId(1),
-            elapsed_ns: 2000,
-            produced: true,
-        });
-        sink.record(Event::Wake {
-            node: NodeId(1),
-            seq: 0,
-            value: 1.0,
-        });
+        sink.set_time(1_000_000);
+        sink.node_start(0);
+        sink.node_end(0, true);
+        sink.wake(WAKE);
         sink.record(Event::LinkFrame {
             outcome: FrameOutcome::Corrupted,
             attempt: 2,

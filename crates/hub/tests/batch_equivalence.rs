@@ -10,7 +10,7 @@
 //! filters, ZCR features, joins, and sustained streaks.
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32, WakeEvent};
-use sidewinder_hub::{compile_image, McuCore, McuExecError};
+use sidewinder_hub::{compile_image, McuCore, McuExecError, NullSink};
 use sidewinder_ir::Program;
 use sidewinder_mcu::image::MAX_CHANNELS;
 use sidewinder_sensors::SensorChannel;
@@ -202,12 +202,12 @@ fn f32_batches_match_serial_on_all_golden_fixtures() {
         let program: Program = text.parse().unwrap();
         let rates = ChannelRates::default();
         let samples: Vec<f64> = (0..8192).map(signal).collect();
-        let mut serial_hub = HubRuntime32::load_f32(&program, &rates).unwrap();
+        let mut serial_hub = HubRuntime32::load_generic(&program, &rates, NullSink).unwrap();
         let mut serial = Vec::new();
         for &s in &samples {
             serial.extend(serial_hub.push_sample(channel, s).unwrap());
         }
-        let mut batch_hub = HubRuntime32::load_f32(&program, &rates).unwrap();
+        let mut batch_hub = HubRuntime32::load_generic(&program, &rates, NullSink).unwrap();
         let batched = batch_hub.push_samples(channel, &samples).unwrap();
         assert_wakes_equal(&serial, batched, &format!("{name} at f32"));
     }

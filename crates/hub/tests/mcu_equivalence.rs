@@ -13,9 +13,8 @@
 
 use sidewinder_cert::{certify_program, CertTarget, Precision};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
-use sidewinder_hub::{compile_image, McuCore, McuExecError, Sample, DEFAULT_ARENA};
+use sidewinder_hub::{compile_image, McuCore, McuExecError, NullSink, Sample, DEFAULT_ARENA};
 use sidewinder_ir::Program;
-use sidewinder_obs::NullSink;
 
 /// The six golden wake-up conditions, as committed under `crates/ir`.
 const FIXTURES: [(&str, &str); 6] = [

@@ -14,8 +14,8 @@
 //! * Every passed value reaches `OUT` and raises a wake.
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
+use sidewinder_hub::CounterSink;
 use sidewinder_ir::Program;
-use sidewinder_obs::CounterSink;
 use sidewinder_sensors::SensorChannel;
 
 const PROGRAM: &str = "ACC_X -> movingAvg(id=1, params={2});
@@ -26,7 +26,7 @@ const PROGRAM: &str = "ACC_X -> movingAvg(id=1, params={2});
 fn counters_match_a_hand_computed_run() {
     let program: Program = PROGRAM.parse().unwrap();
     let node_count = program.nodes().count();
-    let mut hub = HubRuntime::load_with_sink(
+    let mut hub: HubRuntime<_> = HubRuntime::load_generic(
         &program,
         &ChannelRates::default(),
         CounterSink::with_nodes(node_count),
@@ -70,7 +70,7 @@ fn counters_match_a_hand_computed_run() {
 #[test]
 fn reset_is_counted_and_counters_survive_it() {
     let program: Program = PROGRAM.parse().unwrap();
-    let mut hub = HubRuntime::load_with_sink(
+    let mut hub: HubRuntime<_> = HubRuntime::load_generic(
         &program,
         &ChannelRates::default(),
         CounterSink::with_nodes(2),

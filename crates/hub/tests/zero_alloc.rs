@@ -16,9 +16,8 @@ use std::cell::Cell;
 use std::sync::Mutex;
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
-use sidewinder_hub::{compile_image, McuCore, Sample};
+use sidewinder_hub::{compile_image, CounterSink, McuCore, NullSink, Probe, Sample};
 use sidewinder_ir::Program;
-use sidewinder_obs::{CounterSink, EventSink};
 use sidewinder_sensors::SensorChannel;
 
 struct CountingAllocator;
@@ -92,7 +91,7 @@ fn music_signal(n: usize) -> Vec<f64> {
 /// Replays `samples` twice through `hub` and returns the second batch's
 /// allocation count and wake count. The first batch grows the wake
 /// buffer to the batch's wake count; everything else was sized at load.
-fn steady_state<S: EventSink, P: Sample>(
+fn steady_state<S: Probe, P: Sample>(
     hub: &mut HubRuntime<S, P>,
     channel: SensorChannel,
     samples: &[f64],
@@ -124,7 +123,7 @@ fn steps_steady_state_performs_zero_allocations() {
 #[test]
 fn steps_with_counters_enabled_performs_zero_allocations() {
     let program = steps();
-    let mut hub = HubRuntime::load_with_sink(
+    let mut hub: HubRuntime<_> = HubRuntime::load_generic(
         &program,
         &ChannelRates::default(),
         CounterSink::with_nodes(program.nodes().count()),
@@ -152,7 +151,7 @@ fn steps_with_counters_enabled_performs_zero_allocations() {
 /// counters on.
 #[test]
 fn music_steady_state_performs_zero_allocations() {
-    fn check<S: EventSink, P: Sample>(mut hub: HubRuntime<S, P>, label: &str) {
+    fn check<S: Probe, P: Sample>(mut hub: HubRuntime<S, P>, label: &str) {
         let samples = music_signal(8192);
         let (allocated, wakes) = steady_state(&mut hub, SensorChannel::Mic, &samples);
         assert!(wakes > 0, "{label}: the tone must wake the music condition");
@@ -164,9 +163,12 @@ fn music_steady_state_performs_zero_allocations() {
     let program = music();
     let rates = ChannelRates::default();
     check(HubRuntime::load(&program, &rates).unwrap(), "f64");
-    check(HubRuntime32::load_f32(&program, &rates).unwrap(), "f32");
     check(
-        HubRuntime::load_with_sink(&program, &rates, CounterSink::with_nodes(8)).unwrap(),
+        HubRuntime32::load_generic(&program, &rates, NullSink).unwrap(),
+        "f32",
+    );
+    check(
+        HubRuntime::<_, f64>::load_generic(&program, &rates, CounterSink::with_nodes(8)).unwrap(),
         "f64 with counters",
     );
     check(
@@ -180,7 +182,7 @@ fn music_steady_state_performs_zero_allocations() {
 /// AccY frames, with the probe off and with counters on.
 #[test]
 fn two_channel_frames_perform_zero_allocations() {
-    fn check<S: EventSink>(mut hub: HubRuntime<S>, label: &str) {
+    fn check<S: Probe>(mut hub: HubRuntime<S>, label: &str) {
         let x = step_signal(8192);
         let y: Vec<f64> = x.iter().map(|v| -v).collect();
         let channels = [SensorChannel::AccX, SensorChannel::AccY];
@@ -208,7 +210,7 @@ fn two_channel_frames_perform_zero_allocations() {
     let rates = ChannelRates::default();
     check(HubRuntime::load(&program, &rates).unwrap(), "null sink");
     check(
-        HubRuntime::load_with_sink(&program, &rates, CounterSink::with_nodes(5)).unwrap(),
+        HubRuntime::load_generic(&program, &rates, CounterSink::with_nodes(5)).unwrap(),
         "counters",
     );
 }
@@ -244,7 +246,7 @@ fn music_window_fill_performs_zero_allocations() {
 /// scalar steps chain either.
 #[test]
 fn f32_steps_steady_state_performs_zero_allocations() {
-    let mut hub = HubRuntime32::load_f32(&steps(), &ChannelRates::default()).unwrap();
+    let mut hub = HubRuntime32::load_generic(&steps(), &ChannelRates::default(), NullSink).unwrap();
     let samples = step_signal(8192);
     let (allocated, wakes) = steady_state(&mut hub, SensorChannel::AccX, &samples);
     assert!(wakes > 0, "f32 steady-state batch must still raise wakes");

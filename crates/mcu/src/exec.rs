@@ -29,6 +29,12 @@
 //!
 //! Either way, steady-state execution touches no allocator and no
 //! `std`.
+//!
+//! Every push goes through [`ExecCore::push_frames_probed`], which
+//! reports node runs, payload hand-offs and wakes to a [`Probe`] — the
+//! one observability interface, which the host runtime and the
+//! simulator report through as well. The plain pushes pass
+//! [`NullSink`], whose hooks compile away.
 
 use crate::complex::Complex;
 use crate::fft;
@@ -39,6 +45,7 @@ use crate::image::{
     Mask, McuImage, NodeKind, NodeSpec, PortSource, StatKind, MAX_CHANNELS, MAX_NODES, MAX_PORTS,
 };
 use crate::math;
+use crate::probe::{NullSink, Probe};
 use crate::sample::Sample;
 use crate::spectral;
 use crate::stats;
@@ -59,85 +66,6 @@ pub struct WakeEvent {
     pub seq: u64,
     /// The scalar value produced at the output node.
     pub value: f64,
-}
-
-/// Execution-time observability hooks.
-///
-/// The interpreter threads an `ExecProbe` through every node run and
-/// payload hand-off, so a harness can measure what a run *actually*
-/// touched (the soundness pins compare it against the certified bounds)
-/// and the host runtime can turn node runs into observability events. The
-/// statically-dispatched `const ENABLED` makes the hooks zero-cost when
-/// disabled: with [`NoProbe`] every call site constant-folds away, which
-/// keeps `push_sample` on the frozen-digest fast path intact.
-pub trait ExecProbe {
-    /// Whether the probe is live. `false` lets the compiler delete
-    /// every hook.
-    const ENABLED: bool;
-
-    /// Node `node` is about to run.
-    fn node_start(&mut self, _node: u16) {}
-
-    /// Node `node` has run; `produced` says whether it left a fresh
-    /// result.
-    fn node_end(&mut self, _node: u16, _produced: bool) {}
-
-    /// A consumer borrowed the `len`-element vector or spectrum payload
-    /// in `src`'s result slot, in place.
-    fn payload(&mut self, _src: u16, _len: usize) {}
-
-    /// The pass that just ended raised `wake`; reported after the
-    /// pass's last `node_end`, just before the wake callback runs.
-    fn wake(&mut self, _wake: WakeEvent) {}
-}
-
-/// The default probe: observes nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoProbe;
-
-impl ExecProbe for NoProbe {
-    const ENABLED: bool = false;
-}
-
-/// Records per-node payload high-water marks and emission counts — the
-/// measured side of the `measured ≤ certified` soundness pins.
-#[derive(Debug, Clone, Copy)]
-pub struct HighWaterProbe {
-    /// Largest payload, in elements, a consumer borrowed from each node.
-    pub payload_peak: [usize; MAX_NODES],
-    /// Fresh results per node since construction.
-    pub emissions: [u64; MAX_NODES],
-}
-
-impl HighWaterProbe {
-    /// A probe with every mark at zero.
-    pub const fn new() -> HighWaterProbe {
-        HighWaterProbe {
-            payload_peak: [0; MAX_NODES],
-            emissions: [0; MAX_NODES],
-        }
-    }
-}
-
-impl Default for HighWaterProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ExecProbe for HighWaterProbe {
-    const ENABLED: bool = true;
-
-    fn node_end(&mut self, node: u16, produced: bool) {
-        if produced {
-            self.emissions[node as usize] += 1;
-        }
-    }
-
-    fn payload(&mut self, src: u16, len: usize) {
-        let peak = &mut self.payload_peak[src as usize];
-        *peak = (*peak).max(len);
-    }
 }
 
 /// Errors raised while loading an image, or pushing samples to a core
@@ -713,28 +641,12 @@ impl<A: ArenaStorage> ExecCore<A> {
         sample: f64,
         on_wake: &mut impl FnMut(WakeEvent),
     ) -> Result<(), McuExecError> {
-        self.push_sample_probed(channel, sample, on_wake, &mut NoProbe)
-    }
-
-    /// [`push_sample`](Self::push_sample) with an [`ExecProbe`]
-    /// observing node runs and payload hand-offs. With [`NoProbe`] this
-    /// *is* `push_sample` — the hooks compile away.
-    ///
-    /// # Errors
-    ///
-    /// As [`push_sample`](Self::push_sample).
-    pub fn push_sample_probed<Pr: ExecProbe>(
-        &mut self,
-        channel: u8,
-        sample: f64,
-        on_wake: &mut impl FnMut(WakeEvent),
-        probe: &mut Pr,
-    ) -> Result<(), McuExecError> {
-        self.push_samples_probed(channel, core::slice::from_ref(&sample), on_wake, probe)
+        self.push_samples(channel, core::slice::from_ref(&sample), on_wake)
     }
 
     /// Ingests a batch of samples on one channel, exactly as if each
-    /// were pushed in turn.
+    /// were pushed in turn: the one-channel call of
+    /// [`push_frames`](Self::push_frames).
     ///
     /// # Errors
     ///
@@ -745,23 +657,12 @@ impl<A: ArenaStorage> ExecCore<A> {
         samples: &[f64],
         on_wake: &mut impl FnMut(WakeEvent),
     ) -> Result<(), McuExecError> {
-        self.push_samples_probed(channel, samples, on_wake, &mut NoProbe)
-    }
-
-    /// [`push_samples`](Self::push_samples) with an [`ExecProbe`]: the
-    /// one-channel call of [`push_frames_probed`](Self::push_frames_probed).
-    ///
-    /// # Errors
-    ///
-    /// As [`push_sample`](Self::push_sample), before any sample runs.
-    pub fn push_samples_probed<Pr: ExecProbe>(
-        &mut self,
-        channel: u8,
-        samples: &[f64],
-        on_wake: &mut impl FnMut(WakeEvent),
-        probe: &mut Pr,
-    ) -> Result<(), McuExecError> {
-        self.push_frames_probed(&[channel], &[samples], &mut |_, w| on_wake(w), probe)
+        self.push_frames_probed(
+            &[channel],
+            &[samples],
+            &mut |_, w| on_wake(w),
+            &mut NullSink,
+        )
     }
 
     /// Ingests `frames` of co-sampled channels: frame `k` pushes
@@ -781,10 +682,10 @@ impl<A: ArenaStorage> ExecCore<A> {
         columns: &[&[f64]],
         on_wake: &mut impl FnMut(usize, WakeEvent),
     ) -> Result<(), McuExecError> {
-        self.push_frames_probed(channels, columns, on_wake, &mut NoProbe)
+        self.push_frames_probed(channels, columns, on_wake, &mut NullSink)
     }
 
-    /// [`push_frames`](Self::push_frames) with an [`ExecProbe`] — the
+    /// [`push_frames`](Self::push_frames) reporting to a [`Probe`] — the
     /// one entry every push goes through.
     ///
     /// Each sample runs one interpreter pass, the core's one per-sample
@@ -798,7 +699,7 @@ impl<A: ArenaStorage> ExecCore<A> {
     /// # Errors
     ///
     /// As [`push_frames`](Self::push_frames).
-    pub fn push_frames_probed<Pr: ExecProbe>(
+    pub fn push_frames_probed<Pr: Probe>(
         &mut self,
         channels: &[u8],
         columns: &[&[f64]],
@@ -996,7 +897,7 @@ impl<P: Sample> Pass<'_, '_, P> {
     /// This is the interpreter's one per-sample body; its one call site
     /// is [`ExecCore::push_frames_probed`]'s frame loop.
     #[inline(always)]
-    fn run<Pr: ExecProbe>(
+    fn run<Pr: Probe>(
         self,
         channel: u8,
         sample: f64,
@@ -1671,6 +1572,7 @@ fn exec_kind<P: Sample>(
 mod tests {
     use super::*;
     use crate::image::ImageBuilder;
+    use crate::probe::HighWaterProbe;
     use std::string::ToString;
     use std::vec::Vec;
 
@@ -2255,7 +2157,7 @@ mod tests {
         core.load(&image).unwrap();
         let mut probe = HighWaterProbe::new();
         let samples: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        core.push_samples_probed(0, &samples, &mut |_| {}, &mut probe)
+        core.push_frames_probed(&[0], &[&samples], &mut |_, _| {}, &mut probe)
             .unwrap();
         // window 16, fft 16, spectralMagnitude 9: each consumed, in place.
         assert_eq!(probe.payload_peak[..4], [16, 16, 9, 0]);

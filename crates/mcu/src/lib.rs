@@ -17,9 +17,13 @@
 //! routes all float math through the platform libm, which keeps the
 //! frozen wake digests bit-identical.
 //!
+//! The one observability interface lives here too: [`Probe`], with its
+//! event vocabulary ([`probe::Event`]), the off switch [`NullSink`] and
+//! the [`HighWaterProbe`] the certificate soundness pins read.
+//!
 //! What stays host-side (see DESIGN.md §6j): IR parsing, validation,
-//! lints, the optimizer, observability sinks, plan caches, and the
-//! `Vec`-returning conveniences. The boundary artifact is
+//! lints, the optimizer, the sinks that collect counters and timelines,
+//! plan caches, and the `Vec`-returning conveniences. The boundary artifact is
 //! [`image::McuImage`]: the host compiles a validated program into that
 //! plain-data image and the core executes it.
 #![no_std]
@@ -36,6 +40,7 @@ pub mod footprint;
 pub mod goertzel;
 pub mod image;
 pub mod math;
+pub mod probe;
 pub mod sample;
 pub mod spectral;
 pub mod stats;
@@ -44,8 +49,8 @@ pub mod zcr;
 
 pub use complex::Complex;
 pub use exec::{
-    ArenaStorage, ArenaViews, ExecCore, ExecProbe, HighWaterProbe, InlineArenas, McuCore,
-    McuExecError, NoProbe, WakeEvent, DEFAULT_ARENA, HOST_ARENA_CAP,
+    ArenaStorage, ArenaViews, ExecCore, InlineArenas, McuCore, McuExecError, WakeEvent,
+    DEFAULT_ARENA, HOST_ARENA_CAP,
 };
 #[cfg(feature = "std")]
 pub use exec::{HeapArenas, HostCore};
@@ -56,5 +61,6 @@ pub use image::{
     CapacityError, ImageBuilder, ImageError, Mask, McuImage, NodeKind, NodeSpec, PortSource,
     StatKind,
 };
+pub use probe::{Event, FrameOutcome, HighWaterProbe, NullSink, Probe};
 pub use sample::Sample;
 pub use window::WindowShape;

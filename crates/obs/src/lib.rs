@@ -1,41 +1,22 @@
-//! Structured observability for the Sidewinder reproduction.
+//! Observability data types for the Sidewinder reproduction.
 //!
 //! The paper evaluates Sidewinder through aggregate outcomes — power
 //! draw, wake counts, detection accuracy — but a production system needs
 //! to see *where* time and energy go inside the hub interpreter, the way
-//! DSP.Ear attributes co-processor budgets per pipeline stage. This crate
-//! is that layer:
+//! DSP.Ear attributes co-processor budgets per pipeline stage. Runs
+//! report through one probe trait, `sidewinder_mcu::Probe`; the sinks
+//! that collect what it reports (`CounterSink`, `TimelineSink`) live in
+//! `sidewinder-hub`. This crate holds the plain data they and the fleet
+//! rollups build on:
 //!
-//! * [`event`] — typed [`Event`]s (node executions, wake emissions, link
-//!   frames, fault injections, hub resets, strategy transitions) and the
-//!   [`EventSink`] trait they flow into. The sink is a *generic
-//!   parameter* of the hub runtime and the simulation engine, so the
-//!   no-op [`NullSink`] compiles to nothing: with it, the hot path is
-//!   bit-identical and allocation-identical to a build without
-//!   observability at all (pinned by `hub/tests/zero_alloc.rs`).
 //! * [`hist`] — fixed-bucket power-of-two latency [`Histogram`]s:
 //!   `no_std`-friendly plain arrays, allocation-free after setup.
-//! * [`counters`] — [`CounterSink`], per-node execution counters and
-//!   timing histograms plus link/fault/wake tallies.
-//! * [`timeline`] — [`TimelineSink`], which records events against
-//!   simulated trace time and exports a `chrome://tracing`-compatible
-//!   JSON timeline for a single run.
 //! * [`energy`] — the [`EnergyLedger`]: an exact-sum split of a
 //!   simulation's joules across pipeline nodes, the serial link, MCU
 //!   idle, and the phone's power states.
-//!
-//! Dependency-wise this crate sits below `sidewinder-hub` and
-//! `sidewinder-sim` (it only knows the IR and sensor vocabularies), so
-//! both can emit into it without cycles.
 
-pub mod counters;
 pub mod energy;
-pub mod event;
 pub mod hist;
-pub mod timeline;
 
-pub use counters::{CounterSink, NodeStats};
 pub use energy::{EnergyLedger, NodeEnergy};
-pub use event::{Event, EventSink, FrameOutcome, NullSink};
 pub use hist::Histogram;
-pub use timeline::{TimelineEvent, TimelineSink};

@@ -21,8 +21,9 @@ use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::fault::{FaultSchedule, WAKE_FRAME_BYTES};
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::runtime::ChannelRates;
+use sidewinder_hub::CounterSink;
 use sidewinder_ir::Program;
-use sidewinder_obs::{CounterSink, EnergyLedger};
+use sidewinder_obs::EnergyLedger;
 use sidewinder_sensors::SensorTrace;
 
 // The constants live in `sidewinder_hub::energy` so the static

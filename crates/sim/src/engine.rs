@@ -12,13 +12,12 @@ use crate::metrics::{DetectionStats, FaultCounters};
 use crate::power::{PhonePowerProfile, PowerBreakdown};
 use crate::strategy::Strategy;
 use sidewinder_hub::fault::{
-    FaultPlan, FaultSchedule, FrameFate, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
+    FaultPlan, FaultSchedule, HUB_REBOOT_TIME, PROBE_FRAME_BYTES, WAKE_FRAME_BYTES,
 };
 use sidewinder_hub::link::SerialLink;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
-use sidewinder_hub::{HubError, Sample, MAX_CHANNELS};
+use sidewinder_hub::{Event, FrameOutcome, HubError, NullSink, Probe, Sample, MAX_CHANNELS};
 use sidewinder_ir::Program;
-use sidewinder_obs::{Event, EventSink, FrameOutcome, NullSink};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace, TimeSeries};
 use std::ops::Range;
 
@@ -215,7 +214,7 @@ pub fn simulate_f32(
 ///
 /// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
 /// executed on the trace.
-pub fn simulate_traced<S: EventSink>(
+pub fn simulate_traced<S: Probe>(
     trace: &SensorTrace,
     app: &dyn Application,
     strategy: &Strategy,
@@ -275,7 +274,7 @@ pub fn simulate_with_faults(
 ///
 /// Returns [`SimError`] if the wake-up condition cannot be loaded or
 /// executed on the trace.
-pub fn simulate_with_faults_traced<S: EventSink>(
+pub fn simulate_with_faults_traced<S: Probe>(
     trace: &SensorTrace,
     app: &dyn Application,
     strategy: &Strategy,
@@ -290,7 +289,7 @@ pub fn simulate_with_faults_traced<S: EventSink>(
 /// The one simulation behind every entry point above: `P` is the hub's
 /// vector sample precision, `schedule` the faults to inject (empty for
 /// a fault-free run) and `sink` the observer.
-fn run<S: EventSink, P: Sample>(
+fn run<S: Probe, P: Sample>(
     trace: &SensorTrace,
     app: &dyn Application,
     strategy: &Strategy,
@@ -663,7 +662,7 @@ fn probe_time() -> Micros {
 /// that sleep interval, through every window where the hub is unusable:
 /// downtime, and the stretch after a frame lost past its retry budget.
 #[allow(clippy::too_many_arguments)]
-fn hub_wake<S: EventSink, P: Sample>(
+fn hub_wake<S: Probe, P: Sample>(
     trace: &SensorTrace,
     app: &dyn Application,
     program: &Program,
@@ -718,7 +717,7 @@ fn hub_wake<S: EventSink, P: Sample>(
     for &(start, end) in IntervalSet::from_spans(windows, Micros::ZERO).spans() {
         fault.degraded_time += end - start;
         if S::ENABLED {
-            sink.set_time(start);
+            sink.set_time(start.as_micros());
             sink.record(Event::Degraded { entered: true });
         }
         // The exact duty-cycle pacing, bounded to the window, so a
@@ -727,7 +726,7 @@ fn hub_wake<S: EventSink, P: Sample>(
         all_spans.extend(spans);
         detections.extend(found);
         if S::ENABLED {
-            sink.set_time(end);
+            sink.set_time(end.as_micros());
             sink.record(Event::Degraded { entered: false });
         }
     }
@@ -782,7 +781,7 @@ struct Replay {
 /// delivered or the retry budget runs out; frame fates are drawn in
 /// wake order. A clean first attempt costs nothing extra, so an empty
 /// plan delivers every wake at its trigger time.
-fn replay<S: EventSink, P: Sample>(
+fn replay<S: Probe, P: Sample>(
     trace: &SensorTrace,
     program: &Program,
     plan: &mut FaultPlan,
@@ -820,7 +819,7 @@ fn replay<S: EventSink, P: Sample>(
             // pays reboot + re-download + probe to bring it back.
             while let Some(&at) = plan.resets().get(next_reset).filter(|&&at| at <= t()) {
                 if S::ENABLED {
-                    hub.sink_mut().set_time(at);
+                    hub.sink_mut().set_time(at.as_micros());
                 }
                 hub.reset();
                 if S::ENABLED {
@@ -846,7 +845,7 @@ fn replay<S: EventSink, P: Sample>(
             };
             let rows = start..end;
             if S::ENABLED {
-                hub.sink_mut().set_time(t());
+                hub.sink_mut().set_time(t().as_micros());
             }
             let mut channels = [inputs[members.start].0; MAX_CHANNELS];
             let mut columns: [&[f64]; MAX_CHANNELS] = [&[]; MAX_CHANNELS];
@@ -857,7 +856,9 @@ fn replay<S: EventSink, P: Sample>(
                 if !state[m].0 {
                     out.fault.samples_dropped += rows.len() as u64;
                     if S::ENABLED {
-                        hub.sink_mut().record(Event::SampleDropped { channel });
+                        hub.sink_mut().record(Event::SampleDropped {
+                            channel: channel.index() as u8,
+                        });
                     }
                     continue;
                 }
@@ -884,20 +885,18 @@ fn replay<S: EventSink, P: Sample>(
                     out.fault.frames_sent += 1;
                     let fate = plan.next_frame_fate();
                     if S::ENABLED {
-                        let outcome = match fate {
-                            FrameFate::Delivered => FrameOutcome::Delivered,
-                            FrameFate::Corrupted => FrameOutcome::Corrupted,
-                            FrameFate::Dropped => FrameOutcome::Dropped,
-                        };
-                        hub.sink_mut().record(Event::LinkFrame { outcome, attempt });
+                        hub.sink_mut().record(Event::LinkFrame {
+                            outcome: fate,
+                            attempt,
+                        });
                     }
                     match fate {
-                        FrameFate::Delivered => {
+                        FrameOutcome::Delivered => {
                             out.wakes.push((tw + delay).min(duration));
                             break;
                         }
-                        FrameFate::Corrupted => out.fault.frames_corrupted += 1,
-                        FrameFate::Dropped => out.fault.frames_dropped += 1,
+                        FrameOutcome::Corrupted => out.fault.frames_corrupted += 1,
+                        FrameOutcome::Dropped => out.fault.frames_dropped += 1,
                     }
                     if attempt >= retry.max_attempts {
                         out.fault.frames_lost += 1;

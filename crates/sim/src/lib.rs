@@ -60,6 +60,7 @@ pub use engine::{
 };
 pub use metrics::{DetectionStats, FaultCounters};
 pub use power::{PhonePowerProfile, PowerBreakdown};
-pub use sidewinder_hub::fault::{ChannelDropout, FaultSchedule, FrameFate, RetryPolicy};
-pub use sidewinder_obs::{CounterSink, EnergyLedger, EventSink, NullSink, TimelineSink};
+pub use sidewinder_hub::fault::{ChannelDropout, FaultSchedule, RetryPolicy};
+pub use sidewinder_hub::{CounterSink, NullSink, Probe, TimelineSink};
+pub use sidewinder_obs::EnergyLedger;
 pub use strategy::Strategy;

@@ -13,12 +13,13 @@
 //! also tally exactly the fault activity the result reports.
 
 use sidewinder_apps::{accelerometer_apps, audio_apps, StepsApp};
-use sidewinder_obs::Event;
+use sidewinder_hub::{Event, WakeEvent};
+use sidewinder_ir::{NodeId, Program};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
     attribute_energy, attribute_energy_with_faults, simulate, simulate_traced,
     simulate_with_faults, simulate_with_faults_traced, Application, ChannelDropout, CounterSink,
-    EventSink, FaultSchedule, NullSink, PhonePowerProfile, SimConfig, Strategy,
+    FaultSchedule, NullSink, PhonePowerProfile, Probe, SimConfig, Strategy,
 };
 use sidewinder_tracegen::{
     audio_trace, robot_group_runs, ActivityGroup, AudioEnvironment, AudioTraceConfig,
@@ -237,27 +238,68 @@ fn traced_fault_runs_match_plain_runs_and_tally_their_faults() {
 }
 
 /// Hashes every event with the trace time it was recorded at, in
-/// emission order; node timings are left out.
+/// emission order; node timings are left out. Each event is hashed as
+/// the text the pin was taken with: node runs and wakes name their IR
+/// ids, resolved from the program's dense order, and a dropped sample
+/// names its channel.
 struct StreamDigest {
+    /// IR id of each node by dense index.
+    ids: Vec<NodeId>,
+    /// The node feeding `OUT`, which wakes name.
+    out: NodeId,
     now: Micros,
     hash: u64,
     events: u64,
 }
 
-impl EventSink for StreamDigest {
-    fn record(&mut self, mut event: Event) {
-        if let Event::NodeExecuted { elapsed_ns, .. } = &mut event {
-            *elapsed_ns = 0;
+impl StreamDigest {
+    fn new(program: &Program) -> StreamDigest {
+        StreamDigest {
+            ids: program.nodes().map(|(_, id, _)| id).collect(),
+            out: program.out_source().unwrap(),
+            now: Micros::ZERO,
+            hash: 0xcbf2_9ce4_8422_2325,
+            events: 0,
         }
-        for b in format!("{:?} {event:?};", self.now).bytes() {
+    }
+
+    fn emit(&mut self, event: &str) {
+        for b in format!("{:?} {event};", self.now).bytes() {
             self.hash ^= u64::from(b);
             self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
         }
         self.events += 1;
     }
+}
 
-    fn set_time(&mut self, t: Micros) {
-        self.now = t;
+impl Probe for StreamDigest {
+    fn node_end(&mut self, node: u16, produced: bool) {
+        let (index, id) = (node as usize, self.ids[node as usize]);
+        self.emit(&format!(
+            "NodeExecuted {{ index: {index}, node: {id:?}, elapsed_ns: 0, produced: {produced} }}"
+        ));
+    }
+
+    fn wake(&mut self, wake: WakeEvent) {
+        let WakeEvent { seq, value } = wake;
+        let out = self.out;
+        self.emit(&format!(
+            "Wake {{ node: {out:?}, seq: {seq}, value: {value:?} }}"
+        ));
+    }
+
+    fn record(&mut self, event: Event) {
+        match event {
+            Event::SampleDropped { channel } => {
+                let channel = SensorChannel::ALL[channel as usize];
+                self.emit(&format!("SampleDropped {{ channel: {channel:?} }}"));
+            }
+            other => self.emit(&format!("{other:?}")),
+        }
+    }
+
+    fn set_time(&mut self, micros: u64) {
+        self.now = Micros::from_micros(micros);
     }
 }
 
@@ -266,7 +308,7 @@ impl EventSink for StreamDigest {
 /// sample, frame attempt and reset, in order and at its trace time.
 #[test]
 fn traced_stream_with_a_dropped_middle_axis_matches_its_pin() {
-    let program = "ACC_X -> movingAvg(id=1, params={4});
+    let program: Program = "ACC_X -> movingAvg(id=1, params={4});
                    ACC_Y -> movingAvg(id=2, params={4});
                    ACC_Z -> movingAvg(id=3, params={4});
                    1 -> minThreshold(id=4, params={1.5});
@@ -276,6 +318,7 @@ fn traced_stream_with_a_dropped_middle_axis_matches_its_pin() {
                    7 -> OUT;"
         .parse()
         .unwrap();
+    let mut stream = StreamDigest::new(&program);
     let strategy = Strategy::HubWake {
         program,
         hub_mw: 3.6,
@@ -294,11 +337,6 @@ fn traced_stream_with_a_dropped_middle_axis_matches_its_pin() {
     let app = StepsApp::new();
     let plain =
         simulate_with_faults(&trace, &app, &strategy, &profile, &config, &schedule).unwrap();
-    let mut stream = StreamDigest {
-        now: Micros::ZERO,
-        hash: 0xcbf2_9ce4_8422_2325,
-        events: 0,
-    };
     let traced = simulate_with_faults_traced(
         &trace,
         &app,

@@ -6,11 +6,10 @@ use sidewinder_cert::{certify_program, emission_bound, CertError, CertTarget, Pr
 use sidewinder_dsp::complex::Complex;
 use sidewinder_dsp::fft;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
-use sidewinder_hub::{compile_image, McuCore};
+use sidewinder_hub::{compile_image, CounterSink, McuCore};
 use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
 use sidewinder_mcu::{HighWaterProbe, McuExecError};
-use sidewinder_obs::CounterSink;
 use sidewinder_sensors::{SensorChannel, SensorTrace, TimeSeries};
 use sidewinder_sim::engine::hub_wake_times;
 
@@ -176,8 +175,8 @@ pub fn ingest_differential(data: &[u8]) {
     let columns: Vec<&[f64]> = schedule.chunks(SAMPLE_BUDGET).collect();
 
     let counters = CounterSink::with_nodes(program.nodes().count());
-    let mut reference =
-        HubRuntime::load_with_sink(&program, &rates, counters).expect("program loads");
+    let mut reference: HubRuntime<_> =
+        HubRuntime::load_generic(&program, &rates, counters).expect("program loads");
     let mut expected = Vec::new();
     for k in 0..SAMPLE_BUDGET {
         for (m, (&channel, column)) in channels.iter().zip(&columns).enumerate() {
@@ -303,7 +302,9 @@ pub fn cert_soundness(data: &[u8]) {
     let mut pushes = [0u64; sidewinder_mcu::image::MAX_CHANNELS];
     for channel in program.channels() {
         let ci = channel.index();
-        if let Err(e) = core.push_samples_probed(ci as u8, &samples, &mut |_| {}, &mut probe) {
+        if let Err(e) =
+            core.push_frames_probed(&[ci as u8], &[&samples], &mut |_, _| {}, &mut probe)
+        {
             panic!("a loaded image failed at run time on {channel:?}: {e}");
         }
         pushes[ci] += samples.len() as u64;
@@ -340,8 +341,8 @@ const REPLAY_SAMPLES: usize = 512;
 /// sample across the program's inputs, the first input winning ties —
 /// and stamps each wake with the time of the sample that raised it.
 ///
-/// The bytes pick 1–3 channels, each with a rate from [`REPLAY_RATES`]
-/// and a bounded length, or the previous channel's rate and length so
+/// The bytes pick 1–3 channels, each with a rate from a fixed menu (8
+/// kHz, 100, 50, 40, 1000/3 and 1000/7 Hz) and a bounded length, or the previous channel's rate and length so
 /// that co-sampled groups occur; the samples and each channel's
 /// threshold come from the bytes too. Every channel feeds a
 /// `minThreshold`, joined by `anyOf`.

@@ -42,9 +42,9 @@
 //!   hundred-thousand-device runs over the batch engine with streaming
 //!   trace generation, per-device fault schedules, a framed wire API,
 //!   and deterministic observability rollups;
-//! * [`obs`] — the observability layer: structured event sinks,
-//!   per-node counters and timing histograms, energy ledgers, and the
-//!   Chrome-tracing timeline exporter.
+//! * [`obs`] — observability data: timing histograms and energy
+//!   ledgers. Runs report through one probe trait, `mcu::Probe`; its
+//!   sinks (`hub::CounterSink`, `hub::TimelineSink`) live in [`hub`].
 //!
 //! # Quickstart
 //!

@@ -357,3 +357,70 @@ fn golden_fixture_runs_through_every_layer() {
         "wake digest drifted: {hash:#018x}"
     );
 }
+
+#[test]
+fn one_probe_sees_the_same_run_on_the_core_and_the_hub_runtime() {
+    // Every layer reports through the one probe trait, so the same two
+    // sinks observe the firmware core and the host runtime directly, and
+    // must see the same run: node for node, wake for wake, payload for
+    // payload.
+    use sidewinder::hub::{compile_image, CounterSink};
+    use sidewinder::mcu::{HighWaterProbe, McuCore};
+    let text = include_str!("../crates/ir/tests/fixtures/transitions.swir");
+    let program: Program = text.parse().unwrap();
+    let rates = ChannelRates::default();
+    let trace = robot_run(&RobotRunConfig {
+        duration: Micros::from_secs(60),
+        idle_fraction: 0.5,
+        rate_hz: 50.0,
+        seed: 77,
+    });
+    let samples = trace.channel(SensorChannel::AccY).unwrap().samples();
+    let nodes = program.nodes().count();
+
+    let image = compile_image(&program, &rates).unwrap();
+    let mut core: McuCore<f64, 4096> = McuCore::new();
+    core.load(&image).unwrap();
+    let channel = [SensorChannel::AccY.index() as u8];
+    let mut core_counts = CounterSink::with_nodes(nodes);
+    core.push_frames_probed(&channel, &[samples], &mut |_, _| {}, &mut core_counts)
+        .unwrap();
+    core.reset();
+    let mut core_marks = HighWaterProbe::new();
+    core.push_frames_probed(&channel, &[samples], &mut |_, _| {}, &mut core_marks)
+        .unwrap();
+
+    let mut counted: HubRuntime<_> =
+        HubRuntime::load_generic(&program, &rates, CounterSink::with_nodes(nodes)).unwrap();
+    let wakes = counted
+        .push_samples(SensorChannel::AccY, samples)
+        .unwrap()
+        .len();
+    let mut marked: HubRuntime<_> =
+        HubRuntime::load_generic(&program, &rates, HighWaterProbe::new()).unwrap();
+    marked.push_samples(SensorChannel::AccY, samples).unwrap();
+    let (hub_counts, hub_marks) = (counted.sink(), marked.sink());
+
+    assert!(wakes > 0, "the trace must wake the condition");
+    assert_eq!(hub_counts.wakes, wakes as u64);
+    assert_eq!(core_counts.wakes, hub_counts.wakes);
+    assert_eq!(hub_counts.nodes().len(), nodes);
+    for (i, (c, h)) in core_counts
+        .nodes()
+        .iter()
+        .zip(hub_counts.nodes())
+        .enumerate()
+    {
+        assert!(h.executions > 0, "node {i} never ran");
+        assert_eq!(
+            (c.executions, c.productions),
+            (h.executions, h.productions),
+            "node {i}"
+        );
+        assert_eq!(h.productions, hub_marks.emissions[i], "node {i}");
+    }
+    assert_eq!(core_marks.emissions, hub_marks.emissions);
+    assert_eq!(core_marks.payload_peak, hub_marks.payload_peak);
+    // peakToPeak borrows the window's 64-sample payload in place.
+    assert_eq!(hub_marks.payload_peak[..nodes], [64, 0, 0]);
+}
