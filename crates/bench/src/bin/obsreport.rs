@@ -20,7 +20,8 @@ use sidewinder_ir::Program;
 use sidewinder_sensors::SensorTrace;
 use sidewinder_sim::report::energy_table;
 use sidewinder_sim::{
-    attribute_energy, simulate_traced, PhonePowerProfile, SimConfig, TimelineSink,
+    attribute_energy_with_faults, simulate_with_faults_traced, FaultSchedule, PhonePowerProfile,
+    SimConfig, TimelineSink,
 };
 use sidewinder_tracegen::ActivityGroup;
 use std::fmt::Write as _;
@@ -51,7 +52,14 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (app, trace) in &jobs {
         let strategy = sidewinder_strategy(app.as_ref());
-        let run = match attribute_energy(trace, app.as_ref(), &strategy, &profile, &config) {
+        let run = match attribute_energy_with_faults(
+            trace,
+            app.as_ref(),
+            &strategy,
+            &profile,
+            &config,
+            &FaultSchedule::none(),
+        ) {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("obsreport: {} failed: {e}", app.name());
@@ -89,12 +97,13 @@ fn main() -> ExitCode {
     let (steps, trace) = &jobs[0];
     let strategy = sidewinder_strategy(steps.as_ref());
     let mut sink = TimelineSink::new();
-    match simulate_traced(
+    match simulate_with_faults_traced(
         trace,
         steps.as_ref(),
         &strategy,
         &profile,
         &config,
+        &FaultSchedule::none(),
         &mut sink,
     ) {
         Ok(_) => {

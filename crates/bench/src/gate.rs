@@ -32,6 +32,7 @@
 
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_hub::{HubError, Sample};
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_ir::Program;
 use sidewinder_sim::NullSink;
 use std::collections::BTreeMap;
@@ -267,16 +268,6 @@ pub fn check_ratios(
     violations
 }
 
-/// FNV-1a over a byte stream.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Samples per channel fed to [`wake_digest`]; enough to fill the
 /// largest fixture window (2048) and `sustained` span (6 × 1024) many
 /// times over.
@@ -297,12 +288,12 @@ const DIGEST_SAMPLES: usize = 16_384;
 ///
 /// Returns [`HubError`] if the program fails to load or execute.
 pub fn wake_digest(program: &Program) -> Result<u64, HubError> {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv1a::new();
     for (seq, value) in wake_trace::<f64>(program)? {
-        hash = fnv1a(hash, &seq.to_le_bytes());
-        hash = fnv1a(hash, &value.to_bits().to_le_bytes());
+        hash.word(seq);
+        hash.word(value.to_bits());
     }
-    Ok(hash)
+    Ok(hash.finish())
 }
 
 /// Replays the digest input (see [`wake_digest`]) through a hub at

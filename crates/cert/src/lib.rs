@@ -32,7 +32,7 @@
 
 pub mod render;
 
-pub use render::{canonical_json, digest, fnv1a64, render_pins, PinEntry};
+pub use render::{canonical_json, digest, render_pins, PinEntry};
 
 use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::energy::{HUB_NJ_PER_FLOP, LINK_ACTIVE_MW};

@@ -8,21 +8,11 @@
 
 use crate::{McuVerdict, ResourceCert};
 use sidewinder_hub::mcu::CapacityError;
-
-/// 64-bit FNV-1a over a byte string — the same construction the wake
-/// and fleet digests pin.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use sidewinder_ir::fnv::Fnv1a;
 
 /// A certificate's pinned digest: FNV-1a over its canonical JSON.
 pub fn digest(cert: &ResourceCert) -> u64 {
-    fnv1a64(canonical_json(cert).as_bytes())
+    Fnv1a::hash(canonical_json(cert).as_bytes())
 }
 
 /// Shortest-roundtrip float rendering; non-finite values become `null`
@@ -203,12 +193,6 @@ mod tests {
     use crate::{certify_program, CertTarget, Precision};
     use sidewinder_hub::runtime::ChannelRates;
     use sidewinder_ir::Program;
-
-    #[test]
-    fn fnv_matches_the_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn canonical_json_is_deterministic_and_digestable() {

@@ -18,6 +18,7 @@
 use sidewinder_hub::compile_image;
 use sidewinder_hub::cost::PipelineCost;
 use sidewinder_hub::runtime::ChannelRates;
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_ir::{flow, Program};
 use sidewinder_mcu::image_layout;
 
@@ -106,13 +107,8 @@ fn programs() -> Vec<(String, Program)> {
 /// FNV-1a over the little-endian words of every node's facts, in
 /// statement order.
 fn facts_digest(program: &Program, rates: &ChannelRates) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
+    let mut word = |w: u64| hash.word(w);
     for c in PipelineCost::analyze(program, rates).nodes() {
         let f = &c.flow;
         word(u64::from(f.id.0));
@@ -129,7 +125,7 @@ fn facts_digest(program: &Program, rates: &ChannelRates) -> u64 {
         word(c.flops_per_input.to_bits());
         word(c.memory_bytes as u64);
     }
-    hash
+    hash.finish()
 }
 
 /// Digests recorded from the cost walk and the abstract interpreter

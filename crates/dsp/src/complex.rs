@@ -8,75 +8,3 @@
 //! host-side code keeps its historical `sidewinder_dsp::complex` path.
 
 pub use sidewinder_mcu::complex::*;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn construction_and_identities() {
-        assert_eq!(Complex::ZERO + Complex::ONE, Complex::ONE);
-        assert_eq!(Complex::ONE * Complex::ONE, Complex::ONE);
-        assert_eq!(Complex::from(2.5), Complex::new(2.5, 0.0));
-    }
-
-    #[test]
-    fn multiplication_follows_i_squared_rule() {
-        let i = Complex::new(0.0, 1.0);
-        assert_eq!(i * i, Complex::new(-1.0, 0.0));
-    }
-
-    #[test]
-    fn conjugate_negates_imaginary() {
-        let z = Complex::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-    }
-
-    #[test]
-    fn magnitude_of_3_4_is_5() {
-        assert!((Complex::new(3.0, 4.0).magnitude() - 5.0).abs() < 1e-12);
-        assert!((Complex::new(3.0, 4.0).magnitude_squared() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phasor_lies_on_unit_circle() {
-        for k in 0..16 {
-            let theta = k as f64 * std::f64::consts::PI / 8.0;
-            let z = Complex::from_angle(theta);
-            assert!((z.magnitude() - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn phase_recovers_angle() {
-        let theta = 0.73;
-        assert!((Complex::from_angle(theta).phase() - theta).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subtraction_and_negation_agree() {
-        let a = Complex::new(1.0, 2.0);
-        let b = Complex::new(0.5, -1.5);
-        assert_eq!(a - b, a + (-b));
-    }
-
-    #[test]
-    fn assign_operators_match_binary_operators() {
-        let a = Complex::new(1.0, 2.0);
-        let b = Complex::new(-0.25, 4.0);
-        let mut c = a;
-        c += b;
-        assert_eq!(c, a + b);
-        c = a;
-        c -= b;
-        assert_eq!(c, a - b);
-        c = a;
-        c *= b;
-        assert_eq!(c, a * b);
-    }
-
-    #[test]
-    fn scale_multiplies_both_components() {
-        assert_eq!(Complex::new(1.0, -2.0).scale(3.0), Complex::new(3.0, -6.0));
-    }
-}

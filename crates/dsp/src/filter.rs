@@ -2,22 +2,18 @@
 //!
 //! The paper's hub offers "noise-reduction algorithms such as a moving
 //! average and exponential moving average" and "FFT-based low-pass /
-//! high-pass filtering" (§3.6 "Data Filtering"). The moving filters here are
-//! streaming (one sample in, at most one sample out, bounded state) because
-//! they run continuously on the microcontroller; the FFT filters are
-//! block-based because they consume whole windows.
+//! high-pass filtering" (§3.6 "Data Filtering"). The on-device pieces —
+//! the band-shape frequency response and the keep-mask fill — live in
+//! `sidewinder-mcu` and are re-exported here. This module owns the
+//! host-side [`MovingAverage`] (streaming, with a block path for whole
+//! slices) and [`fft_highpass`], the `Vec`-returning FFT filter the
+//! siren detector opens with.
 
 use crate::complex::Complex;
 use crate::fft::{self, NonPowerOfTwoError};
 use crate::sample::Sample;
 
-// The bounded-state pieces the on-device interpreter needs — the
-// exponential moving average, the band-shape frequency response, and the
-// fixed-capacity keep-mask fill — live in `sidewinder-mcu`; re-export
-// them under their historical paths.
-pub use sidewinder_mcu::filter::{
-    fill_keep_mask, BandShape, ExponentialMovingAverage, InvalidAlphaError,
-};
+pub use sidewinder_mcu::filter::{fill_keep_mask, BandShape};
 
 /// A streaming simple moving average over the last `window` samples.
 ///
@@ -109,12 +105,11 @@ impl<P: Sample> MovingAverage<P> {
     /// Filters a whole slice, returning one output per input once primed.
     ///
     /// When the filter is cold (empty buffer) and the slice covers at
-    /// least one full window, the unrolled build computes four output
-    /// windows in flight — each output is still the oldest-to-newest
-    /// recompute `push` performs, so results (and the buffered tail left
-    /// behind) are bit-identical to the streaming path.
+    /// least one full window, sixteen output windows are computed in
+    /// flight — each output is still the oldest-to-newest recompute
+    /// `push` performs, so results (and the buffered tail left behind)
+    /// are bit-identical to the streaming path.
     pub fn filter(&mut self, signal: &[P]) -> Vec<P> {
-        #[cfg(feature = "simd")]
         if self.buf.is_empty() && signal.len() >= self.window {
             return self.filter_block(signal);
         }
@@ -127,7 +122,6 @@ impl<P: Sample> MovingAverage<P> {
     /// independent vector accumulators, hiding the serial-add latency
     /// each individual output's sum carries. The final buffer state (last
     /// `window` samples) matches what streaming would have left.
-    #[cfg(feature = "simd")]
     fn filter_block(&mut self, signal: &[P]) -> Vec<P> {
         const BLOCK: usize = 16;
         let w = self.window;
@@ -162,25 +156,11 @@ impl<P: Sample> MovingAverage<P> {
     }
 }
 
-/// FFT-based low-pass filter: zeroes all bins above `cutoff_hz`.
-///
-/// The window is transformed, bins strictly above the cutoff (and their
-/// mirror images) are zeroed, and the window is transformed back.
-///
-/// # Errors
-///
-/// Returns [`NonPowerOfTwoError`] if `signal.len()` is not a power of two.
-pub fn fft_lowpass(
-    signal: &[f64],
-    cutoff_hz: f64,
-    sample_rate_hz: f64,
-) -> Result<Vec<f64>, NonPowerOfTwoError> {
-    fft_bandfilter(signal, sample_rate_hz, |freq| freq <= cutoff_hz)
-}
-
 /// FFT-based high-pass filter: zeroes all bins below `cutoff_hz`.
 ///
-/// The paper's siren detector opens with a 750 Hz high-pass built this way
+/// The window is transformed, bins strictly below the cutoff (and their
+/// mirror images) are zeroed, and the window is transformed back. The
+/// paper's siren detector opens with a 750 Hz high-pass built this way
 /// (§3.7.2).
 ///
 /// # Errors
@@ -191,32 +171,12 @@ pub fn fft_highpass(
     cutoff_hz: f64,
     sample_rate_hz: f64,
 ) -> Result<Vec<f64>, NonPowerOfTwoError> {
-    fft_bandfilter(signal, sample_rate_hz, |freq| freq >= cutoff_hz)
-}
-
-/// FFT-based band-pass filter keeping `low_hz ..= high_hz`.
-pub fn fft_bandpass(
-    signal: &[f64],
-    low_hz: f64,
-    high_hz: f64,
-    sample_rate_hz: f64,
-) -> Result<Vec<f64>, NonPowerOfTwoError> {
-    fft_bandfilter(signal, sample_rate_hz, |freq| {
-        freq >= low_hz && freq <= high_hz
-    })
-}
-
-/// Shared kernel: keep bins whose center frequency satisfies `keep`.
-fn fft_bandfilter(
-    signal: &[f64],
-    sample_rate_hz: f64,
-    keep: impl Fn(f64) -> bool,
-) -> Result<Vec<f64>, NonPowerOfTwoError> {
     fft::with_plan(signal.len(), |plan| {
-        let mask = keep_mask(signal.len(), sample_rate_hz, keep);
+        let mut keep = vec![false; signal.len()];
+        fill_keep_mask(&mut keep, sample_rate_hz, BandShape::HighPass { cutoff_hz });
         let mut spectrum = Vec::new();
         plan.process_real_forward_into(signal, &mut spectrum);
-        for (z, &keep) in spectrum.iter_mut().zip(&mask) {
+        for (z, &keep) in spectrum.iter_mut().zip(&keep) {
             if !keep {
                 *z = Complex::ZERO;
             }
@@ -224,18 +184,6 @@ fn fft_bandfilter(
         plan.process_inverse(&mut spectrum);
         spectrum.iter().map(|z| z.re).collect()
     })
-}
-
-/// Precomputes the per-bin keep mask for an `n`-point transform.
-fn keep_mask(n: usize, sample_rate_hz: f64, keep: impl Fn(f64) -> bool) -> Vec<bool> {
-    (0..n)
-        .map(|bin| {
-            // Bins above N/2 represent negative frequencies; map to their
-            // positive-frequency magnitude for the keep decision.
-            let logical_bin = if bin <= n / 2 { bin } else { n - bin };
-            keep(fft::bin_to_frequency(logical_bin, n, sample_rate_hz))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -263,10 +211,10 @@ mod tests {
 
     #[test]
     fn block_filter_is_bit_identical_to_streaming() {
-        // Cold-start slice filtering takes the four-wide block path;
+        // Cold-start slice filtering takes the block path;
         // pushing sample-by-sample takes the streaming path. Outputs and
         // the buffered tail must agree bit-for-bit, including when the
-        // output count is not a multiple of four and when the filter is
+        // output count is not a multiple of the block and when the filter is
         // re-used after the block (tail continuity).
         for (w, n) in [(10, 1024), (7, 23), (3, 3), (5, 6), (1, 17)] {
             let signal: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).sin() / 3.0).collect();
@@ -355,64 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn ema_validates_alpha() {
-        assert!(ExponentialMovingAverage::new(0.0).is_err());
-        assert!(ExponentialMovingAverage::new(1.5).is_err());
-        assert!(ExponentialMovingAverage::new(f64::NAN).is_err());
-        assert!(ExponentialMovingAverage::new(1.0).is_ok());
-        let err = ExponentialMovingAverage::new(-0.1).unwrap_err();
-        assert!(err.to_string().contains("-0.1"));
-    }
-
-    #[test]
-    fn ema_first_output_is_first_sample() {
-        let mut ema = ExponentialMovingAverage::new(0.3).unwrap();
-        assert_eq!(ema.push(5.0), 5.0);
-        assert_eq!(ema.alpha(), 0.3);
-    }
-
-    #[test]
-    fn ema_alpha_one_tracks_input_exactly() {
-        let mut ema = ExponentialMovingAverage::new(1.0).unwrap();
-        for x in [1.0, -2.0, 3.0] {
-            assert_eq!(ema.push(x), x);
-        }
-    }
-
-    #[test]
-    fn ema_converges_to_constant_input() {
-        let mut ema = ExponentialMovingAverage::new(0.2).unwrap();
-        ema.push(0.0);
-        let mut last = 0.0;
-        for _ in 0..200 {
-            last = ema.push(10.0);
-        }
-        assert!((last - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ema_reset_clears_state() {
-        let mut ema = ExponentialMovingAverage::new(0.5).unwrap();
-        ema.push(100.0);
-        ema.reset();
-        assert_eq!(ema.push(2.0), 2.0);
-    }
-
-    #[test]
-    fn lowpass_keeps_low_tone_removes_high_tone() {
-        let n = 512;
-        let rate = 8000.0;
-        let low = tone(250.0, rate, n);
-        let high = tone(3000.0, rate, n);
-        let mixed: Vec<f64> = low.iter().zip(&high).map(|(a, b)| a + b).collect();
-        let filtered = fft_lowpass(&mixed, 1000.0, rate).unwrap();
-        // Low tone survives (same RMS), high tone is gone.
-        assert!((rms(&filtered) - rms(&low)).abs() < 0.05);
-        let residual: Vec<f64> = filtered.iter().zip(&low).map(|(a, b)| a - b).collect();
-        assert!(rms(&residual) < 0.05);
-    }
-
-    #[test]
     fn highpass_removes_low_tone_keeps_high_tone() {
         let n = 512;
         let rate = 8000.0;
@@ -422,28 +312,6 @@ mod tests {
         let filtered = fft_highpass(&mixed, 1000.0, rate).unwrap();
         let residual: Vec<f64> = filtered.iter().zip(&high).map(|(a, b)| a - b).collect();
         assert!(rms(&residual) < 0.05);
-    }
-
-    #[test]
-    fn bandpass_keeps_only_middle_tone() {
-        let n = 1024;
-        let rate = 8000.0;
-        let lo = tone(100.0, rate, n);
-        let mid = tone(1000.0, rate, n);
-        let hi = tone(3500.0, rate, n);
-        let mixed: Vec<f64> = (0..n).map(|i| lo[i] + mid[i] + hi[i]).collect();
-        let filtered = fft_bandpass(&mixed, 500.0, 2000.0, rate).unwrap();
-        let residual: Vec<f64> = filtered.iter().zip(&mid).map(|(a, b)| a - b).collect();
-        assert!(rms(&residual) < 0.05);
-    }
-
-    #[test]
-    fn lowpass_passes_dc() {
-        let signal = vec![2.0; 64];
-        let filtered = fft_lowpass(&signal, 10.0, 1000.0).unwrap();
-        for y in filtered {
-            assert!((y - 2.0).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -457,7 +325,6 @@ mod tests {
 
     #[test]
     fn fft_filters_reject_non_power_of_two() {
-        assert!(fft_lowpass(&[0.0; 100], 10.0, 1000.0).is_err());
         assert!(fft_highpass(&[0.0; 100], 10.0, 1000.0).is_err());
     }
 }

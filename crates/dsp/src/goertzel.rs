@@ -1,23 +1,8 @@
 //! Goertzel single-bin DFT evaluation.
 //!
-//! The paper's §3.8 discusses the trade-off between algorithm complexity and
-//! MCU power: the MSP430 could not run a full FFT in real time. The Goertzel
-//! algorithm evaluates a *single* DFT bin in O(N) multiplies with O(1)
-//! state, making narrow-band detection feasible on the smaller MCU. It is
-//! included as one of this reproduction's ablation subjects ("what if the
-//! siren detector probed a few bins with Goertzel instead of a full FFT?").
-//!
-//! Probing K frequencies over one window is K *independent* second-order
-//! recurrences reading the same samples, so the batch entry points
-//! ([`strongest_of`], [`strongest_magnitude`]) interleave up to four
-//! probes per pass in the unrolled (`simd`, default) build: each probe's
-//! operation order is exactly the single-probe loop's, which keeps every
-//! power bit-identical to one-at-a-time evaluation while the independent
-//! recurrences hide each other's FMA latency. The scalar fallback runs
-//! probes one at a time; results match bit-for-bit by construction.
-//!
-//! The kernels live in `sidewinder-mcu` — Goertzel probing is exactly the
-//! workload the paper keeps on the small MCU — and are re-exported here.
+//! The kernels live in `sidewinder-mcu` — Goertzel probing is exactly
+//! the workload the paper keeps on the small MCU (§3.8) — and are
+//! re-exported here; see that module for the interleaved probe passes.
 
 pub use sidewinder_mcu::goertzel::*;
 
@@ -26,127 +11,20 @@ mod tests {
     use super::*;
     use crate::fft;
 
-    fn tone(freq: f64, rate: f64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| (2.0 * std::f64::consts::PI * freq * i as f64 / rate).sin())
-            .collect()
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        assert!(goertzel_power::<f64>(&[], 100.0, 8000.0).is_none());
-        assert!(goertzel_power(&[1.0], 100.0, 0.0).is_none());
-        assert!(goertzel_power(&[1.0], -5.0, 8000.0).is_none());
-        assert!(goertzel_power(&[1.0], 4001.0, 8000.0).is_none());
-    }
-
     #[test]
     fn matches_fft_bin_power() {
         let n = 256;
         let rate = 8000.0;
         let f = fft::bin_to_frequency(32, n, rate);
-        let signal = tone(f, rate, n);
+        let signal: Vec<f64> = (0..n)
+            .map(|i| (2.0 * std::f64::consts::PI * f * i as f64 / rate).sin())
+            .collect();
         let spectrum = fft::real_fft(&signal).unwrap();
         let fft_power = spectrum[32].magnitude_squared();
         let g_power = goertzel_power(&signal, f, rate).unwrap();
         assert!(
             (fft_power - g_power).abs() / fft_power < 1e-9,
             "fft {fft_power} vs goertzel {g_power}"
-        );
-    }
-
-    #[test]
-    fn detects_present_tone_rejects_absent() {
-        let n = 512;
-        let rate = 8000.0;
-        let signal = tone(1000.0, rate, n);
-        let present = goertzel_power(&signal, 1000.0, rate).unwrap();
-        let absent = goertzel_power(&signal, 2500.0, rate).unwrap();
-        assert!(present > 100.0 * absent.max(1e-12));
-    }
-
-    #[test]
-    fn magnitude_is_sqrt_of_power() {
-        let signal = tone(500.0, 8000.0, 256);
-        let p = goertzel_power(&signal, 500.0, 8000.0).unwrap();
-        let m = goertzel_magnitude(&signal, 500.0, 8000.0).unwrap();
-        assert!((m * m - p).abs() < 1e-6);
-    }
-
-    #[test]
-    fn strongest_of_picks_the_tone() {
-        let signal = tone(1200.0, 8000.0, 512);
-        let (f, _) = strongest_of(&signal, &[800.0, 1200.0, 1600.0], 8000.0).unwrap();
-        assert_eq!(f, 1200.0);
-        assert!(strongest_of(&signal, &[], 8000.0).is_none());
-    }
-
-    #[test]
-    fn grouped_powers_are_bit_identical_to_single_probes() {
-        // 5 valid probes + 1 invalid: exercises a full group of 4, a
-        // padded remainder group, and the skip path.
-        let rate = 8000.0;
-        let w = tone(1200.0, rate, 333);
-        let freqs = [850.0, 985.0, 9000.0, 1120.0, 1255.0, 1390.0];
-        let mut grouped = Vec::new();
-        for_each_power(&w, &freqs, rate, |i, p| grouped.push((i, p)));
-        let singles: Vec<(usize, f64)> = freqs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &f)| goertzel_power(&w, f, rate).map(|p| (i, p)))
-            .collect();
-        assert_eq!(grouped.len(), singles.len());
-        for (g, s) in grouped.iter().zip(&singles) {
-            assert_eq!(g.0, s.0);
-            assert_eq!(g.1.to_bits(), s.1.to_bits(), "probe {}", g.0);
-        }
-    }
-
-    #[test]
-    fn strongest_magnitude_takes_the_first_of_tied_probes() {
-        // A constant-zero window powers every probe at exactly 0; the
-        // strictly-greater fold keeps the first.
-        let w = vec![0.0f64; 64];
-        let m = strongest_magnitude(&w, &[100.0, 200.0, 300.0], 8000.0).unwrap();
-        assert_eq!(m, 0.0);
-        // And on a tone it agrees with strongest_of's argmax.
-        let rate = 8000.0;
-        let w = tone(1200.0, rate, 1024);
-        let freqs: Vec<f64> = (0..8).map(|i| 850.0 + 135.0 * i as f64).collect();
-        let (_, p) = strongest_of(&w, &freqs, rate).unwrap();
-        let m = strongest_magnitude(&w, &freqs, rate).unwrap();
-        assert_eq!(m.to_bits(), p.max(0.0).sqrt().to_bits());
-    }
-
-    #[test]
-    fn max_and_sum_agree_with_single_probe_reductions() {
-        let rate = 8000.0;
-        let w = tone(1200.0, rate, 512);
-        let freqs: Vec<f64> = (0..6).map(|i| 850.0 + 135.0 * i as f64).collect();
-        let (mx, sum) = magnitude_max_and_sum(&w, &freqs, rate).unwrap();
-        let singles: Vec<f64> = freqs
-            .iter()
-            .filter_map(|&f| goertzel_magnitude(&w, f, rate))
-            .collect();
-        let naive_max = singles.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let naive_sum: f64 = singles.iter().sum();
-        assert_eq!(mx.to_bits(), naive_max.to_bits());
-        assert_eq!(sum.to_bits(), naive_sum.to_bits());
-        assert!(magnitude_max_and_sum(&w, &[], rate).is_none());
-    }
-
-    #[test]
-    fn f32_probe_tracks_f64_within_single_precision() {
-        let rate = 8000.0;
-        let wide = tone(1200.0, rate, 512);
-        let narrow: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
-        let p64 = goertzel_power(&wide, 1200.0, rate).unwrap();
-        let p32 = goertzel_power(&narrow, 1200.0, rate).unwrap();
-        // The marginally-stable recurrence amplifies rounding by ~n^1.5,
-        // so budget ~512^1.5·ε_f32 ≈ 1.4e-3 relative, with headroom.
-        assert!(
-            (p32 - p64).abs() < 1e-2 * p64.abs().max(1.0),
-            "f32 {p32} vs f64 {p64}"
         );
     }
 }

@@ -20,27 +20,3 @@
 //! re-exports it.
 
 pub use sidewinder_mcu::sample::*;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f64_round_trips_exactly() {
-        for x in [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE] {
-            assert_eq!(<f64 as Sample>::from_f64(x).to_f64(), x);
-        }
-    }
-
-    #[test]
-    fn f32_narrowing_rounds_to_nearest() {
-        let x = 0.1f64;
-        assert_eq!(<f32 as Sample>::from_f64(x), 0.1f32);
-        assert_ne!(<f32 as Sample>::from_f64(x).to_f64(), x);
-    }
-
-    #[test]
-    fn lane_widths_double_when_precision_halves() {
-        assert_eq!(<f64 as Sample>::LANES * 2, <f32 as Sample>::LANES);
-    }
-}

@@ -8,91 +8,3 @@
 //! module re-exports them for the host-side pipeline builders.
 
 pub use sidewinder_mcu::spectral::*;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sample::Sample;
-
-    #[test]
-    fn dominant_bin_of_empty_is_none() {
-        assert!(dominant_bin::<f64>(&[]).is_none());
-    }
-
-    #[test]
-    fn dominant_bin_finds_peak() {
-        let peak = dominant_bin(&[1.0, 5.0, 3.0]).unwrap();
-        assert_eq!(peak.bin, 1);
-        assert_eq!(peak.magnitude, 5.0);
-    }
-
-    #[test]
-    fn dominant_bin_ties_pick_first() {
-        // max_by returns the last maximal element; with a strict comparator
-        // over equal values the first stays. Assert the observable contract:
-        // magnitude equals the max.
-        let peak = dominant_bin(&[2.0, 2.0]).unwrap();
-        assert_eq!(peak.magnitude, 2.0);
-    }
-
-    #[test]
-    fn ratio_is_high_for_peaked_spectrum() {
-        let mut spectrum = vec![0.1; 100];
-        spectrum[42] = 10.0;
-        let r = dominant_to_mean_ratio(&spectrum).unwrap();
-        assert!(r > 40.0, "ratio = {r}");
-    }
-
-    #[test]
-    fn ratio_is_near_one_for_flat_spectrum() {
-        let spectrum = vec![1.0; 64];
-        let r = dominant_to_mean_ratio(&spectrum).unwrap();
-        assert!((r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_of_zero_spectrum_is_none() {
-        assert!(dominant_to_mean_ratio(&[0.0; 8]).is_none());
-        assert!(dominant_to_mean_ratio::<f64>(&[]).is_none());
-    }
-
-    #[test]
-    fn band_magnitude_sums_inclusive_range() {
-        let m = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(band_magnitude(&m, 1, 2), 5.0);
-        assert_eq!(band_magnitude(&m, 0, 3), 10.0);
-    }
-
-    #[test]
-    fn band_magnitude_clamps_and_rejects_bad_ranges() {
-        let m = [1.0, 2.0];
-        assert_eq!(band_magnitude(&m, 0, 99), 3.0);
-        assert_eq!(band_magnitude(&m, 5, 9), 0.0);
-        assert_eq!(band_magnitude(&m, 1, 0), 0.0);
-    }
-
-    #[test]
-    fn centroid_of_symmetric_spectrum_is_middle() {
-        let c = spectral_centroid(&[1.0, 1.0, 1.0]).unwrap();
-        assert!((c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centroid_shifts_toward_mass() {
-        let c = spectral_centroid(&[0.0, 0.0, 0.0, 10.0]).unwrap();
-        assert!((c - 3.0).abs() < 1e-12);
-        assert!(spectral_centroid(&[0.0; 4]).is_none());
-    }
-
-    #[test]
-    fn flatness_distinguishes_noise_from_tone() {
-        let flat = spectral_flatness(&[1.0; 32]).unwrap();
-        assert!((flat - 1.0).abs() < 1e-12);
-        let mut peaked = vec![0.01; 32];
-        peaked[5] = 100.0;
-        let f = spectral_flatness(&peaked).unwrap();
-        assert!(f < 0.1, "flatness = {f}");
-        assert!(spectral_flatness(&[]).is_none());
-        assert!(spectral_flatness(&[1.0, 0.0]).is_none());
-    }
-}

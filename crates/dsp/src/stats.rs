@@ -6,11 +6,12 @@
 //! per-sub-window zero-crossing rates (§3.7.2); those reductions are built
 //! from these kernels.
 //!
-//! The flat reduction kernels ([`Summary`], [`mean`], [`variance`], …) live
-//! in `sidewinder-mcu` — they are exactly what the on-device interpreter
-//! runs — and are re-exported here with their documented length-dependent
-//! reduction order (DESIGN.md §6h) intact. The `Vec`-returning local-extrema
-//! searches the steps/headbutt applications use stay host-side below.
+//! The flat reduction kernels ([`Summary`], [`variance`], [`mean_abs`],
+//! …) live in `sidewinder-mcu` — they are exactly what the on-device
+//! interpreter runs — and are re-exported here with their documented
+//! length-dependent reduction order (DESIGN.md §6h) intact. The
+//! `Vec`-returning local-extrema searches the steps/headbutt
+//! applications use stay host-side below.
 
 pub use sidewinder_mcu::stats::*;
 
@@ -57,139 +58,6 @@ pub fn local_minima_in_band(signal: &[f64], lo: f64, hi: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::Sample;
-
-    #[test]
-    fn empty_window_yields_none() {
-        assert!(Summary::<f64>::of(&[]).is_none());
-        assert!(mean::<f64>(&[]).is_none());
-        assert!(variance::<f64>(&[]).is_none());
-        assert!(rms::<f64>(&[]).is_none());
-        assert!(mean_abs::<f64>(&[]).is_none());
-    }
-
-    #[test]
-    fn single_sample_summary() {
-        let s = Summary::of(&[7.0]).unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 7.0);
-        assert_eq!(s.variance, 0.0);
-        assert_eq!(s.min, 7.0);
-        assert_eq!(s.max, 7.0);
-        assert_eq!(s.rms, 7.0);
-    }
-
-    #[test]
-    fn known_variance() {
-        // Population variance of [2,4,4,4,5,5,7,9] is 4.
-        let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((s.variance - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_never_negative_under_cancellation() {
-        let big = 1e9;
-        let s = Summary::of(&[big, big, big]).unwrap();
-        assert!(s.variance >= 0.0);
-    }
-
-    #[test]
-    fn peak_to_peak() {
-        let s = Summary::of(&[-1.0, 0.0, 3.0]).unwrap();
-        assert_eq!(s.peak_to_peak(), 4.0);
-    }
-
-    #[test]
-    fn rms_of_alternating_unit_signal_is_one() {
-        let signal = [1.0, -1.0, 1.0, -1.0];
-        assert!((rms(&signal).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_abs_ignores_sign() {
-        assert_eq!(mean_abs(&[1.0, -1.0, 2.0, -2.0]).unwrap(), 1.5);
-    }
-
-    #[test]
-    fn energy_sums_squares() {
-        assert_eq!(energy(&[3.0, 4.0]), 25.0);
-        assert_eq!(energy::<f64>(&[]), 0.0);
-    }
-
-    #[test]
-    fn vector_magnitude_is_euclidean_norm() {
-        assert!((vector_magnitude(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert!((vector_magnitude(&[1.0, 2.0, 2.0]) - 3.0).abs() < 1e-12);
-        assert_eq!(vector_magnitude::<f64>(&[]), 0.0);
-    }
-
-    #[test]
-    fn f32_summary_matches_f64_within_single_precision() {
-        let wide: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.37).sin() * 3.0).collect();
-        let narrow: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
-        let sw = Summary::of(&wide).unwrap();
-        let sn = Summary::of(&narrow).unwrap();
-        assert!((f64::from(sn.mean) - sw.mean).abs() < 1e-4);
-        assert!((f64::from(sn.variance) - sw.variance).abs() < 1e-3);
-        assert_eq!(f64::from(sn.max), sw.max as f32 as f64);
-    }
-
-    #[test]
-    fn lane_order_is_the_documented_tree() {
-        // A 33-sample window (cutover + 1, non-multiple of 4): recompute
-        // the documented lane order by hand and require bit equality.
-        let w: Vec<f64> = (0..33).map(|i| (i as f64 * 0.9).sin() / 3.0).collect();
-        let mut lanes = [0.0f64; 4];
-        let main = w.len() - w.len() % 4;
-        for (i, &x) in w.iter().enumerate() {
-            let lane = if i < main { i % 4 } else { i - main };
-            lanes[lane] += x;
-        }
-        let expected = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-        let got = Summary::of(&w).unwrap();
-        assert_eq!(got.mean.to_bits(), (expected / 33.0).to_bits());
-    }
-
-    #[test]
-    fn below_cutover_matches_the_sequential_kernel_exactly() {
-        // Lengths under LANE_CUTOVER must reproduce the original
-        // left-to-right reduction bit-for-bit (the zcrVariance path
-        // reduces 8 inexact rates and its digests are frozen).
-        let w: Vec<f64> = (0..(LANE_CUTOVER - 1))
-            .map(|i| 0.1 + (i as f64 / 7.0).sin())
-            .collect();
-        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-        for &x in &w {
-            sum += x;
-            sum_sq += x * x;
-        }
-        let n = w.len() as f64;
-        let s = Summary::of(&w).unwrap();
-        assert_eq!(s.mean.to_bits(), (sum / n).to_bits());
-        assert_eq!(
-            s.variance.to_bits(),
-            (sum_sq / n - (sum / n) * (sum / n)).max(0.0).to_bits()
-        );
-    }
-
-    #[test]
-    fn nan_policy_propagates_through_sums_and_skips_extrema() {
-        let s = Summary::of(&[1.0, f64::NAN, 3.0]).unwrap();
-        assert!(s.mean.is_nan());
-        assert!(s.rms.is_nan());
-        // The cancellation clamp absorbs NaN: documented, load-bearing
-        // for SW004's "threshold comparisons see a number" assumption.
-        assert_eq!(s.variance, 0.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-
-        let all_nan = Summary::of(&[f64::NAN; 40]).unwrap();
-        assert!(all_nan.mean.is_nan());
-        assert_eq!(all_nan.min, f64::INFINITY);
-        assert_eq!(all_nan.max, f64::NEG_INFINITY);
-    }
-
     #[test]
     fn finds_local_maxima_in_band() {
         //            0    1    2    3    4    5    6

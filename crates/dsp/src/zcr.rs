@@ -8,8 +8,8 @@
 //! steady noise are more uniform.
 //!
 //! The counting kernels and the scratch-buffer (`_into`) variants live in
-//! `sidewinder-mcu`; the `Vec`-returning conveniences below wrap them for
-//! host-side callers.
+//! `sidewinder-mcu`; the `Vec`-returning conveniences below wrap
+//! [`sub_window_zcr_into`] for host-side callers.
 
 use crate::sample::Sample;
 
@@ -22,21 +22,11 @@ pub use sidewinder_mcu::zcr::*;
 /// the paper's streaming implementation. Returns `None` if `sub_windows` is
 /// zero or the window is too short to give every sub-window two samples.
 pub fn sub_window_zcr<P: Sample>(window: &[P], sub_windows: usize) -> Option<Vec<P>> {
-    if sub_windows == 0 {
-        return None;
-    }
-    let sub_len = window.len() / sub_windows;
-    if sub_len < 2 {
-        return None;
-    }
-    Some(
-        (0..sub_windows)
-            .map(|k| {
-                zero_crossing_rate(&window[k * sub_len..(k + 1) * sub_len])
-                    .expect("sub-window length checked >= 2")
-            })
-            .collect(),
-    )
+    // A split into more than `len / 2` parts is rejected, so the buffer
+    // never needs to be longer than that.
+    let mut rates = vec![P::ZERO; sub_windows.min(window.len() / 2)];
+    sub_window_zcr_into(window, sub_windows, &mut rates)?;
+    Some(rates)
 }
 
 /// Variance of sub-window zero-crossing rates — the feature the music and
@@ -49,75 +39,6 @@ pub fn zcr_variance<P: Sample>(window: &[P], sub_windows: usize) -> Option<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_signal_never_crosses() {
-        assert_eq!(zero_crossings(&[1.0; 10]), 0);
-        assert_eq!(zero_crossings(&[-1.0; 10]), 0);
-        assert_eq!(zero_crossings(&[0.0; 10]), 0);
-    }
-
-    #[test]
-    fn alternating_signal_crosses_every_sample() {
-        let signal = [1.0, -1.0, 1.0, -1.0, 1.0];
-        assert_eq!(zero_crossings(&signal), 4);
-        assert_eq!(zero_crossing_rate(&signal), Some(1.0));
-    }
-
-    #[test]
-    fn zeros_do_not_double_count() {
-        // +1 → 0 → −1 is one crossing, not two.
-        assert_eq!(zero_crossings(&[1.0, 0.0, -1.0]), 1);
-        // +1 → 0 → +1 is no crossing.
-        assert_eq!(zero_crossings(&[1.0, 0.0, 1.0]), 0);
-    }
-
-    #[test]
-    fn leading_zeros_are_ignored() {
-        assert_eq!(zero_crossings(&[0.0, 0.0, 1.0, -1.0]), 1);
-    }
-
-    #[test]
-    fn nan_behaves_like_zero() {
-        // NaN keeps the previous sign: one crossing, same as a zero.
-        assert_eq!(zero_crossings(&[1.0, f64::NAN, -1.0]), 1);
-        assert_eq!(zero_crossings(&[1.0, f64::NAN, 1.0]), 0);
-        // Leading NaNs, like leading zeros, never count.
-        assert_eq!(zero_crossings(&[f64::NAN, -1.0, 1.0]), 1);
-        assert_eq!(zero_crossings(&[f64::NAN; 16]), 0);
-    }
-
-    #[test]
-    fn chunked_count_matches_serial_state_machine() {
-        // Straddle several chunk boundaries with a messy signal that
-        // mixes clean runs, zeros, and NaN so both paths execute.
-        let signal: Vec<f64> = (0..1000)
-            .map(|i| match i % 97 {
-                0 => 0.0,
-                1 => f64::NAN,
-                _ => ((i as f64) * 0.73).sin() - 0.1,
-            })
-            .collect();
-        let mut count = 0;
-        let mut prev_sign = 0i8;
-        for &x in &signal {
-            step(x, &mut prev_sign, &mut count);
-        }
-        assert_eq!(zero_crossings(&signal), count);
-    }
-
-    #[test]
-    fn f32_counts_match_f64_on_clean_signals() {
-        let wide: Vec<f64> = (0..2048).map(|i| ((i as f64) * 0.37).sin() + 0.2).collect();
-        let narrow: Vec<f32> = wide.iter().map(|&x| x as f32).collect();
-        assert_eq!(zero_crossings(&wide), zero_crossings(&narrow));
-    }
-
-    #[test]
-    fn rate_needs_two_samples() {
-        assert_eq!(zero_crossing_rate::<f64>(&[]), None);
-        assert_eq!(zero_crossing_rate(&[1.0]), None);
-    }
 
     #[test]
     fn tone_zcr_tracks_frequency() {
@@ -150,6 +71,7 @@ mod tests {
     fn sub_window_zcr_rejects_degenerate_splits() {
         assert!(sub_window_zcr(&[1.0, -1.0], 0).is_none());
         assert!(sub_window_zcr(&[1.0, -1.0, 1.0], 2).is_none());
+        assert!(sub_window_zcr(&[1.0; 8], usize::MAX).is_none());
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! SIMD/scalar equivalence pins for the flat DSP kernels.
+//! Reduction-order pins for the flat DSP kernels.
 //!
-//! The unrolled lane kernels (`simd` feature, default) and the scalar
-//! fallbacks (`--no-default-features`) both promise the *documented
-//! length-dependent reduction order* (DESIGN.md §6h). One binary can
-//! only carry one of the two builds, so the bit-exact tier here checks
-//! each kernel against an in-test scalar emulation of that documented
-//! order; CI runs this suite under both feature configurations, which
-//! transitively pins the two builds bit-identical to each other.
+//! Each unrolled kernel promises the *documented length-dependent
+//! reduction order* (DESIGN.md §6h). The bit-exact tier here checks each
+//! kernel against an in-test scalar emulation of that documented order:
+//! strided lanes for `Summary::of`, the per-sample state machine for the
+//! chunked crossing counter, per-element products for the tabulated
+//! taper, the streaming recompute for the block moving average, and
+//! one-at-a-time probes for the grouped Goertzel passes.
 //!
 //! Lengths are drawn from the awkward set — 0, 1, lane−1, lane, lane+1,
 //! the `LANE_CUTOVER` boundary, 1024, and arbitrary non-multiples — so

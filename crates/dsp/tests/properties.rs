@@ -1,7 +1,7 @@
 //! Property-based tests over the DSP kernels.
 
 use proptest::prelude::*;
-use sidewinder_dsp::filter::{ExponentialMovingAverage, MovingAverage};
+use sidewinder_dsp::filter::MovingAverage;
 use sidewinder_dsp::window::WindowShape;
 use sidewinder_dsp::{fft, goertzel, spectral, stats, zcr, Complex};
 
@@ -39,10 +39,9 @@ proptest! {
         let spectrum = fft::real_fft(&signal).unwrap();
         let n = spectrum.len();
         for k in 1..n / 2 {
-            let a = spectrum[k];
-            let b = spectrum[n - k].conj();
+            let (a, b) = (spectrum[k], spectrum[n - k]);
             prop_assert!((a.re - b.re).abs() < 1e-6 * (1.0 + a.magnitude()));
-            prop_assert!((a.im - b.im).abs() < 1e-6 * (1.0 + a.magnitude()));
+            prop_assert!((a.im + b.im).abs() < 1e-6 * (1.0 + a.magnitude()));
         }
     }
 
@@ -70,19 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn ema_output_within_input_bounds(
-        signal in finite_signal(64),
-        alpha in 0.01f64..1.0,
-    ) {
-        let lo = signal.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = signal.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut ema = ExponentialMovingAverage::new(alpha).unwrap();
-        for y in ema.filter(&signal) {
-            prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
-        }
-    }
-
-    #[test]
     fn zcr_rate_is_in_unit_interval(signal in finite_signal(128)) {
         if let Some(r) = zcr::zero_crossing_rate(&signal) {
             prop_assert!((0.0..=1.0).contains(&r));
@@ -98,17 +84,6 @@ proptest! {
         prop_assert!(s.rms >= 0.0);
         prop_assert!(s.rms + 1e-9 >= s.mean.abs());
         prop_assert_eq!(s.count, signal.len());
-    }
-
-    #[test]
-    fn vector_magnitude_triangle_inequality(
-        a in prop::collection::vec(-1e3f64..1e3, 3),
-        b in prop::collection::vec(-1e3f64..1e3, 3),
-    ) {
-        let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let lhs = stats::vector_magnitude(&sum);
-        let rhs = stats::vector_magnitude(&a) + stats::vector_magnitude(&b);
-        prop_assert!(lhs <= rhs + 1e-9);
     }
 
     #[test]

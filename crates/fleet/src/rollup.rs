@@ -13,33 +13,12 @@
 //! so it is also invariant to the shard size: resharding the same fleet
 //! changes how work is split, not what the fleet did.
 
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_obs::Histogram;
 use sidewinder_sensors::Micros;
 use sidewinder_sim::{FaultCounters, SimResult};
 
 use crate::device::FaultClass;
-
-/// FNV-1a offset basis, matching the digests pinned elsewhere in the
-/// repo (`results/*.json`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Streaming FNV-1a over little-endian `u64` words.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    pub fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
 
 /// How one simulated device ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -243,12 +222,12 @@ impl ShardRollup {
     /// FNV-1a digest of this shard's aggregates (failure samples
     /// excluded — their counts are covered).
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         self.fold_digest(&mut h);
-        h.0
+        h.finish()
     }
 
-    pub(crate) fn fold_digest(&self, h: &mut Fnv) {
+    pub(crate) fn fold_digest(&self, h: &mut Fnv1a) {
         for w in [
             self.devices,
             self.ok,
@@ -359,10 +338,10 @@ impl FleetRollup {
     /// The fleet digest: FNV-1a over the merged aggregates only, so it
     /// is invariant to worker count *and* shard size.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.word(self.seed);
         self.totals.fold_digest(&mut h);
-        h.0
+        h.finish()
     }
 
     /// Plain-text report for operators.

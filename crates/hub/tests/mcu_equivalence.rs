@@ -14,6 +14,7 @@
 use sidewinder_cert::{certify_program, CertTarget, Precision};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime};
 use sidewinder_hub::{compile_image, McuCore, McuExecError, NullSink, Sample, DEFAULT_ARENA};
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_ir::Program;
 
 /// The six golden wake-up conditions, as committed under `crates/ir`.
@@ -127,23 +128,14 @@ fn assert_bit_identical(name: &str, a: &[(u64, f64)], b: &[(u64, f64)]) {
     }
 }
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The perf gate's wake digest over a `(seq, value)` trace.
 fn trace_digest(trace: &[(u64, f64)]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv1a::new();
     for &(seq, value) in trace {
-        hash = fnv1a(hash, &seq.to_le_bytes());
-        hash = fnv1a(hash, &value.to_bits().to_le_bytes());
+        hash.word(seq);
+        hash.word(value.to_bits());
     }
-    hash
+    hash.finish()
 }
 
 /// Reads one `"name": "0x..."` golden out of the committed digest file.

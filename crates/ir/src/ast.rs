@@ -675,14 +675,7 @@ impl Program {
     /// are equal — the key a fleet ingest path uses to acknowledge and
     /// deduplicate submitted wake conditions across the wire.
     pub fn stable_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in self.to_string().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        crate::fnv::Fnv1a::hash(self.to_string().as_bytes())
     }
 
     /// Whether the program contains an FFT-family stage (`fft`, `ifft`,
@@ -968,12 +961,7 @@ ACC_Z -> movingAvg(id=3, params={10});
         assert_ne!(a.stable_digest(), c.stable_digest());
         // FNV-1a of the canonical text, pinned so the wire protocol's
         // acks stay stable across refactors.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in a.to_string().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        assert_eq!(a.stable_digest(), hash);
+        assert_eq!(a.stable_digest(), 0x85fd_8537_2a64_6a02);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 pub mod ast;
 pub mod diagram;
 pub mod flow;
+pub mod fnv;
 pub mod parse;
 pub mod rewrite;
 pub mod validate;

@@ -49,14 +49,6 @@ impl Complex {
         }
     }
 
-    /// Returns the complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Returns the magnitude (absolute value).
     pub fn magnitude(self) -> f64 {
         math::hypot(self.re, self.im)
@@ -65,11 +57,6 @@ impl Complex {
     /// Returns the squared magnitude, avoiding the square root.
     pub fn magnitude_squared(self) -> f64 {
         self.re * self.re + self.im * self.im
-    }
-
-    /// Returns the phase angle in radians in `(-π, π]`.
-    pub fn phase(self) -> f64 {
-        math::atan2(self.im, self.re)
     }
 
     /// Scales both components by a real factor.
@@ -154,12 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn conjugate_negates_imaginary() {
-        let z = Complex::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-    }
-
-    #[test]
     fn magnitude_of_3_4_is_5() {
         assert!((Complex::new(3.0, 4.0).magnitude() - 5.0).abs() < 1e-12);
         assert!((Complex::new(3.0, 4.0).magnitude_squared() - 25.0).abs() < 1e-12);
@@ -172,12 +153,6 @@ mod tests {
             let z = Complex::from_angle(theta);
             assert!((z.magnitude() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn phase_recovers_angle() {
-        let theta = 0.73;
-        assert!((Complex::from_angle(theta).phase() - theta).abs() < 1e-12);
     }
 
     #[test]

@@ -559,11 +559,6 @@ impl<A: ArenaStorage> ExecCore<A> {
         }
     }
 
-    /// Whether an image has been loaded.
-    pub fn is_loaded(&self) -> bool {
-        self.loaded
-    }
-
     /// Total wake-ups since load (or the last [`reset`](Self::reset)).
     pub fn wake_count(&self) -> u64 {
         self.wake_count
@@ -1590,7 +1585,7 @@ mod tests {
     #[test]
     fn const_init_lives_in_a_static() {
         static CORE: McuCore<f64, 16> = McuCore::new();
-        assert!(!CORE.is_loaded());
+        assert!(!CORE.loaded);
         assert_eq!(CORE.wake_count(), 0);
     }
 
@@ -2039,7 +2034,7 @@ mod tests {
             }
             other => panic!("expected arena-overflow error, got {other:?}"),
         }
-        assert!(!core.is_loaded());
+        assert!(!core.loaded);
     }
 
     #[test]
@@ -2092,7 +2087,7 @@ mod tests {
             reused.load(&oversized).unwrap_err(),
             McuExecError::ArenaOverflow { .. }
         ));
-        assert!(!reused.is_loaded());
+        assert!(!reused.loaded);
         assert!(matches!(
             reused.push_sample(0, 1.0, &mut |_| {}),
             Err(McuExecError::NotLoaded)
@@ -2318,7 +2313,7 @@ mod tests {
             );
             let mut core: McuCore<f64, 256> = McuCore::new();
             assert_eq!(core.load(&image), Err(err), "{what}: McuCore");
-            assert!(!core.is_loaded(), "{what}");
+            assert!(!core.loaded, "{what}");
             assert_eq!(
                 core.push_sample(0, 1.0, &mut |_| {}),
                 Err(McuExecError::NotLoaded)
@@ -2334,7 +2329,7 @@ mod tests {
             {
                 let mut host: HostCore = HostCore::new();
                 assert_eq!(host.load(&image), Err(err), "{what}: HostCore");
-                assert!(!host.is_loaded(), "{what}");
+                assert!(!host.loaded, "{what}");
                 host.load(&fitting).unwrap();
                 assert_eq!(
                     collect_wakes(&mut host, 0, &samples),

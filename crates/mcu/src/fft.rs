@@ -11,7 +11,6 @@
 //! [`FftPlan`]: https://docs.rs/sidewinder-dsp
 
 use crate::complex::Complex;
-use crate::math;
 
 /// Error returned when a transform is given a length that is not a power of
 /// two (or is zero).
@@ -57,11 +56,6 @@ pub fn check_len(n: usize) -> Result<(), NonPowerOfTwoError> {
 /// windowed signal.
 pub fn bin_to_frequency(bin: usize, n: usize, sample_rate_hz: f64) -> f64 {
     bin as f64 * sample_rate_hz / n as f64
-}
-
-/// Converts a frequency in Hz to the nearest FFT bin index.
-pub fn frequency_to_bin(freq_hz: f64, n: usize, sample_rate_hz: f64) -> usize {
-    (math::round(freq_hz * n as f64 / sample_rate_hz).max(0.0)) as usize
 }
 
 /// Number of bit-reversal swaps a `len`-point plan performs — the exact
@@ -295,16 +289,6 @@ mod tests {
         for z in &data {
             assert_close(z.re, 1.0, 1e-12);
             assert_close(z.im, 0.0, 1e-12);
-        }
-    }
-
-    #[test]
-    fn bin_frequency_conversions_are_inverse() {
-        let n = 256;
-        let rate = 8000.0;
-        for bin in [0, 1, 17, 100, 128] {
-            let f = bin_to_frequency(bin, n, rate);
-            assert_eq!(frequency_to_bin(f, n, rate), bin);
         }
     }
 }

@@ -1,81 +1,15 @@
-//! Streaming filters and band-shape selection for the MCU core.
+//! Band-shape selection for the MCU core's FFT filters.
 //!
-//! The paper's hub offers "noise-reduction algorithms such as a moving
-//! average and exponential moving average" and "FFT-based low-pass /
-//! high-pass filtering" (§3.6 "Data Filtering"). This module holds the
-//! pieces the on-device interpreter needs: the bounded-state
-//! [`ExponentialMovingAverage`], the [`BandShape`] frequency response, and
+//! The paper's hub offers "FFT-based low-pass / high-pass filtering"
+//! (§3.6 "Data Filtering"). This module holds the pieces the on-device
+//! interpreter needs for it: the [`BandShape`] frequency response and
 //! the per-bin keep-mask fill used to build FFT band filters into
-//! fixed-capacity storage. The `VecDeque`-backed `MovingAverage` and the
-//! `Vec`-returning FFT filter entry points stay in the host
-//! `sidewinder-dsp` crate, which re-exports these types.
+//! fixed-capacity storage. The moving averages run inline in the
+//! interpreter's node passes; the host's `VecDeque`-backed
+//! `MovingAverage` and `Vec`-returning `fft_highpass` live in
+//! `sidewinder-dsp`, which re-exports these types.
 
 use crate::fft;
-
-/// A streaming exponential moving average `y[n] = α·x[n] + (1-α)·y[n-1]`.
-///
-/// Unlike a simple moving average, it produces output from the first
-/// sample.
-#[derive(Debug, Clone)]
-pub struct ExponentialMovingAverage {
-    alpha: f64,
-    state: Option<f64>,
-}
-
-/// Error returned when the EMA smoothing factor is outside `(0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvalidAlphaError {
-    /// The rejected smoothing factor.
-    pub alpha: f64,
-}
-
-impl core::fmt::Display for InvalidAlphaError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "EMA smoothing factor {} outside (0, 1]", self.alpha)
-    }
-}
-
-impl core::error::Error for InvalidAlphaError {}
-
-impl ExponentialMovingAverage {
-    /// Creates an EMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidAlphaError`] if `alpha` is not in `(0, 1]` or is NaN.
-    pub fn new(alpha: f64) -> Result<Self, InvalidAlphaError> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(InvalidAlphaError { alpha });
-        }
-        Ok(ExponentialMovingAverage { alpha, state: None })
-    }
-
-    /// The configured smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Pushes a sample and returns the smoothed value.
-    pub fn push(&mut self, sample: f64) -> f64 {
-        let next = match self.state {
-            None => sample,
-            Some(prev) => self.alpha * sample + (1.0 - self.alpha) * prev,
-        };
-        self.state = Some(next);
-        next
-    }
-
-    /// Clears the filter state.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-
-    /// Filters a whole slice.
-    #[cfg(any(test, feature = "std"))]
-    pub fn filter(&mut self, signal: &[f64]) -> std::vec::Vec<f64> {
-        signal.iter().map(|&x| self.push(x)).collect()
-    }
-}
 
 /// The frequency response selecting which bins an FFT band filter keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,8 +45,9 @@ impl BandShape {
 }
 
 /// Writes the per-bin keep mask for an `out.len()`-point transform into
-/// `out` — the allocation-free twin of the host crate's mask builder, with
-/// the identical negative-frequency mirroring.
+/// `out`, mirroring bins above `N/2` onto their positive frequencies.
+/// The interpreter fills caller-owned storage with it; the host crate's
+/// `fft_highpass` fills a `Vec`.
 pub fn fill_keep_mask(out: &mut [bool], sample_rate_hz: f64, shape: BandShape) {
     let n = out.len();
     for (bin, slot) in out.iter_mut().enumerate() {
@@ -126,52 +61,7 @@ pub fn fill_keep_mask(out: &mut [bool], sample_rate_hz: f64, shape: BandShape) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::string::ToString;
     use std::vec;
-
-    #[test]
-    fn ema_validates_alpha() {
-        assert!(ExponentialMovingAverage::new(0.0).is_err());
-        assert!(ExponentialMovingAverage::new(1.5).is_err());
-        assert!(ExponentialMovingAverage::new(f64::NAN).is_err());
-        assert!(ExponentialMovingAverage::new(1.0).is_ok());
-        let err = ExponentialMovingAverage::new(-0.1).unwrap_err();
-        assert!(err.to_string().contains("-0.1"));
-    }
-
-    #[test]
-    fn ema_first_output_is_first_sample() {
-        let mut ema = ExponentialMovingAverage::new(0.3).unwrap();
-        assert_eq!(ema.push(5.0), 5.0);
-        assert_eq!(ema.alpha(), 0.3);
-    }
-
-    #[test]
-    fn ema_alpha_one_tracks_input_exactly() {
-        let mut ema = ExponentialMovingAverage::new(1.0).unwrap();
-        for x in [1.0, -2.0, 3.0] {
-            assert_eq!(ema.push(x), x);
-        }
-    }
-
-    #[test]
-    fn ema_converges_to_constant_input() {
-        let mut ema = ExponentialMovingAverage::new(0.2).unwrap();
-        ema.push(0.0);
-        let mut last = 0.0;
-        for _ in 0..200 {
-            last = ema.push(10.0);
-        }
-        assert!((last - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ema_reset_clears_state() {
-        let mut ema = ExponentialMovingAverage::new(0.5).unwrap();
-        ema.push(100.0);
-        ema.reset();
-        assert_eq!(ema.push(2.0), 2.0);
-    }
 
     #[test]
     fn band_shapes_keep_inclusive_edges() {

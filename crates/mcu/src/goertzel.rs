@@ -9,18 +9,16 @@
 //!
 //! Probing K frequencies over one window is K *independent* second-order
 //! recurrences reading the same samples, so the batch entry points
-//! ([`strongest_of`], [`strongest_magnitude`]) interleave up to four
-//! probes per pass in the unrolled (`simd`, default) build: each probe's
-//! operation order is exactly the single-probe loop's, which keeps every
+//! ([`strongest_of`], [`strongest_magnitude`], [`magnitude_max_and_sum`])
+//! interleave up to four probes per pass: each probe's operation order is
+//! exactly the single-probe loop's ([`goertzel_power`]), which keeps every
 //! power bit-identical to one-at-a-time evaluation while the independent
-//! recurrences hide each other's FMA latency. The scalar fallback runs
-//! probes one at a time; results match bit-for-bit by construction.
+//! recurrences hide each other's FMA latency.
 
 use crate::math;
 use crate::sample::Sample;
 
-/// Probes interleaved per pass over the window in the unrolled build.
-#[cfg(feature = "simd")]
+/// Probes interleaved per pass over the window.
 const PROBE_LANES: usize = 4;
 
 /// Computes the squared magnitude of the DFT of `window` at `freq_hz`.
@@ -63,22 +61,13 @@ fn close_power<P: Sample>(s_prev: P, s_prev2: P, coeff: P) -> f64 {
     (s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2).to_f64()
 }
 
-/// Magnitude (not squared) of the DFT at `freq_hz`; see [`goertzel_power`].
-pub fn goertzel_magnitude<P: Sample>(
-    window: &[P],
-    freq_hz: f64,
-    sample_rate_hz: f64,
-) -> Option<f64> {
-    goertzel_power(window, freq_hz, sample_rate_hz).map(|p| math::sqrt(p.max(0.0)))
-}
-
 /// Runs every valid probe frequency over `window` and hands each
 /// `(probe index, power)` to `each`, in probe order.
 ///
 /// Invalid probes (outside `[0, rate/2]`) are skipped, exactly as
 /// [`goertzel_power`] rejects them; per-probe arithmetic is unchanged by
 /// the grouping.
-pub fn for_each_power<P: Sample>(
+fn for_each_power<P: Sample>(
     window: &[P],
     freqs: &[f64],
     sample_rate_hz: f64,
@@ -87,42 +76,30 @@ pub fn for_each_power<P: Sample>(
     if window.is_empty() || sample_rate_hz <= 0.0 {
         return;
     }
-    #[cfg(feature = "simd")]
-    {
-        // (probe index, coefficient) staging area; `usize::MAX` marks a
-        // padding lane whose (finite) result is discarded.
-        let mut group = [(usize::MAX, P::ZERO); PROBE_LANES];
-        let mut filled = 0;
-        for (i, &f) in freqs.iter().enumerate() {
-            if !(0.0..=sample_rate_hz / 2.0).contains(&f) {
-                continue;
-            }
-            group[filled] = (i, probe_coeff::<P>(f, sample_rate_hz));
-            filled += 1;
-            if filled == PROBE_LANES {
-                run_group(window, &group, &mut each);
-                group = [(usize::MAX, P::ZERO); PROBE_LANES];
-                filled = 0;
-            }
+    // (probe index, coefficient) staging area; `usize::MAX` marks a
+    // padding lane whose (finite) result is discarded.
+    let mut group = [(usize::MAX, P::ZERO); PROBE_LANES];
+    let mut filled = 0;
+    for (i, &f) in freqs.iter().enumerate() {
+        if !(0.0..=sample_rate_hz / 2.0).contains(&f) {
+            continue;
         }
-        if filled > 0 {
+        group[filled] = (i, probe_coeff::<P>(f, sample_rate_hz));
+        filled += 1;
+        if filled == PROBE_LANES {
             run_group(window, &group, &mut each);
+            group = [(usize::MAX, P::ZERO); PROBE_LANES];
+            filled = 0;
         }
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        for (i, &f) in freqs.iter().enumerate() {
-            if let Some(p) = goertzel_power(window, f, sample_rate_hz) {
-                each(i, p);
-            }
-        }
+    if filled > 0 {
+        run_group(window, &group, &mut each);
     }
 }
 
 /// One interleaved pass: four independent recurrences share each window
 /// read. Padding lanes (index `usize::MAX`, coefficient 0) do harmless
 /// finite work and are dropped before the callback.
-#[cfg(feature = "simd")]
 fn run_group<P: Sample>(
     window: &[P],
     group: &[(usize, P); PROBE_LANES],
@@ -198,7 +175,7 @@ pub fn strongest_magnitude<P: Sample>(
 /// strength-reduced dominant-ratio node, which needs both the peak and
 /// the in-band total. The max uses a strictly-greater (first-max)
 /// update and the sum accumulates in probe order, so the grouped
-/// (`simd`) build is bit-identical to one-at-a-time probing. `None`
+/// passes are bit-identical to one-at-a-time probing. `None`
 /// when no probe is valid.
 pub fn magnitude_max_and_sum<P: Sample>(
     window: &[P],
@@ -244,14 +221,6 @@ mod tests {
         let present = goertzel_power(&signal, 1000.0, rate).unwrap();
         let absent = goertzel_power(&signal, 2500.0, rate).unwrap();
         assert!(present > 100.0 * absent.max(1e-12));
-    }
-
-    #[test]
-    fn magnitude_is_sqrt_of_power() {
-        let signal = tone(500.0, 8000.0, 256);
-        let p = goertzel_power(&signal, 500.0, 8000.0).unwrap();
-        let m = goertzel_magnitude(&signal, 500.0, 8000.0).unwrap();
-        assert!((m * m - p).abs() < 1e-6);
     }
 
     #[test]
@@ -307,7 +276,7 @@ mod tests {
         let (mx, sum) = magnitude_max_and_sum(&w, &freqs, rate).unwrap();
         let singles: Vec<f64> = freqs
             .iter()
-            .filter_map(|&f| goertzel_magnitude(&w, f, rate))
+            .filter_map(|&f| goertzel_power(&w, f, rate).map(|p| p.max(0.0).sqrt()))
             .collect();
         let naive_max = singles.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let naive_sum: f64 = singles.iter().sum();

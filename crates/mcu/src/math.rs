@@ -1,9 +1,8 @@
 //! Scalar float math for the `no_std` core.
 //!
 //! On Rust 1.82 the transcendental `f64` methods (`sqrt`, `sin`, `cos`,
-//! `hypot`, `atan2`, `ln`, `exp`, `round`) live in `std`, not `core`,
-//! so every kernel in this crate routes through this shim instead of
-//! calling them directly.
+//! `hypot`) live in `std`, not `core`, so every kernel in this crate
+//! routes through this shim instead of calling them directly.
 //!
 //! With the `std` feature on (every host build) the shim is a
 //! zero-cost forward to the platform libm — the kernels stay
@@ -48,26 +47,6 @@ mod imp {
     pub fn hypot(x: f64, y: f64) -> f64 {
         x.hypot(y)
     }
-    #[inline(always)]
-    pub fn atan2(y: f64, x: f64) -> f64 {
-        y.atan2(x)
-    }
-    #[inline(always)]
-    pub fn ln(x: f64) -> f64 {
-        x.ln()
-    }
-    #[inline(always)]
-    pub fn exp(x: f64) -> f64 {
-        x.exp()
-    }
-    #[inline(always)]
-    pub fn round(x: f64) -> f64 {
-        x.round()
-    }
-    #[inline(always)]
-    pub fn floor(x: f64) -> f64 {
-        x.floor()
-    }
 }
 
 #[cfg(not(any(test, feature = "std")))]
@@ -95,7 +74,7 @@ mod imp {
         sqrt(x as f64) as f32
     }
 
-    pub fn floor(x: f64) -> f64 {
+    fn floor(x: f64) -> f64 {
         // |x| >= 2^52 is already integral (or non-finite).
         if !(super::abs(x) < 4_503_599_627_370_496.0) {
             return x;
@@ -105,18 +84,6 @@ mod imp {
             t - 1.0
         } else {
             t
-        }
-    }
-
-    pub fn round(x: f64) -> f64 {
-        if !(super::abs(x) < 4_503_599_627_370_496.0) {
-            return x;
-        }
-        // Round half away from zero, like `f64::round`.
-        if x >= 0.0 {
-            floor(x + 0.5)
-        } else {
-            -floor(-x + 0.5)
         }
     }
 
@@ -165,138 +132,9 @@ mod imp {
         let r = lo / hi;
         hi * sqrt(1.0 + r * r)
     }
-
-    /// atan on [0, 1] via the Euler series, extended by identities.
-    fn atan_unit(x: f64) -> f64 {
-        // atan x = x / (1 + x^2) * sum_k prod_{j<=k} (2j x^2 / ((2j+1)(1+x^2)))
-        let x2 = x * x;
-        let base = x2 / (1.0 + x2);
-        let mut term = x / (1.0 + x2);
-        let mut sum = term;
-        let mut j = 1.0;
-        while super::abs(term) > 1e-17 && j < 200.0 {
-            term *= 2.0 * j * base / (2.0 * j + 1.0);
-            sum += term;
-            j += 1.0;
-        }
-        sum
-    }
-
-    fn atan(x: f64) -> f64 {
-        let a = super::abs(x);
-        let r = if a <= 1.0 {
-            atan_unit(a)
-        } else {
-            FRAC_PI_2 - atan_unit(1.0 / a)
-        };
-        if x < 0.0 {
-            -r
-        } else {
-            r
-        }
-    }
-
-    pub fn atan2(y: f64, x: f64) -> f64 {
-        if x != x || y != y {
-            return f64::NAN;
-        }
-        if x > 0.0 {
-            atan(y / x)
-        } else if x < 0.0 {
-            if y >= 0.0 {
-                atan(y / x) + PI
-            } else {
-                atan(y / x) - PI
-            }
-        } else if y > 0.0 {
-            FRAC_PI_2
-        } else if y < 0.0 {
-            -FRAC_PI_2
-        } else {
-            // atan2(0, 0) = 0 with the sign conventions we need here.
-            0.0
-        }
-    }
-
-    /// Natural log from the exponent bits plus an atanh series on the
-    /// mantissa: ln(m 2^e) = e ln 2 + 2 atanh((m-1)/(m+1)).
-    pub fn ln(x: f64) -> f64 {
-        if x != x || x < 0.0 {
-            return f64::NAN;
-        }
-        if x == 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        if x == f64::INFINITY {
-            return f64::INFINITY;
-        }
-        const LN_2: f64 = core::f64::consts::LN_2;
-        let bits = x.to_bits();
-        let mut e = ((bits >> 52) & 0x7FF) as i64 - 1023;
-        let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
-        if e == -1023 {
-            // Subnormal: renormalize.
-            let n = x * 4_503_599_627_370_496.0; // 2^52
-            let nbits = n.to_bits();
-            e = ((nbits >> 52) & 0x7FF) as i64 - 1023 - 52;
-            m = f64::from_bits((nbits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
-        }
-        if m > core::f64::consts::SQRT_2 {
-            m *= 0.5;
-            e += 1;
-        }
-        let t = (m - 1.0) / (m + 1.0);
-        let t2 = t * t;
-        let mut term = t;
-        let mut sum = t;
-        let mut k = 1.0;
-        while super::abs(term) > 1e-18 && k < 100.0 {
-            term *= t2;
-            sum += term / (2.0 * k + 1.0);
-            k += 1.0;
-        }
-        e as f64 * LN_2 + 2.0 * sum
-    }
-
-    /// exp via 2^k * e^r with |r| <= ln2/2 and a Taylor tail.
-    pub fn exp(x: f64) -> f64 {
-        if x != x {
-            return f64::NAN;
-        }
-        if x > 709.78 {
-            return f64::INFINITY;
-        }
-        if x < -745.0 {
-            return 0.0;
-        }
-        const LN_2: f64 = core::f64::consts::LN_2;
-        let k = round(x / LN_2);
-        let r = x - k * LN_2;
-        let mut term = 1.0;
-        let mut sum = 1.0;
-        let mut n = 1.0;
-        while super::abs(term) > 1e-19 && n < 40.0 {
-            term *= r / n;
-            sum += term;
-            n += 1.0;
-        }
-        // Scale by 2^k through the exponent bits; split the scale in
-        // two when 2^k alone would leave the normal range.
-        let mut k = k as i64;
-        let mut out = sum;
-        while k > 512 {
-            out *= f64::from_bits((1023u64 + 512) << 52);
-            k -= 512;
-        }
-        while k < -512 {
-            out *= f64::from_bits((1023u64 - 512) << 52);
-            k += 512;
-        }
-        out * f64::from_bits(((1023 + k) as u64) << 52)
-    }
 }
 
-pub use imp::{atan2, cos, exp, floor, hypot, ln, round, sin, sqrt, sqrt_f32};
+pub use imp::{cos, hypot, sin, sqrt, sqrt_f32};
 
 #[cfg(test)]
 mod tests {
@@ -322,14 +160,9 @@ mod tests {
             let x = (i as f64) * 0.137 - 68.5;
             assert_eq!(sin(x).to_bits(), x.sin().to_bits());
             assert_eq!(cos(x).to_bits(), x.cos().to_bits());
-            assert_eq!(exp(x * 0.1).to_bits(), (x * 0.1).exp().to_bits());
-            assert_eq!(round(x).to_bits(), x.round().to_bits());
-            assert_eq!(floor(x).to_bits(), x.floor().to_bits());
             let p = abs(x) + 0.001;
             assert_eq!(sqrt(p).to_bits(), p.sqrt().to_bits());
-            assert_eq!(ln(p).to_bits(), p.ln().to_bits());
             assert_eq!(hypot(x, p).to_bits(), x.hypot(p).to_bits());
-            assert_eq!(atan2(x, p).to_bits(), x.atan2(p).to_bits());
         }
     }
 }

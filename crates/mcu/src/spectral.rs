@@ -5,7 +5,6 @@
 //! the mean magnitude of all frequency bins", and uses their ratio to decide
 //! whether the window contains a pitched sound. These reductions live here.
 
-use crate::math;
 use crate::sample::Sample;
 
 /// A dominant spectral peak: the bin index and its magnitude.
@@ -46,43 +45,6 @@ pub fn dominant_to_mean_ratio<P: Sample>(magnitudes: &[P]) -> Option<P> {
         return None;
     }
     Some(peak.magnitude / mean)
-}
-
-/// Sum of magnitudes whose bin index lies in `[lo_bin, hi_bin]` (clamped to
-/// the spectrum length).
-pub fn band_magnitude(magnitudes: &[f64], lo_bin: usize, hi_bin: usize) -> f64 {
-    if lo_bin >= magnitudes.len() || lo_bin > hi_bin {
-        return 0.0;
-    }
-    let hi = hi_bin.min(magnitudes.len() - 1);
-    magnitudes[lo_bin..=hi].iter().sum()
-}
-
-/// Spectral centroid in bin units: the magnitude-weighted mean bin.
-/// `None` when total magnitude is zero.
-pub fn spectral_centroid(magnitudes: &[f64]) -> Option<f64> {
-    let total: f64 = magnitudes.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    let weighted: f64 = magnitudes
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| i as f64 * m)
-        .sum();
-    Some(weighted / total)
-}
-
-/// Spectral flatness: geometric mean over arithmetic mean of magnitudes, in
-/// `(0, 1]`. Near 1 for noise, near 0 for pitched sounds. `None` when the
-/// spectrum is empty or any magnitude is zero or negative.
-pub fn spectral_flatness(magnitudes: &[f64]) -> Option<f64> {
-    if magnitudes.is_empty() || magnitudes.iter().any(|&m| m <= 0.0) {
-        return None;
-    }
-    let log_mean = magnitudes.iter().map(|&m| math::ln(m)).sum::<f64>() / magnitudes.len() as f64;
-    let mean = magnitudes.iter().sum::<f64>() / magnitudes.len() as f64;
-    Some(math::exp(log_mean) / mean)
 }
 
 #[cfg(test)]
@@ -130,45 +92,5 @@ mod tests {
     fn ratio_of_zero_spectrum_is_none() {
         assert!(dominant_to_mean_ratio(&[0.0; 8]).is_none());
         assert!(dominant_to_mean_ratio::<f64>(&[]).is_none());
-    }
-
-    #[test]
-    fn band_magnitude_sums_inclusive_range() {
-        let m = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(band_magnitude(&m, 1, 2), 5.0);
-        assert_eq!(band_magnitude(&m, 0, 3), 10.0);
-    }
-
-    #[test]
-    fn band_magnitude_clamps_and_rejects_bad_ranges() {
-        let m = [1.0, 2.0];
-        assert_eq!(band_magnitude(&m, 0, 99), 3.0);
-        assert_eq!(band_magnitude(&m, 5, 9), 0.0);
-        assert_eq!(band_magnitude(&m, 1, 0), 0.0);
-    }
-
-    #[test]
-    fn centroid_of_symmetric_spectrum_is_middle() {
-        let c = spectral_centroid(&[1.0, 1.0, 1.0]).unwrap();
-        assert!((c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centroid_shifts_toward_mass() {
-        let c = spectral_centroid(&[0.0, 0.0, 0.0, 10.0]).unwrap();
-        assert!((c - 3.0).abs() < 1e-12);
-        assert!(spectral_centroid(&[0.0; 4]).is_none());
-    }
-
-    #[test]
-    fn flatness_distinguishes_noise_from_tone() {
-        let flat = spectral_flatness(&[1.0; 32]).unwrap();
-        assert!((flat - 1.0).abs() < 1e-12);
-        let mut peaked = vec![0.01; 32];
-        peaked[5] = 100.0;
-        let f = spectral_flatness(&peaked).unwrap();
-        assert!(f < 0.1, "flatness = {f}");
-        assert!(spectral_flatness(&[]).is_none());
-        assert!(spectral_flatness(&[1.0, 0.0]).is_none());
     }
 }

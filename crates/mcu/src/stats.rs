@@ -22,16 +22,15 @@
 //!   halving tree: with lanes `l0..l3`, the total is
 //!   `(l0+l2) + (l1+l3)`, and one more halving round for 8 lanes.
 //!
-//! Both the unrolled (`simd` feature, default) and scalar-fallback
-//! builds walk exactly this order, so results are bit-identical across
-//! the feature boundary; the `dsp/tests/simd_equivalence.rs` proptests
-//! pin that.
+//! The kernel walks exactly this order (unrolled into `L`-wide chunks
+//! that LLVM vectorizes); the `dsp/tests/lane_order.rs` proptests pin it
+//! bit for bit against an in-test emulation of the documented order.
 
 use crate::sample::Sample;
 
 /// Window lengths below this are reduced by the original sequential
 /// loop; at or above it the multi-accumulator lane order kicks in. Part
-/// of the documented kernel contract — both feature builds honor it.
+/// of the documented kernel contract.
 pub const LANE_CUTOVER: usize = 32;
 
 /// Summary statistics of a window of samples, computed in a single pass.
@@ -136,7 +135,6 @@ fn moments_serial<P: Sample>(window: &[P]) -> (P, P, P, P) {
 /// Unrolled lane reduction: `L` independent accumulators walk the window
 /// in `L`-wide chunks, which LLVM turns into vector adds; `Σx`, `Σx²`,
 /// min, and max all ride the same pass.
-#[cfg(feature = "simd")]
 fn moments_lanes<P: Sample, const L: usize>(window: &[P]) -> (P, P, P, P) {
     let mut sum = [P::ZERO; L];
     let mut sum_sq = [P::ZERO; L];
@@ -166,43 +164,6 @@ fn moments_lanes<P: Sample, const L: usize>(window: &[P]) -> (P, P, P, P) {
     )
 }
 
-/// Scalar emulation of the lane order: lane `j` reduces elements
-/// `j, j+L, j+2L, …` one stream at a time — element-for-element the same
-/// per-lane sequences as the unrolled build, so results are bit-identical
-/// across the feature boundary (just without the chunked shape LLVM
-/// vectorizes).
-#[cfg(not(feature = "simd"))]
-fn moments_lanes<P: Sample, const L: usize>(window: &[P]) -> (P, P, P, P) {
-    let mut sum = [P::ZERO; L];
-    let mut sum_sq = [P::ZERO; L];
-    let mut min = [P::INFINITY; L];
-    let mut max = [P::NEG_INFINITY; L];
-    let main = window.len() - window.len() % L;
-    for j in 0..L {
-        let mut i = j;
-        while i < main {
-            let x = window[i];
-            sum[j] += x;
-            sum_sq[j] += x * x;
-            min[j] = min[j].min(x);
-            max[j] = max[j].max(x);
-            i += L;
-        }
-    }
-    for (j, &x) in window[main..].iter().enumerate() {
-        sum[j] += x;
-        sum_sq[j] += x * x;
-        min[j] = min[j].min(x);
-        max[j] = max[j].max(x);
-    }
-    (
-        tree_fold(sum, |a, b| a + b),
-        tree_fold(sum_sq, |a, b| a + b),
-        tree_fold(min, P::min),
-        tree_fold(max, P::max),
-    )
-}
-
 /// Combines lane partials by repeated halving: `L=4` lanes reduce as
 /// `(l0⊕l2) ⊕ (l1⊕l3)`; `L=8` adds one more halving round. The order is
 /// part of the kernel contract.
@@ -217,19 +178,9 @@ fn tree_fold<P: Sample, const L: usize>(mut lanes: [P; L], f: impl Fn(P, P) -> P
     lanes[0]
 }
 
-/// Arithmetic mean; `None` when empty.
-pub fn mean<P: Sample>(window: &[P]) -> Option<P> {
-    Summary::of(window).map(|s| s.mean)
-}
-
 /// Population variance; `None` when empty.
 pub fn variance<P: Sample>(window: &[P]) -> Option<P> {
     Summary::of(window).map(|s| s.variance)
-}
-
-/// Root mean square; `None` when empty.
-pub fn rms<P: Sample>(window: &[P]) -> Option<P> {
-    Summary::of(window).map(|s| s.rms)
 }
 
 /// Mean absolute amplitude; `None` when empty. Used by the significant-sound
@@ -254,15 +205,6 @@ pub fn energy<P: Sample>(window: &[P]) -> P {
     sum
 }
 
-/// Euclidean magnitude of an acceleration vector `√(Σ xᵢ²)`.
-///
-/// This is the hub's "magnitude of acceleration vector computation" (§3.6):
-/// an aggregation algorithm that fuses the per-axis branches of a pipeline
-/// into one (Fig. 2).
-pub fn vector_magnitude<P: Sample>(components: &[P]) -> P {
-    energy(components).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,9 +213,7 @@ mod tests {
     #[test]
     fn empty_window_yields_none() {
         assert!(Summary::<f64>::of(&[]).is_none());
-        assert!(mean::<f64>(&[]).is_none());
         assert!(variance::<f64>(&[]).is_none());
-        assert!(rms::<f64>(&[]).is_none());
         assert!(mean_abs::<f64>(&[]).is_none());
     }
 
@@ -312,7 +252,7 @@ mod tests {
     #[test]
     fn rms_of_alternating_unit_signal_is_one() {
         let signal = [1.0, -1.0, 1.0, -1.0];
-        assert!((rms(&signal).unwrap() - 1.0).abs() < 1e-12);
+        assert!((Summary::of(&signal).unwrap().rms - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -324,13 +264,6 @@ mod tests {
     fn energy_sums_squares() {
         assert_eq!(energy(&[3.0, 4.0]), 25.0);
         assert_eq!(energy::<f64>(&[]), 0.0);
-    }
-
-    #[test]
-    fn vector_magnitude_is_euclidean_norm() {
-        assert!((vector_magnitude(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert!((vector_magnitude(&[1.0, 2.0, 2.0]) - 3.0).abs() < 1e-12);
-        assert_eq!(vector_magnitude::<f64>(&[]), 0.0);
     }
 
     #[test]

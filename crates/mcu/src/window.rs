@@ -2,9 +2,10 @@
 //!
 //! The paper's hub provides "Partitioning sensor data into rectangular or
 //! Hamming windows" (§3.6). [`WindowShape`] carries the taper and lives in
-//! the MCU crate because the interpreter applies it on-device; the
-//! streaming `Windower` partitioner (ring buffer, `Vec` emission) stays in
-//! the host `sidewinder-dsp` crate, which re-exports this type.
+//! the MCU crate because the interpreter applies it on-device (the
+//! interpreter's window node does the streaming partitioning). With the
+//! `std` feature, [`WindowShape::apply`] tapers a whole slice through a
+//! per-thread coefficient table.
 
 use crate::math;
 use crate::sample::Sample;
@@ -61,7 +62,7 @@ impl WindowShape {
     /// are computed in `f64` and narrowed per element, so the `f64`
     /// instantiation is bit-identical to `coefficients`.
     #[cfg(any(test, feature = "std"))]
-    pub fn coefficients_in<P: Sample>(self, n: usize) -> std::vec::Vec<P> {
+    fn coefficients_in<P: Sample>(self, n: usize) -> std::vec::Vec<P> {
         (0..n)
             .map(|i| P::from_f64(self.coefficient(i, n)))
             .collect()
@@ -70,38 +71,25 @@ impl WindowShape {
     /// Applies the taper to a signal, returning the windowed copy.
     ///
     /// Each output element is exactly `x * coefficient(i, len)`. The
-    /// unrolled (`simd`) build tabulates the coefficients once per
-    /// `(shape, length)` in a thread-local cache and applies them with an
-    /// element-wise multiply — the same products in the same order, so
-    /// results are bit-identical to the per-element recomputation the
-    /// scalar fallback performs (cosine tabulation is where the previous
-    /// kernel spent ~95% of its time).
+    /// coefficients are tabulated once per `(shape, length)` in a
+    /// thread-local cache and applied with an element-wise multiply, so
+    /// the cosine is not recomputed per window (tabulation is where a
+    /// per-element kernel spends ~95% of its time).
     #[cfg(any(test, feature = "std"))]
     pub fn apply<P: Sample>(self, signal: &[P]) -> std::vec::Vec<P> {
-        #[cfg(feature = "simd")]
-        {
-            let coeffs = self.cached_coefficients::<P>(signal.len());
-            signal
-                .iter()
-                .zip(coeffs.iter())
-                .map(|(&x, &c)| x * c)
-                .collect()
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            signal
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| x * P::from_f64(self.coefficient(i, signal.len())))
-                .collect()
-        }
+        let coeffs = self.cached_coefficients::<P>(signal.len());
+        signal
+            .iter()
+            .zip(coeffs.iter())
+            .map(|(&x, &c)| x * c)
+            .collect()
     }
 
     /// The thread-local single-entry coefficient cache behind
     /// [`WindowShape::apply`]. Steady-state pipelines re-window the same
     /// geometry forever, so one entry per precision is enough; switching
     /// shape or length just retabulates.
-    #[cfg(all(any(test, feature = "std"), feature = "simd"))]
+    #[cfg(any(test, feature = "std"))]
     fn cached_coefficients<P: Sample>(self, n: usize) -> std::rc::Rc<[P]> {
         P::taper_cache().with(|cell| {
             let mut entry = cell.borrow_mut();

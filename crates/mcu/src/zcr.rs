@@ -7,10 +7,9 @@
 //! (high ZCR) segments and therefore has high ZCR variance, while music and
 //! steady noise are more uniform.
 //!
-//! The `Vec`-returning `sub_window_zcr` lives in the host `sidewinder-dsp`
-//! crate; the `no_std` interpreter uses [`sub_window_zcr_into`] with a
-//! caller-provided scratch slice — both walk the identical per-sub-window
-//! order, so the variance they feed is bit-identical.
+//! [`sub_window_zcr_into`] splits a window into a caller-provided scratch
+//! slice; the host crate's `Vec`-returning `sub_window_zcr` is built on
+//! it, so both feed the variance the identical rates.
 
 use crate::sample::Sample;
 
@@ -18,7 +17,6 @@ use crate::sample::Sample;
 /// are all strictly signed take the branch-free path; chunks containing
 /// zeros or NaNs fall back to the per-sample state machine. The count is
 /// an integer either way, so the chunking never changes the result.
-#[cfg(feature = "simd")]
 const ZCR_CHUNK: usize = 64;
 
 /// Counts sign changes in `window`.
@@ -34,51 +32,39 @@ const ZCR_CHUNK: usize = 64;
 /// or count as a crossing (consistent with `lint` SW004 — NaN flows
 /// through reductions without panicking and cannot inflate the count).
 pub fn zero_crossings<P: Sample>(window: &[P]) -> usize {
-    #[cfg(feature = "simd")]
-    {
-        let mut count = 0;
-        let mut prev_sign = 0i8;
-        for chunk in window.chunks(ZCR_CHUNK) {
-            // "Clean" = every sample strictly signed: no zeros, no NaNs.
-            // An AND-reduction of two compares, which vectorizes.
-            let mut clean = true;
-            for &x in chunk {
-                clean &= (x > P::ZERO) | (x < P::ZERO);
+    let mut count = 0;
+    let mut prev_sign = 0i8;
+    for chunk in window.chunks(ZCR_CHUNK) {
+        // "Clean" = every sample strictly signed: no zeros, no NaNs.
+        // An AND-reduction of two compares, which vectorizes.
+        let mut clean = true;
+        for &x in chunk {
+            clean &= (x > P::ZERO) | (x < P::ZERO);
+        }
+        if clean {
+            let first_neg = chunk[0] < P::ZERO;
+            if prev_sign != 0 && first_neg != (prev_sign < 0) {
+                count += 1;
             }
-            if clean {
-                let first_neg = chunk[0] < P::ZERO;
-                if prev_sign != 0 && first_neg != (prev_sign < 0) {
-                    count += 1;
-                }
-                // Interior crossings: adjacent pairs with unequal signs.
-                // Pure integer work once the compares become masks.
-                let mut interior = 0usize;
-                for i in 1..chunk.len() {
-                    interior += usize::from((chunk[i] < P::ZERO) != (chunk[i - 1] < P::ZERO));
-                }
-                count += interior;
-                prev_sign = if chunk[chunk.len() - 1] < P::ZERO {
-                    -1
-                } else {
-                    1
-                };
+            // Interior crossings: adjacent pairs with unequal signs.
+            // Pure integer work once the compares become masks.
+            let mut interior = 0usize;
+            for i in 1..chunk.len() {
+                interior += usize::from((chunk[i] < P::ZERO) != (chunk[i - 1] < P::ZERO));
+            }
+            count += interior;
+            prev_sign = if chunk[chunk.len() - 1] < P::ZERO {
+                -1
             } else {
-                for &x in chunk {
-                    step(x, &mut prev_sign, &mut count);
-                }
+                1
+            };
+        } else {
+            for &x in chunk {
+                step(x, &mut prev_sign, &mut count);
             }
         }
-        count
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        let mut count = 0;
-        let mut prev_sign = 0i8;
-        for &x in window {
-            step(x, &mut prev_sign, &mut count);
-        }
-        count
-    }
+    count
 }
 
 /// The original per-sample sign state machine; the chunked path defers
@@ -113,8 +99,8 @@ pub fn zero_crossing_rate<P: Sample>(window: &[P]) -> Option<P> {
 
 /// Splits `window` into `sub_windows` equal parts and writes each part's
 /// zero-crossing rate into `scratch[..sub_windows]`, returning that
-/// prefix. The allocation-free twin of the host crate's
-/// `sub_window_zcr`: identical split, identical per-part rate.
+/// prefix. Trailing samples that do not fill the last sub-window are
+/// ignored, as in the paper's streaming implementation.
 ///
 /// Returns `None` if `sub_windows` is zero, the window is too short to
 /// give every sub-window two samples, or `scratch` is too small.

@@ -43,24 +43,9 @@ pub struct AttributedRun {
     pub counters: CounterSink,
 }
 
-/// Runs `app` under `strategy` with counters attached and closes an
-/// energy ledger over the outcome.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the underlying simulation does.
-pub fn attribute_energy(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-) -> Result<AttributedRun, SimError> {
-    let none = FaultSchedule::none();
-    attribute_energy_with_faults(trace, app, strategy, profile, config, &none)
-}
-
-/// [`attribute_energy`] under a fault schedule: retried and lost frames
+/// Runs `app` under `strategy` and `schedule` with counters attached
+/// and closes an energy ledger over the outcome; pass
+/// [`FaultSchedule::none`] for a fault-free run. Retried and lost frames
 /// show up as link energy, resets as extra executions after warm-up
 /// replays.
 ///
@@ -231,12 +216,13 @@ mod tests {
             &config,
         )
         .unwrap();
-        let attributed = attribute_energy(
+        let attributed = attribute_energy_with_faults(
             &trace,
             &ToyApp,
             &sidewinder(),
             &PhonePowerProfile::NEXUS4,
             &config,
+            &FaultSchedule::none(),
         )
         .unwrap();
         assert_eq!(plain, attributed.result);
@@ -245,12 +231,13 @@ mod tests {
     #[test]
     fn ledger_total_matches_average_power_times_duration() {
         let trace = toy_trace();
-        let run = attribute_energy(
+        let run = attribute_energy_with_faults(
             &trace,
             &ToyApp,
             &sidewinder(),
             &PhonePowerProfile::NEXUS4,
             &SimConfig::default(),
+            &FaultSchedule::none(),
         )
         .unwrap();
         let duration_s = run.result.breakdown.total().as_secs_f64();
@@ -266,12 +253,13 @@ mod tests {
     #[test]
     fn nodes_are_labeled_and_counted() {
         let trace = toy_trace();
-        let run = attribute_energy(
+        let run = attribute_energy_with_faults(
             &trace,
             &ToyApp,
             &sidewinder(),
             &PhonePowerProfile::NEXUS4,
             &SimConfig::default(),
+            &FaultSchedule::none(),
         )
         .unwrap();
         assert_eq!(run.ledger.nodes.len(), 2);
@@ -287,12 +275,13 @@ mod tests {
     #[test]
     fn phone_only_strategy_has_no_hub_rows() {
         let trace = toy_trace();
-        let run = attribute_energy(
+        let run = attribute_energy_with_faults(
             &trace,
             &ToyApp,
             &Strategy::AlwaysAwake,
             &PhonePowerProfile::NEXUS4,
             &SimConfig::default(),
+            &FaultSchedule::none(),
         )
         .unwrap();
         assert!(run.ledger.nodes.is_empty());

@@ -200,39 +200,6 @@ pub fn simulate_f32(
     )
 }
 
-/// [`simulate`] with an observability sink attached.
-///
-/// Hub-resident strategies thread `sink` into the [`HubRuntime`], so it
-/// sees every node execution and wake emission; the engine additionally
-/// moves the sink's time cursor to each sample's trace time and reports
-/// one delivered link frame per wake. With [`NullSink`] this *is*
-/// [`simulate`]: the instrumentation compiles out and the sample replay
-/// takes the identical batched path (pinned by the obs conformance
-/// suite).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if a hub wake-up condition cannot be loaded or
-/// executed on the trace.
-pub fn simulate_traced<S: Probe>(
-    trace: &SensorTrace,
-    app: &dyn Application,
-    strategy: &Strategy,
-    profile: &PhonePowerProfile,
-    config: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    run::<_, f64>(
-        trace,
-        app,
-        strategy,
-        profile,
-        config,
-        &FaultSchedule::none(),
-        sink,
-    )
-}
-
 /// Replays `trace` through `app` under `strategy` while injecting the
 /// faults described by `schedule`.
 ///
@@ -265,10 +232,19 @@ pub fn simulate_with_faults(
     )
 }
 
-/// [`simulate_with_faults`] with an observability sink attached: on top
-/// of what [`simulate_traced`] reports, the sink sees every link-frame
-/// fate and retry, lost frames, dropped samples, hub resets with their
-/// program re-downloads, and degraded-mode entries/exits.
+/// [`simulate_with_faults`] with an observability sink attached — the
+/// one traced entry point; pass [`FaultSchedule::none`] for a fault-free
+/// run.
+///
+/// Hub-resident strategies thread `sink` into the [`HubRuntime`], so it
+/// sees every node execution and wake emission; the engine additionally
+/// moves the sink's time cursor to each sample's trace time and reports
+/// each link frame's fate and retries, lost frames, dropped samples, hub
+/// resets with their program re-downloads, and degraded-mode
+/// entries/exits. With [`NullSink`] and an empty schedule this *is*
+/// [`simulate`]: the instrumentation compiles out and the sample replay
+/// takes the identical batched path (pinned by the obs conformance
+/// suite).
 ///
 /// # Errors
 ///

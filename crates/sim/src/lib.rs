@@ -32,10 +32,10 @@
 //! * [`report`] — derived quantities (power relative to Oracle, fraction
 //!   of possible savings) and fixed-width table rendering for the
 //!   experiment binaries;
-//! * [`energy`] — [`energy::attribute_energy`]: run with counters
-//!   attached and close an exact-sum [`EnergyLedger`] splitting the
-//!   run's joules across pipeline nodes, the serial link, MCU idle, and
-//!   the phone's power states.
+//! * [`energy`] — [`energy::attribute_energy_with_faults`]: run with
+//!   counters attached and close an exact-sum [`EnergyLedger`] splitting
+//!   the run's joules across pipeline nodes, the serial link, MCU idle,
+//!   and the phone's power states.
 
 pub mod app;
 pub mod batch;
@@ -53,10 +53,10 @@ pub use batch::{
     par_map, try_par_map, BatchReport, BatchRunner, JobError, JobOutcome, JobPanic, JobSpec,
     SharedApp, SweepSpec,
 };
-pub use energy::{attribute_energy, attribute_energy_with_faults, AttributedRun};
+pub use energy::{attribute_energy_with_faults, AttributedRun};
 pub use engine::{
-    simulate, simulate_f32, simulate_traced, simulate_with_faults, simulate_with_faults_traced,
-    SimConfig, SimError, SimResult,
+    simulate, simulate_f32, simulate_with_faults, simulate_with_faults_traced, SimConfig, SimError,
+    SimResult,
 };
 pub use metrics::{DetectionStats, FaultCounters};
 pub use power::{PhonePowerProfile, PowerBreakdown};

@@ -10,6 +10,7 @@ use sidewinder_apps::{
     StepsApp, TransitionsApp,
 };
 use sidewinder_hub::runtime::ChannelRates;
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_opt::{optimize_suite, OptOptions};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
@@ -235,15 +236,6 @@ fn edge_schedule() -> FaultSchedule {
         .with_hub_reset_at(Micros::from_millis(95_001))
 }
 
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a over the `Debug` text of every cell's result, in sweep order.
 fn faulted_digest(schedule: &FaultSchedule) -> u64 {
     let spec = SweepSpec::new()
@@ -252,7 +244,8 @@ fn faulted_digest(schedule: &FaultSchedule) -> u64 {
         .strategies_per_app(sidewinder_strategies);
     let jobs = spec.jobs();
     assert_eq!(jobs.len(), 12);
-    jobs.iter().fold(0xcbf2_9ce4_8422_2325, |hash, job| {
+    let mut hash = Fnv1a::new();
+    for job in &jobs {
         let result = simulate_with_faults(
             &job.trace,
             &*job.app,
@@ -262,8 +255,9 @@ fn faulted_digest(schedule: &FaultSchedule) -> u64 {
             schedule,
         )
         .expect("fault cell");
-        fnv1a(hash, format!("{result:?}").as_bytes())
-    })
+        hash.bytes(format!("{result:?}").as_bytes());
+    }
+    hash.finish()
 }
 
 /// Pins every faulted result bit for bit: fault timing (reset instants,
@@ -319,7 +313,8 @@ fn fused_program_with_a_one_axis_dropout_matches_its_pin() {
         ))
         .with_hub_reset_at(Micros::from_millis(100_001));
     let app = StepsApp::new();
-    let digest = [
+    let mut digest = Fnv1a::new();
+    for strategy in [
         Strategy::HubWake {
             program: program.clone(),
             hub_mw: app.wake_condition_hub_mw(),
@@ -331,21 +326,20 @@ fn fused_program_with_a_one_axis_dropout_matches_its_pin() {
             label: "Sw+",
             fallback_sleep: Micros::from_secs(5),
         },
-    ]
-    .iter()
-    .fold(0xcbf2_9ce4_8422_2325, |hash, strategy| {
+    ] {
         let result = simulate_with_faults(
             &trace,
             &app,
-            strategy,
+            &strategy,
             &PhonePowerProfile::NEXUS4,
             &SimConfig::default(),
             &schedule,
         )
         .expect("fused cell");
         assert!(result.fault.samples_dropped > 0 && result.fault.hub_resets == 1);
-        fnv1a(hash, format!("{result:?}").as_bytes())
-    });
+        digest.bytes(format!("{result:?}").as_bytes());
+    }
+    let digest = digest.finish();
     assert_eq!(
         digest, FUSED_DROPOUT_DIGEST,
         "fused faulted result moved: {digest:#018x}"

@@ -14,12 +14,13 @@
 
 use sidewinder_apps::{accelerometer_apps, audio_apps, StepsApp};
 use sidewinder_hub::{Event, WakeEvent};
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_ir::{NodeId, Program};
 use sidewinder_sensors::{Micros, SensorChannel, SensorTrace};
 use sidewinder_sim::{
-    attribute_energy, attribute_energy_with_faults, simulate, simulate_traced,
-    simulate_with_faults, simulate_with_faults_traced, Application, ChannelDropout, CounterSink,
-    FaultSchedule, NullSink, PhonePowerProfile, Probe, SimConfig, Strategy,
+    attribute_energy_with_faults, simulate, simulate_with_faults, simulate_with_faults_traced,
+    Application, ChannelDropout, CounterSink, FaultSchedule, NullSink, PhonePowerProfile, Probe,
+    SimConfig, Strategy,
 };
 use sidewinder_tracegen::{
     audio_trace, robot_group_runs, ActivityGroup, AudioEnvironment, AudioTraceConfig,
@@ -65,12 +66,13 @@ fn traced_runs_are_bit_identical_to_plain_runs_for_all_six_apps() {
         let plain = simulate(&trace, app.as_ref(), &strategy, &profile, &config).unwrap();
 
         let mut null = NullSink;
-        let with_null = simulate_traced(
+        let with_null = simulate_with_faults_traced(
             &trace,
             app.as_ref(),
             &strategy,
             &profile,
             &config,
+            &FaultSchedule::none(),
             &mut null,
         )
         .unwrap();
@@ -79,12 +81,13 @@ fn traced_runs_are_bit_identical_to_plain_runs_for_all_six_apps() {
         // Counters flip the engine onto the per-sample traced replay —
         // still bit-identical to the batch path.
         let mut counters = CounterSink::new();
-        let with_counters = simulate_traced(
+        let with_counters = simulate_with_faults_traced(
             &trace,
             app.as_ref(),
             &strategy,
             &profile,
             &config,
+            &FaultSchedule::none(),
             &mut counters,
         )
         .unwrap();
@@ -117,7 +120,15 @@ fn energy_ledger_closes_within_a_nanojoule_for_all_six_apps() {
     let config = SimConfig::default();
     for (app, trace) in six_apps() {
         let strategy = sidewinder(app.as_ref());
-        let run = attribute_energy(&trace, app.as_ref(), &strategy, &profile, &config).unwrap();
+        let run = attribute_energy_with_faults(
+            &trace,
+            app.as_ref(),
+            &strategy,
+            &profile,
+            &config,
+            &FaultSchedule::none(),
+        )
+        .unwrap();
         let duration_s = run.result.breakdown.total().as_secs_f64();
         let measured_j = run.result.average_power_mw * duration_s / 1_000.0;
         let gap = (run.ledger.total_j() - measured_j).abs();
@@ -248,7 +259,7 @@ struct StreamDigest {
     /// The node feeding `OUT`, which wakes name.
     out: NodeId,
     now: Micros,
-    hash: u64,
+    hash: Fnv1a,
     events: u64,
 }
 
@@ -258,16 +269,14 @@ impl StreamDigest {
             ids: program.nodes().map(|(_, id, _)| id).collect(),
             out: program.out_source().unwrap(),
             now: Micros::ZERO,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv1a::new(),
             events: 0,
         }
     }
 
     fn emit(&mut self, event: &str) {
-        for b in format!("{:?} {event};", self.now).bytes() {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
+        self.hash
+            .bytes(format!("{:?} {event};", self.now).as_bytes());
         self.events += 1;
     }
 }
@@ -350,10 +359,10 @@ fn traced_stream_with_a_dropped_middle_axis_matches_its_pin() {
     assert_eq!(plain, traced);
     assert!(plain.fault.samples_dropped > 0 && plain.fault.frames_corrupted > 0);
     assert_eq!(
-        (stream.events, stream.hash),
+        (stream.events, stream.hash.finish()),
         (37_325, 0xa12e_a5f1_01c3_0a6e),
         "traced stream moved: {} events, digest {:#018x}",
         stream.events,
-        stream.hash
+        stream.hash.finish()
     );
 }

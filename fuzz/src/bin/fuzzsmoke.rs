@@ -15,7 +15,8 @@
 //! 1 when any target panicked (the offending input is written under the
 //! artifacts directory for upload).
 
-use sidewinder_fuzz::{fnv1a, load_corpus, mutate, SplitMix64, TARGETS};
+use sidewinder_fuzz::{load_corpus, mutate, SplitMix64, TARGETS};
+use sidewinder_ir::fnv::Fnv1a;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -86,7 +87,7 @@ fn run_target(
         }
     }
     for i in 0..iters {
-        let mut rng = SplitMix64(seed ^ fnv1a(name.as_bytes()) ^ i.wrapping_mul(0x9E37_79B9));
+        let mut rng = SplitMix64(seed ^ Fnv1a::hash(name.as_bytes()) ^ i.wrapping_mul(0x9E37_79B9));
         let base: &[u8] = if corpus.is_empty() {
             &[]
         } else {

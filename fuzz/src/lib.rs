@@ -55,17 +55,6 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a over a byte string; used to give each target its own seed
-/// stream so adding a target never perturbs another's inputs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Maximum generated input length. Long enough to fill the fixtures'
 /// largest windows when a target expands bytes into sample streams.
 pub const MAX_INPUT: usize = 4096;
@@ -147,6 +136,7 @@ pub const TARGETS: [(&str, Target); 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sidewinder_ir::fnv::Fnv1a;
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -189,7 +179,7 @@ mod tests {
     #[test]
     fn all_targets_survive_a_smoke_budget() {
         for (name, target) in TARGETS {
-            let mut rng = SplitMix64(fnv1a(name.as_bytes()));
+            let mut rng = SplitMix64(Fnv1a::hash(name.as_bytes()));
             for _ in 0..8 {
                 let data = mutate(&[], &[], &mut rng);
                 target(&data);

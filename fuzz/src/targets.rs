@@ -1,12 +1,13 @@
 //! The fuzz targets: each takes arbitrary bytes and panics on any
 //! violated invariant, so the runner's `catch_unwind` is the oracle.
 
-use crate::{fnv1a, SplitMix64};
+use crate::SplitMix64;
 use sidewinder_cert::{certify_program, emission_bound, CertError, CertTarget, Precision};
 use sidewinder_dsp::complex::Complex;
 use sidewinder_dsp::fft;
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, WakeEvent};
 use sidewinder_hub::{compile_image, CounterSink, McuCore};
+use sidewinder_ir::fnv::Fnv1a;
 use sidewinder_ir::Program;
 use sidewinder_mcu::fft as mcu_fft;
 use sidewinder_mcu::{HighWaterProbe, McuExecError};
@@ -109,7 +110,7 @@ fn assert_bits_equal(a: &[Complex], b: &[Complex], what: &str) {
 fn sample_schedule(data: &[u8], len: usize) -> Vec<f64> {
     let mut samples = raw_floats(data);
     samples.truncate(len);
-    let mut rng = SplitMix64(fnv1a(data));
+    let mut rng = SplitMix64(Fnv1a::hash(data));
     while samples.len() < len {
         // Mostly tame amplitudes so thresholds and windows see both
         // sides; every 16th value is a raw bit pattern.

@@ -8,6 +8,7 @@ use sidewinder::core::{
 };
 use sidewinder::fleet::{run_fleet, FleetConfig};
 use sidewinder::hub::runtime::{ChannelRates, HubRuntime};
+use sidewinder::ir::fnv::Fnv1a;
 use sidewinder::ir::Program;
 use sidewinder::opt::{fuse_programs, optimize, OptOptions};
 use sidewinder::sensors::{csv, EventKind, Micros, SensorChannel};
@@ -313,13 +314,8 @@ fn golden_fixture_runs_through_every_layer() {
         rate_hz: 50.0,
         seed: 77,
     });
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
+    let mut word = |w: u64| hash.word(w);
     let mut hub = HubRuntime::load(&optimized, &rates).unwrap();
     let samples = trace.channel(SensorChannel::AccY).unwrap().samples();
     let wakes = hub
@@ -352,6 +348,7 @@ fn golden_fixture_runs_through_every_layer() {
     for d in &result.detections {
         word(d.as_micros());
     }
+    let hash = hash.finish();
     assert_eq!(
         hash, 0xe29d_94dd_35ae_2db4,
         "wake digest drifted: {hash:#018x}"
@@ -423,4 +420,85 @@ fn one_probe_sees_the_same_run_on_the_core_and_the_hub_runtime() {
     assert_eq!(core_marks.payload_peak, hub_marks.payload_peak);
     // peakToPeak borrows the window's 64-sample payload in place.
     assert_eq!(hub_marks.payload_peak[..nodes], [64, 0, 0]);
+}
+
+/// Hashes every flat kernel's output over one deterministic signal at
+/// one precision: the lane reduction, the chunked crossing counter, the
+/// tabulated taper, the grouped Goertzel probes and the block moving
+/// average, at lengths on both sides of each kernel's cutovers.
+fn kernel_outputs<P: sidewinder::mcu::Sample>(word: &mut impl FnMut(u64)) {
+    use sidewinder::dsp::filter::MovingAverage as Ma;
+    use sidewinder::dsp::{goertzel, stats::Summary, window::WindowShape, zcr};
+    let mut state: u64 = 0x005e_ed0f_4e12;
+    let signal: Vec<P> = (0..1031)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // Exact zeros every 13th sample drive the counter's
+            // per-sample path; the rest are signed values in [-1, 1).
+            let x = if i % 13 == 0 {
+                0.0
+            } else {
+                (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            };
+            P::from_f64(x)
+        })
+        .collect();
+    let opt = |word: &mut dyn FnMut(u64), x: Option<f64>| match x {
+        Some(x) => {
+            word(1);
+            word(x.to_bits());
+        }
+        None => word(0),
+    };
+    let freqs = [850.0, 985.0, 9000.0, 1120.0, 1255.0, 1390.0];
+    for len in [0, 1, 3, 4, 5, 31, 32, 33, 1024, 1031] {
+        let w = &signal[..len];
+        word(len as u64);
+        match Summary::of(w) {
+            Some(s) => {
+                for v in [s.mean, s.variance, s.min, s.max, s.rms] {
+                    word(v.to_f64().to_bits());
+                }
+            }
+            None => word(0),
+        }
+        word(zcr::zero_crossings(w) as u64);
+        opt(word, zcr::zcr_variance(w, 4).map(P::to_f64));
+        for shape in [WindowShape::Hamming, WindowShape::Hann] {
+            for v in shape.apply(w) {
+                word(v.to_f64().to_bits());
+            }
+        }
+        let best = goertzel::strongest_of(w, &freqs, 8000.0);
+        opt(word, best.map(|b| b.0));
+        opt(word, best.map(|b| b.1));
+        let mut cold = Ma::<P>::new(7).unwrap();
+        let mut warm = Ma::<P>::new(7).unwrap();
+        for x in [0.5, -0.25, 0.125] {
+            warm.push(P::from_f64(x));
+        }
+        for ma in [&mut cold, &mut warm] {
+            for v in ma.filter(w) {
+                word(v.to_f64().to_bits());
+            }
+            opt(word, ma.push(P::from_f64(0.75)).map(P::to_f64));
+        }
+    }
+}
+
+#[test]
+fn flat_kernels_are_pinned_bit_for_bit() {
+    // One digest over every flat kernel at both precisions: a change to
+    // any kernel's reduction order, chunking or tabulation moves it.
+    let mut hash = Fnv1a::new();
+    let mut word = |w: u64| hash.word(w);
+    kernel_outputs::<f64>(&mut word);
+    kernel_outputs::<f32>(&mut word);
+    let hash = hash.finish();
+    assert_eq!(
+        hash, 0x0bc6_b6aa_e6bc_dde4,
+        "kernel digest drifted: {hash:#018x}"
+    );
 }
