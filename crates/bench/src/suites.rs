@@ -5,13 +5,13 @@
 //! [`criterion::take_records`].
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use sidewinder_apps::{MusicJournalApp, SirenDetectorApp, StepsApp};
+use sidewinder_apps::{HeadbuttsApp, MusicJournalApp, SirenDetectorApp, StepsApp, TransitionsApp};
 use sidewinder_dsp::filter::{fft_highpass, MovingAverage};
 use sidewinder_dsp::window::WindowShape;
 use sidewinder_dsp::{fft, goertzel, stats, zcr};
 use sidewinder_hub::runtime::{ChannelRates, HubRuntime, HubRuntime32};
 use sidewinder_hub::NullSink;
-use sidewinder_opt::{fuse_programs, optimize, OptOptions};
+use sidewinder_opt::{fuse_programs, optimize, optimize_suite, OptOptions};
 use sidewinder_sensors::SensorChannel;
 use sidewinder_sim::Application;
 
@@ -59,6 +59,39 @@ pub fn bench_conditions(c: &mut Criterion) {
             })
         });
     }
+    // The program fleet ingest serves for Steps, Transitions and
+    // Headbutts (the suite pass fuses them to 8 nodes), fed co-sampled
+    // AccX + AccY columns as frames: the fleet devices' ingest pattern.
+    // Its element count is the samples of both columns.
+    let apps: [&dyn Application; 3] = [
+        &StepsApp::new(),
+        &TransitionsApp::new(),
+        &HeadbuttsApp::new(),
+    ];
+    let conditions: Vec<_> = apps.iter().map(|app| app.wake_condition()).collect();
+    let served = optimize_suite(
+        &conditions,
+        &ChannelRates::default(),
+        &OptOptions::default(),
+    )
+    .fused()
+    .expect("three conditions fuse");
+    let x: Vec<f64> = (0..batch / 2)
+        .map(|i| 3.0 * (i as f64 * 0.37).sin())
+        .collect();
+    let y: Vec<f64> = (0..batch / 2)
+        .map(|i| 3.0 * (i as f64 * 0.23).cos())
+        .collect();
+    group.bench_function("fleet_accel_frames", |b| {
+        let mut hub = HubRuntime::load(&served, &ChannelRates::default()).unwrap();
+        let channels = [SensorChannel::AccX, SensorChannel::AccY];
+        b.iter(|| {
+            let mut wakes = 0usize;
+            hub.push_frames(&channels, black_box(&[&x, &y]), |_, _| wakes += 1)
+                .unwrap();
+            wakes
+        })
+    });
     // The same conditions through the single-precision pipeline mode.
     // Sensor ingestion stays f64 (the ADC side is unchanged), so the
     // input batch is identical; only the buffered vector stages narrow.

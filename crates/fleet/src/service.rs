@@ -338,9 +338,13 @@ mod tests {
 
     #[test]
     fn ingest_rejects_suites_that_certifiably_overflow_the_core() {
-        // A fleet pinned to a toy 64-element core: the windowed audio
-        // condition certifiably needs ~1.5k sample-arena elements.
-        let mut svc = tiny_service().with_cert_target(CertTarget { mcu: None, cap: 64 });
+        // A fleet pinned to a toy 256-element core: steps fits, while
+        // the windowed audio condition certifiably needs ~1.5k
+        // sample-arena elements.
+        let mut svc = tiny_service().with_cert_target(CertTarget {
+            mcu: None,
+            cap: 256,
+        });
         let ok = svc.submit_program(steps()).unwrap();
         assert_ne!(ok.cert_digest, 0);
         let served_before = svc.served_program().unwrap();

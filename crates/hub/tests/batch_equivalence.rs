@@ -269,14 +269,14 @@ fn batched_ingestion_reports_the_same_error_as_serial() {
     let samples: Vec<f64> = (0..256).map(signal).collect();
     let bad = MAX_CHANNELS as u8;
 
-    let mut serial: McuCore<f64, 64> = McuCore::new();
+    let mut serial: McuCore<f64, 128> = McuCore::new();
     serial.load(&image).unwrap();
     let serial_err = serial
         .push_sample(bad, samples[0], &mut |_| {})
         .unwrap_err();
     assert_eq!(serial_err, McuExecError::BadChannel { channel: bad });
 
-    let mut batch: McuCore<f64, 64> = McuCore::new();
+    let mut batch: McuCore<f64, 128> = McuCore::new();
     batch.load(&image).unwrap();
     let batch_err = batch.push_samples(bad, &samples, &mut |_| {}).unwrap_err();
     assert_eq!(serial_err, batch_err, "batch error differs from serial");
@@ -291,4 +291,197 @@ fn batched_ingestion_reports_the_same_error_as_serial() {
         .push_samples(ch, &samples, &mut |w| b.push(w))
         .unwrap();
     assert_wakes_equal(&a, &b, "after the rejected push");
+}
+
+/// SplitMix64: the random-program differential's deterministic source.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A sample: mostly within the thresholds' range, sometimes NaN.
+    fn sample(&mut self) -> f64 {
+        if self.below(61) == 0 {
+            f64::NAN
+        } else {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 12.0 - 6.0
+        }
+    }
+}
+
+/// A random valid program over ACC_X, ACC_Y and ACC_Z: scalar chains,
+/// joins across channels and nodes, windows of any hop fed by a channel
+/// or by a scalar node, and window statistics, all joined into `OUT`.
+fn random_program(rng: &mut Rng) -> String {
+    const CHANNELS: [&str; 3] = ["ACC_X", "ACC_Y", "ACC_Z"];
+    let mut text = String::new();
+    let (mut scalars, mut vectors) = (Vec::new(), Vec::new());
+    let mut consumed = std::collections::BTreeSet::new();
+    // A channel, or a scalar node (now consumed).
+    let pick =
+        |rng: &mut Rng, scalars: &[usize], consumed: &mut std::collections::BTreeSet<usize>| {
+            if scalars.is_empty() || rng.below(2) == 0 {
+                CHANNELS[rng.below(3)].to_string()
+            } else {
+                let id = scalars[rng.below(scalars.len())];
+                consumed.insert(id);
+                id.to_string()
+            }
+        };
+    let nodes = 2 + rng.below(9);
+    for id in 1..=nodes {
+        let t = (rng.below(9) as f64 - 4.0) / 2.0;
+        let line = match rng.below(10) {
+            0 | 1 => {
+                let size = [4, 8, 16][rng.below(3)];
+                let hop = 1 + rng.below(size);
+                let src = if rng.below(5) == 0 {
+                    pick(rng, &scalars, &mut consumed)
+                } else {
+                    CHANNELS[rng.below(3)].to_string()
+                };
+                vectors.push(id);
+                format!("{src} -> window(id={id}, params={{{size}, {hop}, 0}});")
+            }
+            2 if !vectors.is_empty() => {
+                let v = vectors[rng.below(vectors.len())];
+                consumed.insert(v);
+                scalars.push(id);
+                let stat = ["mean", "max", "peakToPeak"][rng.below(3)];
+                format!("{v} -> {stat}(id={id});")
+            }
+            2..=6 => {
+                let src = pick(rng, &scalars, &mut consumed);
+                scalars.push(id);
+                let kind = match rng.below(8) {
+                    0 => format!("movingAvg(id={id}, params={{{}}})", 1 + rng.below(5)),
+                    1 => format!("expMovingAvg(id={id}, params={{0.5}})"),
+                    2 => format!("minThreshold(id={id}, params={{{t}}})"),
+                    3 => format!("maxThreshold(id={id}, params={{{t}}})"),
+                    4 => format!("bandThreshold(id={id}, params={{{t}, {}}})", t + 2.0),
+                    5 => format!("outsideThreshold(id={id}, params={{{t}, {}}})", t + 2.0),
+                    _ => format!(
+                        "sustained(id={id}, params={{{}, {}}})",
+                        1 + rng.below(3),
+                        1 + rng.below(3)
+                    ),
+                };
+                format!("{src} -> {kind};")
+            }
+            _ => {
+                let ports: Vec<String> = (0..2 + rng.below(2))
+                    .map(|_| pick(rng, &scalars, &mut consumed))
+                    .collect();
+                scalars.push(id);
+                let kind = ["anyOf", "allOf", "vectorMagnitude"][rng.below(3)];
+                format!("{} -> {kind}(id={id});", ports.join(","))
+            }
+        };
+        text += &line;
+        text.push('\n');
+    }
+    let mut next = nodes + 1;
+    let mut sinks = Vec::new();
+    for &v in &vectors {
+        if !consumed.contains(&v) {
+            text += &format!("{v} -> max(id={next});\n");
+            sinks.push(next);
+            next += 1;
+        }
+    }
+    sinks.extend(scalars.iter().filter(|id| !consumed.contains(id)));
+    let out = if let [only] = sinks[..] {
+        only
+    } else {
+        let ids: Vec<String> = sinks.iter().map(usize::to_string).collect();
+        text += &format!("{} -> anyOf(id={next});\n", ids.join(","));
+        next
+    };
+    text + &format!("{out} -> OUT;\n")
+}
+
+/// Random programs, pushed as frames of random members and lengths —
+/// one row or many, one member or three, a channel repeated, members out
+/// of channel order — must raise exactly the wakes of one-sample pushes
+/// under live counters (the per-sample pass), member for member and bit
+/// for bit, at both precisions. Frames run by block wherever the program
+/// and the push allow it, so this holds the block path to the pass
+/// across block boundaries, joins and windows.
+#[test]
+fn random_programs_take_frames_exactly_as_samples() {
+    use sidewinder_hub::CounterSink;
+    use SensorChannel::{AccX, AccY, AccZ};
+    const MEMBERS: [&[SensorChannel]; 8] = [
+        &[AccX],
+        &[AccY],
+        &[AccX, AccY],
+        &[AccY, AccX],
+        &[AccX, AccY, AccZ],
+        &[AccZ, AccX],
+        &[AccX, AccX],
+        &[AccZ],
+    ];
+    fn check<P: sidewinder_mcu::Sample>(program: &Program, rng: &mut Rng, label: &str) {
+        let rates = ChannelRates::default();
+        let nodes = program.nodes().count();
+        let mut serial: HubRuntime<_, P> =
+            HubRuntime::load_generic(program, &rates, CounterSink::with_nodes(nodes)).unwrap();
+        let mut framed: HubRuntime<NullSink, P> =
+            HubRuntime::load_generic(program, &rates, NullSink).unwrap();
+        for push in 0..24 {
+            let members = MEMBERS[rng.below(MEMBERS.len())];
+            let rows = [1, 2, 31, 32, 33, 70][rng.below(6)];
+            let columns: Vec<Vec<f64>> = members
+                .iter()
+                .map(|_| (0..rows).map(|_| rng.sample()).collect())
+                .collect();
+            let mut expected = Vec::new();
+            for k in 0..rows {
+                for (m, (&channel, column)) in members.iter().zip(&columns).enumerate() {
+                    for w in serial.push_sample(channel, column[k]).unwrap() {
+                        expected.push((m, w.seq, w.value.to_bits()));
+                    }
+                }
+            }
+            let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            let mut got = Vec::new();
+            framed
+                .push_frames(members, &refs, |m, w| {
+                    got.push((m, w.seq, w.value.to_bits()))
+                })
+                .unwrap();
+            assert_eq!(
+                got, expected,
+                "{label}: push {push} {members:?} x {rows}\n{program}"
+            );
+        }
+        assert_eq!(
+            framed.wake_count(),
+            serial.wake_count(),
+            "{label}\n{program}"
+        );
+    }
+    let mut rng = Rng(0x5eed_b10c);
+    let mut loaded = 0;
+    for case in 0..400 {
+        let text = random_program(&mut rng);
+        let program: Program = text.parse().unwrap_or_else(|e| panic!("{e}\n{text}"));
+        if HubRuntime::load(&program, &ChannelRates::default()).is_err() {
+            continue;
+        }
+        loaded += 1;
+        check::<f64>(&program, &mut rng, &format!("case {case} f64"));
+        check::<f32>(&program, &mut rng, &format!("case {case} f32"));
+    }
+    assert!(loaded > 300, "only {loaded} of 400 random programs loaded");
 }

@@ -177,9 +177,9 @@ fn music_steady_state_performs_zero_allocations() {
     );
 }
 
-/// Frames of co-sampled channels take the pass one sample at a time
-/// without touching the allocator: a two-axis program pushed as AccX +
-/// AccY frames, with the probe off and with counters on.
+/// Frames of co-sampled channels run without touching the allocator: a
+/// two-axis program pushed as AccX + AccY frames, by block with the
+/// probe off and one pass per sample with counters on.
 #[test]
 fn two_channel_frames_perform_zero_allocations() {
     fn check<S: Probe>(mut hub: HubRuntime<S>, label: &str) {
@@ -212,6 +212,49 @@ fn two_channel_frames_perform_zero_allocations() {
     check(
         HubRuntime::load_generic(&program, &rates, CounterSink::with_nodes(5)).unwrap(),
         "counters",
+    );
+}
+
+/// The program fleet ingest serves for Steps, Transitions and Headbutts,
+/// pushed as AccX + AccY frames with the probe off, runs by block: its
+/// stream chains run over the block's rows in buffers carved at load,
+/// and the sliding window fills by slice. At either precision, a steady
+/// frame push never touches the allocator.
+#[test]
+fn fleet_served_program_frames_perform_zero_allocations() {
+    fn check<P: Sample>(mut hub: HubRuntime<NullSink, P>, label: &str) {
+        let x = step_signal(8192);
+        let y: Vec<f64> = x.iter().map(|v| -v).collect();
+        let channels = [SensorChannel::AccX, SensorChannel::AccY];
+        let columns = [x.as_slice(), y.as_slice()];
+        hub.push_frames(&channels, &columns, |_, _| {}).unwrap();
+        let before = allocations();
+        let mut wakes = [0u64; 2];
+        hub.push_frames(&channels, &columns, |m, _| wakes[m] += 1)
+            .unwrap();
+        let allocated = allocations() - before;
+        assert!(
+            wakes[0] > 0 && wakes[1] > 0,
+            "{label}: both axes must wake, got {wakes:?}"
+        );
+        assert_eq!(allocated, 0, "{label}: frames allocated {allocated} times");
+    }
+    let program = fixture(
+        "ACC_X -> movingAvg(id=1, params={5});
+         1 -> outsideThreshold(id=2, params={-2, 2});
+         ACC_Y -> window(id=3, params={64, 32, 0});
+         3 -> peakToPeak(id=4);
+         4 -> minThreshold(id=5, params={3});
+         ACC_Y -> movingAvg(id=6, params={3});
+         6 -> maxThreshold(id=7, params={-3});
+         2,5,7 -> anyOf(id=8);
+         8 -> OUT;",
+    );
+    let rates = ChannelRates::default();
+    check(HubRuntime::load(&program, &rates).unwrap(), "f64");
+    check(
+        HubRuntime32::load_generic(&program, &rates, NullSink).unwrap(),
+        "f32",
     );
 }
 

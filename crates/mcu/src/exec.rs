@@ -35,6 +35,19 @@
 //! one observability interface, which the host runtime and the
 //! simulator report through as well. The plain pushes pass
 //! [`NullSink`], whose hooks compile away.
+//!
+//! A push runs in one of two ways, with one result. The per-sample
+//! pass runs every node a sample reaches, one sample at a time; it is
+//! the interpreter's reference body, and every observed push takes it.
+//! An unobserved push of several frames runs by *block* instead: the
+//! rows up to the next one where a window emits (at most
+//! [`BLOCK_ROWS`]) have their window samples copied into the rings by
+//! slice, and every stream node — a scalar node a channel reaches
+//! without crossing a window — runs node by node over the whole block
+//! into buffers the layout walk carved for it. The emitting row then
+//! runs the per-sample pass. A one-frame push runs by block only where
+//! it reaches windows alone, so it is a copy. Both ways share each
+//! kind's arithmetic.
 
 use crate::complex::Complex;
 use crate::fft;
@@ -52,6 +65,10 @@ use crate::stats;
 use crate::window::WindowShape;
 use crate::zcr;
 use core::ops::Range;
+
+/// Frame rows the block path runs at most between two looks at the
+/// windows; each stream node's buffers hold one such block per lane.
+pub const BLOCK_ROWS: usize = 32;
 
 /// Default arena capacity (elements per arena) of an inline
 /// [`McuCore`]. MCU deployments instantiate `McuCore<f32, N>` with `N`
@@ -162,13 +179,14 @@ impl core::error::Error for McuExecError {}
 pub struct ArenaViews<'a, P: Sample> {
     /// Window rings, taper tables, vector payloads.
     pub p: &'a mut [P],
-    /// Moving-average rings, probe tables, widening scratch.
+    /// Moving-average rings, probe tables, widening scratch, stream
+    /// values.
     pub f: &'a mut [f64],
     /// Twiddle tables and spectrum payloads.
     pub c: &'a mut [Complex],
     /// Bit-reversal swap tables.
     pub s: &'a mut [(u32, u32)],
-    /// Band-filter keep masks.
+    /// Band-filter keep masks, stream flags.
     pub b: &'a mut [bool],
 }
 
@@ -316,6 +334,14 @@ struct NodeState {
     mask: Span,
     /// Widening scratch for `f32` pipelines (scalar arena).
     wide_in: Span,
+    /// Stream node outputs over a block, one block per lane (scalar
+    /// arena).
+    stream: Span,
+    /// Which `stream` entries hold an output (mask arena).
+    present: Span,
+    /// The channels that reach a stream node, one bit each; 0 for every
+    /// other node.
+    lanes: u8,
     /// Planned transform length / probed window length; `u32::MAX`
     /// until first planned (plans are built on the first window).
     planned_len: u32,
@@ -360,6 +386,9 @@ impl NodeState {
         inv: Span::EMPTY,
         mask: Span::EMPTY,
         wide_in: Span::EMPTY,
+        stream: Span::EMPTY,
+        present: Span::EMPTY,
+        lanes: 0,
         planned_len: u32::MAX,
         probe_len: 0,
         head: 0,
@@ -470,8 +499,7 @@ pub struct ExecCore<A: ArenaStorage> {
     slots: [Slot; MAX_NODES],
     channel_seq: [u64; MAX_CHANNELS],
     wake_count: u64,
-    /// Channels whose pushes may fill windows by slice (one bit each).
-    fill_channels: u8,
+    blocks: BlockPlan,
     arenas: A,
 }
 
@@ -554,7 +582,7 @@ impl<A: ArenaStorage> ExecCore<A> {
             slots: [Slot::EMPTY; MAX_NODES],
             channel_seq: [0; MAX_CHANNELS],
             wake_count: 0,
-            fill_channels: 0,
+            blocks: BlockPlan::EMPTY,
             arenas,
         }
     }
@@ -607,6 +635,9 @@ impl<A: ArenaStorage> ExecCore<A> {
                 inv: node.inv.above(bc),
                 mask: node.mask,
                 wide_in: node.wide_in,
+                stream: node.stream,
+                present: node.present,
+                lanes: node.lanes,
                 ..NodeState::EMPTY
             };
             self.slots[i].vec = node.vec.above(bp);
@@ -615,7 +646,7 @@ impl<A: ArenaStorage> ExecCore<A> {
                 shape.fill_coefficients(&mut p[node.coeffs.full()]);
             }
         }
-        self.fill_channels = window_fill_channels(image);
+        self.blocks = BlockPlan::new(image, &self.states);
         self.image = *image;
         self.loaded = true;
         Ok(())
@@ -684,12 +715,27 @@ impl<A: ArenaStorage> ExecCore<A> {
     /// one entry every push goes through.
     ///
     /// Each sample runs one interpreter pass, the core's one per-sample
-    /// body. With the probe off, samples that only fill non-overlapping
-    /// windows skip the pass: when a push reaches only windows whose hop
-    /// equals their size, the samples up to the next emission are copied
-    /// straight into the rings (narrowed to the core's precision), the
-    /// channels' sequence counters advance past them, and only the
-    /// emitting sample runs a pass.
+    /// body, unless the push runs by block. A push runs by block when
+    /// the probe is off, its channels are distinct, each window its
+    /// samples reach before a vector is fed by one of its channels
+    /// alone, and it has more than one frame or reaches no stream node
+    /// (one row of stream nodes costs a block as much as a pass). Then
+    /// the rows before the next one where such a window emits — at most
+    /// [`BLOCK_ROWS`] while a stream node is reached — form a block:
+    ///
+    /// * each window copies its samples into its ring by slice (two
+    ///   copies where a sliding window's ring wraps), narrowed to the
+    ///   core's precision;
+    /// * each stream node, in image (topological) order, runs over the
+    ///   block's rows into its stream buffers; a node fed at several
+    ///   ports or from several members takes its inputs in the order
+    ///   the passes would, `(row, member, port)`, the last emission of a
+    ///   `(row, member)` winning;
+    /// * the wakes of `OUT`, when it is a stream node, are raised in
+    ///   `(row, member)` order.
+    ///
+    /// The emitting row then runs the per-sample pass for each member.
+    /// Both ways run the same arithmetic, so the wakes are bit-identical.
     ///
     /// # Errors
     ///
@@ -711,32 +757,33 @@ impl<A: ArenaStorage> ExecCore<A> {
             slots,
             channel_seq,
             wake_count,
-            fill_channels,
+            blocks,
             arenas,
             ..
         } = self;
-        let fill = if Pr::ENABLED {
-            0
+        let block = if Pr::ENABLED {
+            None
         } else {
-            window_fill_mask(image, *fill_channels, channels)
+            blocks.admit(channels, frames)
         };
         let mut views = arenas.views();
         // Frame `k`, member `m`: one loop over every sample in push order.
         let (mut k, mut m) = (0, 0);
         while k < frames {
-            if m == 0 && fill != 0 {
-                let run = fill_run(image, states, fill).min(frames - k);
+            if let (0, Some(reach)) = (m, block) {
+                let run = block_rows(image, states, reach).min(frames - k);
                 if run > 0 {
-                    let rows = k..k + run;
-                    fill_windows(
+                    run_block(
                         image,
                         states,
-                        slots,
                         channel_seq,
-                        views.p,
+                        wake_count,
+                        (views.p, views.f, views.b),
                         channels,
                         columns,
-                        rows,
+                        k..k + run,
+                        reach,
+                        on_wake,
                     );
                     k += run;
                     continue;
@@ -792,84 +839,539 @@ fn frame_count(channels: &[u8], columns: &[&[f64]]) -> Result<usize, McuExecErro
     Ok(frames)
 }
 
-/// The channels of `image` whose samples may fill windows by slice, one
-/// bit per channel: those that feed only windows with `hop == size`
-/// (or nothing), and no join.
-fn window_fill_channels(image: &McuImage) -> u8 {
-    (0..MAX_CHANNELS)
-        .filter(|&ci| {
-            let mut fed = image.direct_feed_mask(ci);
-            image.entry_mask(ci) == 0
-                && core::iter::from_fn(|| (fed != 0).then(|| take_lowest(&mut fed))).all(|i| {
-                    matches!(image.nodes()[i].kind, NodeKind::Window { size, hop, .. } if size == hop)
-                })
-        })
-        .fold(0, |bits, ci| bits | 1 << ci)
+/// What the block path needs of a loaded image, derived at `load`.
+#[derive(Debug, Clone, Copy)]
+struct BlockPlan {
+    /// Channels whose pushes may run by block, one bit each: every
+    /// window their samples reach before a vector is fed by that
+    /// channel alone, so its emissions can be counted ahead.
+    channels: u8,
+    /// The `channels` that reach no stream node: a one-frame push on
+    /// them only fills windows.
+    fills: u8,
+    /// Per channel: the windows it feeds.
+    windows: [Mask; MAX_CHANNELS],
+    /// Per channel: the stream nodes it reaches.
+    streams: [Mask; MAX_CHANNELS],
 }
 
-/// The windows a push on `channels` may fill by slice: every node they
-/// feed when each is one of the `fill_channels`, otherwise none. A
-/// channel that appears twice in a frame interleaves its samples, so it
-/// takes the pass.
-fn window_fill_mask(image: &McuImage, fill_channels: u8, channels: &[u8]) -> Mask {
-    let mut seen = 0u8;
-    let mut mask: Mask = 0;
-    for &channel in channels {
-        let bit = 1 << channel;
-        if fill_channels & bit == 0 || seen & bit != 0 {
-            return 0;
+/// The nodes a block-run push reaches.
+#[derive(Debug, Clone, Copy)]
+struct Reach {
+    /// Stream nodes.
+    streams: Mask,
+    /// Windows, each fed by one member alone.
+    windows: Mask,
+}
+
+impl BlockPlan {
+    const EMPTY: BlockPlan = BlockPlan {
+        channels: 0,
+        fills: 0,
+        windows: [0; MAX_CHANNELS],
+        streams: [0; MAX_CHANNELS],
+    };
+
+    fn new(image: &McuImage, states: &[NodeState; MAX_NODES]) -> BlockPlan {
+        let mut plan = BlockPlan {
+            channels: u8::MAX,
+            ..BlockPlan::EMPTY
+        };
+        for (i, spec) in image.nodes().iter().enumerate() {
+            let lanes = states[i].lanes;
+            for (c, streams) in plan.streams.iter_mut().enumerate() {
+                if lanes & 1 << c != 0 {
+                    *streams |= 1 << i;
+                }
+            }
+            if let NodeKind::Window { .. } = spec.kind {
+                let ports = &spec.sources[..spec.port_count as usize];
+                let alone = match *ports {
+                    [PortSource::Channel(c)] => 1 << c,
+                    _ => 0,
+                };
+                for &source in ports {
+                    let reached = match source {
+                        PortSource::Channel(c) => {
+                            plan.windows[c as usize] |= 1 << i;
+                            1 << c
+                        }
+                        PortSource::Node(src) => states[src as usize].lanes,
+                    };
+                    plan.channels &= !(reached & !alone);
+                }
+            }
         }
-        seen |= bit;
-        mask |= image.direct_feed_mask(channel as usize);
+        for (c, &streams) in plan.streams.iter().enumerate() {
+            if streams == 0 {
+                plan.fills |= plan.channels & 1 << c;
+            }
+        }
+        plan
     }
-    mask
+
+    /// What a push of `frames` on `channels` reaches, when it may run by
+    /// block: its channels are distinct (a repeated channel interleaves
+    /// its samples) and each is one of `self.channels` — of
+    /// `self.fills` for one frame, since one row of stream nodes costs a
+    /// block as much as a pass.
+    #[inline(always)]
+    fn admit(&self, channels: &[u8], frames: usize) -> Option<Reach> {
+        let eligible = if frames > 1 {
+            self.channels
+        } else {
+            self.fills
+        };
+        let mut seen = 0u8;
+        let mut reach = Reach {
+            streams: 0,
+            windows: 0,
+        };
+        for &channel in channels {
+            let bit = 1 << channel;
+            if seen & bit != 0 || eligible & bit == 0 {
+                return None;
+            }
+            seen |= bit;
+            reach.streams |= self.streams[channel as usize];
+            reach.windows |= self.windows[channel as usize];
+        }
+        Some(reach)
+    }
 }
 
-/// Samples every window in `fill` can take before one of them emits:
-/// the smallest `size - 1 - fill` among them.
-fn fill_run(image: &McuImage, states: &[NodeState; MAX_NODES], fill: Mask) -> usize {
-    let mut rest = fill;
-    let mut run = usize::MAX;
+/// Rows a push reaching `reach` can run by block before a window emits:
+/// the fewest samples any of its windows takes without emitting, and at
+/// most [`BLOCK_ROWS`] while a stream node is reached.
+#[inline(always)]
+fn block_rows(image: &McuImage, states: &[NodeState; MAX_NODES], reach: Reach) -> usize {
+    let mut run = if reach.streams != 0 {
+        BLOCK_ROWS
+    } else {
+        usize::MAX
+    };
+    let mut rest = reach.windows;
     while rest != 0 {
         let i = take_lowest(&mut rest);
-        if let NodeKind::Window { size, .. } = image.nodes()[i].kind {
-            run = run.min(size as usize - 1 - states[i].fill as usize);
+        if let NodeKind::Window { size, hop, .. } = image.nodes()[i].kind {
+            let st = &states[i];
+            // A sliding window emits every `hop` samples once primed; a
+            // tumbling one never primes and emits when its ring fills.
+            let quiet = if st.primed {
+                hop - 1 - st.since_emit
+            } else {
+                size - 1 - st.fill
+            };
+            run = run.min(quiet as usize);
         }
     }
     run
 }
 
-/// Copies `rows` of each member's column into the rings of the windows
-/// its channel feeds, narrowing to `P`, and advances the channels'
-/// sequence counters — what a pass per sample does when no window
-/// emits. `rows` must fit below every ring's emission.
+/// Offset of lane `channel` in a stream buffer of `lanes`.
+#[inline]
+fn lane_offset(lanes: u8, channel: u8) -> usize {
+    (lanes & ((1 << channel) - 1)).count_ones() as usize * BLOCK_ROWS
+}
+
+/// Runs `rows` of a push by block — what one pass per sample does on
+/// rows where no window emits: fills the windows, runs the stream nodes,
+/// and advances the channels' sequence counters.
 #[allow(clippy::too_many_arguments)]
-fn fill_windows<P: Sample>(
+#[inline(always)]
+fn run_block<P: Sample>(
     image: &McuImage,
     states: &mut [NodeState; MAX_NODES],
-    slots: &mut [Slot; MAX_NODES],
     channel_seq: &mut [u64; MAX_CHANNELS],
-    p: &mut [P],
+    wake_count: &mut u64,
+    (p, f, b): (&mut [P], &mut [f64], &mut [bool]),
     channels: &[u8],
     columns: &[&[f64]],
     rows: Range<usize>,
+    reach: Reach,
+    on_wake: &mut impl FnMut(usize, WakeEvent),
 ) {
+    let n = rows.len();
+    let nodes = image.nodes();
     for (&channel, column) in channels.iter().zip(columns) {
-        let ci = channel as usize;
-        let src = &column[rows.clone()];
-        let mut fed = image.direct_feed_mask(ci);
+        let mut fed = image.direct_feed_mask(channel as usize) & reach.windows;
         while fed != 0 {
             let i = take_lowest(&mut fed);
-            let st = &mut states[i];
-            let at = (st.base_p + st.aux_p.start + st.fill) as usize;
-            for (dst, &x) in p[at..at + src.len()].iter_mut().zip(src) {
-                *dst = P::from_f64(x);
+            if let NodeKind::Window { size, .. } = nodes[i].kind {
+                fill_ring(&mut states[i], p, size as usize, &column[rows.clone()]);
             }
-            st.fill += src.len() as u32;
-            slots[i].kind = SlotKind::Empty;
         }
-        channel_seq[ci] += src.len() as u64;
     }
+    if reach.streams != 0 {
+        run_streams(
+            image,
+            states,
+            channel_seq,
+            wake_count,
+            (f, b),
+            channels,
+            columns,
+            rows,
+            reach.streams,
+            on_wake,
+        );
+    }
+    for &channel in channels {
+        channel_seq[channel as usize] += n as u64;
+    }
+}
+
+/// Runs the `streams` nodes over a block's `rows` in image order, then
+/// raises `OUT`'s wakes in `(row, member)` order when it is one of them.
+/// The channels' sequence counters still stand at the block's first row.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn run_streams(
+    image: &McuImage,
+    states: &mut [NodeState; MAX_NODES],
+    channel_seq: &[u64; MAX_CHANNELS],
+    wake_count: &mut u64,
+    (f, b): (&mut [f64], &mut [bool]),
+    channels: &[u8],
+    columns: &[&[f64]],
+    rows: Range<usize>,
+    streams: Mask,
+    on_wake: &mut impl FnMut(usize, WakeEvent),
+) {
+    let n = rows.len();
+    let nodes = image.nodes();
+    let mut seq0 = [0u64; MAX_CHANNELS];
+    let mut members = 0u8;
+    for (m, &channel) in channels.iter().enumerate() {
+        seq0[m] = channel_seq[channel as usize];
+        members |= 1 << channel;
+    }
+    let block = Block {
+        channels,
+        columns,
+        rows,
+        seq0: &seq0,
+        members,
+    };
+    let mut rest = streams;
+    while rest != 0 {
+        let i = take_lowest(&mut rest);
+        run_stream(&nodes[i], i, states, f, b, &block);
+    }
+    let out = image.out_index();
+    if streams & 1 << out == 0 {
+        return;
+    }
+    let st = &states[out];
+    let (vals, set) = (&f[st.stream.full()], &b[st.present.full()]);
+    let mut lanes = [(0, 0); MAX_CHANNELS];
+    let mut count = 0;
+    for (m, &channel) in channels.iter().enumerate() {
+        if st.lanes & 1 << channel != 0 {
+            lanes[count] = (m, lane_offset(st.lanes, channel));
+            count += 1;
+        }
+    }
+    for j in 0..n {
+        for &(m, at) in &lanes[..count] {
+            if set[at + j] {
+                *wake_count += 1;
+                let w = WakeEvent {
+                    seq: seq0[m] + j as u64,
+                    value: vals[at + j],
+                };
+                on_wake(m, w);
+            }
+        }
+    }
+}
+
+/// Copies `xs` into a window's ring, narrowing to `P` — what a pass per
+/// sample does while the window does not emit. `xs` must end before the
+/// window's next emission.
+#[inline(always)]
+fn fill_ring<P: Sample>(st: &mut NodeState, p: &mut [P], len: usize, xs: &[f64]) {
+    let ring = (st.base_p + st.aux_p.start) as usize;
+    if !st.primed {
+        // Not yet full (a tumbling window never is): the ring's head is
+        // its start, so the samples go right past the fill.
+        let at = ring + st.fill as usize;
+        narrow(&mut p[at..at + xs.len()], xs);
+        st.fill += xs.len() as u32;
+        return;
+    }
+    // A primed sliding window overwrites its oldest samples from `head`
+    // on, wrapping at most once.
+    let ring = &mut p[ring..ring + len];
+    let head = st.head as usize;
+    let (tail, wrapped) = xs.split_at(xs.len().min(len - head));
+    narrow(&mut ring[head..head + tail.len()], tail);
+    narrow(&mut ring[..wrapped.len()], wrapped);
+    st.head = ring_index(head, xs.len(), len) as u32;
+    st.since_emit += xs.len() as u32;
+}
+
+/// `dst[k] = xs[k]` narrowed to `P`: the precision boundary samples
+/// cross as they enter a ring.
+#[inline(always)]
+fn narrow<P: Sample>(dst: &mut [P], xs: &[f64]) {
+    for (d, &x) in dst.iter_mut().zip(xs) {
+        *d = P::from_f64(x);
+    }
+}
+
+/// A block's input, as every stream node reads it.
+struct Block<'a> {
+    channels: &'a [u8],
+    columns: &'a [&'a [f64]],
+    rows: Range<usize>,
+    /// Each member's first sequence number in the block.
+    seq0: &'a [u64; MAX_CHANNELS],
+    /// The members' channels, one bit each.
+    members: u8,
+}
+
+/// Where one port reads one member's inputs over a block.
+#[derive(Clone, Copy)]
+enum Feed {
+    /// The member's own column.
+    Column,
+    /// A producer's stream: where its lane's values and flags begin in
+    /// the scalar and mask arenas.
+    Stream { vals: usize, flags: usize },
+}
+
+/// Runs stream node `i` over a block into its stream buffers: for each
+/// row and member in push order, each port that delivers a value feeds
+/// the node, and its last emission is the row's output.
+fn run_stream(
+    spec: &NodeSpec,
+    i: usize,
+    states: &mut [NodeState; MAX_NODES],
+    f: &mut [f64],
+    b: &mut [bool],
+    block: &Block<'_>,
+) {
+    let (done, rest) = states.split_at_mut(i);
+    let st = &mut rest[0];
+    // Producers' streams lie below the node's own; a moving average's
+    // ring lies above them.
+    let (f_in, f_own) = f.split_at_mut(st.stream.start as usize);
+    let (vals, f_rest) = f_own.split_at_mut(st.stream.cap as usize);
+    let ring = &mut f_rest[st.aux_f.above(st.stream.start + st.stream.cap).full()];
+    let (b_in, b_own) = b.split_at_mut(st.present.start as usize);
+    let flags = &mut b_own[..st.present.cap as usize];
+    let active = st.lanes & block.members;
+    let n = block.rows.len();
+
+    let column = |m: usize| &block.columns[m][block.rows.clone()];
+
+    if active.count_ones() > 1 && !stateless(spec.kind) {
+        // Members share the node's state: rows and members interleave
+        // as the passes would.
+        let mut feeds = [([(0, Feed::Column); MAX_PORTS], 0); MAX_CHANNELS];
+        for (m, &channel) in block.channels.iter().enumerate() {
+            if active & 1 << channel != 0 {
+                feeds[m] = member_feeds(spec, done, channel);
+            }
+        }
+        for j in 0..n {
+            for (m, &channel) in block.channels.iter().enumerate() {
+                if active & 1 << channel == 0 {
+                    continue;
+                }
+                let seq = block.seq0[m] + j as u64;
+                let (feeds, count) = &feeds[m];
+                let y = feed_row(
+                    spec,
+                    st,
+                    ring,
+                    &feeds[..*count],
+                    column(m),
+                    f_in,
+                    b_in,
+                    j,
+                    seq,
+                );
+                let at = lane_offset(st.lanes, channel) + j;
+                flags[at] = y.is_some();
+                if let Some(y) = y {
+                    vals[at] = y;
+                }
+            }
+        }
+        return;
+    }
+    // Otherwise no state joins two members' rows, so each member's lane
+    // runs alone, row by row.
+    for (m, &channel) in block.channels.iter().enumerate() {
+        if active & 1 << channel == 0 {
+            continue;
+        }
+        let at = lane_offset(st.lanes, channel);
+        let (out, out_set) = (&mut vals[at..at + n], &mut flags[at..at + n]);
+        let seq = block.seq0[m];
+        let xs = column(m);
+        let (feeds, count) = member_feeds(spec, done, channel);
+        match (spec.kind, &feeds[..count]) {
+            (NodeKind::MovingAvg { window }, [(_, Feed::Column)]) => {
+                moving_average_column(&mut ring[..window as usize], st, xs, out, out_set);
+            }
+            (_, &[(port, Feed::Column)]) => {
+                for (j, &x) in xs.iter().enumerate() {
+                    let y = step_scalar(
+                        spec.kind,
+                        spec.port_count as usize,
+                        st,
+                        ring,
+                        port,
+                        seq + j as u64,
+                        x,
+                    );
+                    out_set[j] = y.is_some();
+                    if let Some(y) = y {
+                        out[j] = y;
+                    }
+                }
+            }
+            (_, &[(port, Feed::Stream { vals, flags })]) => {
+                let (xs, set) = (&f_in[vals..vals + n], &b_in[flags..flags + n]);
+                for j in 0..n {
+                    let y = if set[j] {
+                        step_scalar(
+                            spec.kind,
+                            spec.port_count as usize,
+                            st,
+                            ring,
+                            port,
+                            seq + j as u64,
+                            xs[j],
+                        )
+                    } else {
+                        None
+                    };
+                    out_set[j] = y.is_some();
+                    if let Some(y) = y {
+                        out[j] = y;
+                    }
+                }
+            }
+            (_, feeds) => {
+                for j in 0..n {
+                    let y = feed_row(spec, st, ring, feeds, xs, f_in, b_in, j, seq + j as u64);
+                    out_set[j] = y.is_some();
+                    if let Some(y) = y {
+                        out[j] = y;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where each of a stream node's ports reads the member on `channel`,
+/// for the ports that deliver to it, in port order; and their count.
+fn member_feeds(
+    spec: &NodeSpec,
+    done: &[NodeState],
+    channel: u8,
+) -> ([(usize, Feed); MAX_PORTS], usize) {
+    let mut feeds = [(0, Feed::Column); MAX_PORTS];
+    let mut count = 0;
+    for (port, &source) in spec.sources[..spec.port_count as usize].iter().enumerate() {
+        let feed = match source {
+            PortSource::Channel(c) if c == channel => Feed::Column,
+            PortSource::Node(src) if done[src as usize].lanes & 1 << channel != 0 => {
+                let from = &done[src as usize];
+                let at = lane_offset(from.lanes, channel);
+                Feed::Stream {
+                    vals: from.stream.start as usize + at,
+                    flags: from.present.start as usize + at,
+                }
+            }
+            _ => continue,
+        };
+        feeds[count] = (port, feed);
+        count += 1;
+    }
+    (feeds, count)
+}
+
+/// Runs a moving average fed by one member's column over a block. Rows
+/// whose window reaches back before the block step through the ring;
+/// the rest sum their window where it lies in the column — the same
+/// samples in the same order — and the ring ends holding the block's
+/// last window.
+fn moving_average_column(
+    ring: &mut [f64],
+    st: &mut NodeState,
+    xs: &[f64],
+    out: &mut [f64],
+    out_set: &mut [bool],
+) {
+    let w = ring.len();
+    let lead = xs.len().min(w - 1);
+    for (j, &x) in xs[..lead].iter().enumerate() {
+        let y = moving_average(st, ring, x);
+        out_set[j] = y.is_some();
+        if let Some(y) = y {
+            out[j] = y;
+        }
+    }
+    if lead == xs.len() {
+        return;
+    }
+    for (j, window) in xs.windows(w).enumerate() {
+        out[lead + j] = oldest_first_mean(window, &[]);
+        out_set[lead + j] = true;
+    }
+    ring.copy_from_slice(&xs[xs.len() - w..]);
+    st.head = 0;
+    st.fill = w as u32;
+}
+
+/// A moving average's output: the sum from zero of its window, oldest
+/// run then newest, over the window length.
+#[inline(always)]
+fn oldest_first_mean(older: &[f64], newer: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for &v in older {
+        sum += v;
+    }
+    for &v in newer {
+        sum += v;
+    }
+    sum / (older.len() + newer.len()) as f64
+}
+
+/// Feeds row `j` of one member to a stream node through each of its
+/// `feeds` that delivers a value, in port order, and returns the last
+/// emission.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn feed_row(
+    spec: &NodeSpec,
+    st: &mut NodeState,
+    ring: &mut [f64],
+    feeds: &[(usize, Feed)],
+    column: &[f64],
+    f_in: &[f64],
+    b_in: &[bool],
+    j: usize,
+    seq: u64,
+) -> Option<f64> {
+    let mut y = None;
+    for &(port, feed) in feeds {
+        let x = match feed {
+            Feed::Column => column[j],
+            Feed::Stream { vals, flags } if b_in[flags + j] => f_in[vals + j],
+            Feed::Stream { .. } => continue,
+        };
+        if let Some(v) = step_scalar(spec.kind, spec.port_count as usize, st, ring, port, seq, x) {
+            y = Some(v);
+        }
+    }
+    y
 }
 
 /// The core's state as one pass borrows it.
@@ -1162,6 +1664,7 @@ fn exec_kind<P: Sample>(
 ) {
     let ArenaViews { p, f, c, s, b } = ar;
     let seq = ctx.seq;
+    let ports = spec.port_count as usize;
     match spec.kind {
         NodeKind::Window { size, hop, shape } => {
             let In::Scalar(x) = input else {
@@ -1286,46 +1789,6 @@ fn exec_kind<P: Sample>(
             slot.vec_len = m as u32;
             slot.seq = seq;
         }
-        NodeKind::MovingAvg { window } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            let w = window as usize;
-            let ring = &mut f[st.aux_f.range(w)];
-            if st.fill as usize == w {
-                st.head = next_index(st.head as usize, w) as u32;
-                st.fill -= 1;
-            }
-            ring[ring_index(st.head as usize, st.fill as usize, w)] = x;
-            st.fill += 1;
-            if st.fill as usize == w {
-                // Oldest-to-newest sum from zero, then divide: the ring
-                // from `head` on is the oldest run, the prefix before it
-                // the newest.
-                let (newer, older) = ring.split_at(st.head as usize);
-                let mut sum = 0.0;
-                for &v in older {
-                    sum += v;
-                }
-                for &v in newer {
-                    sum += v;
-                }
-                slot.set_scalar(seq, sum / w as f64);
-            }
-        }
-        NodeKind::ExpMovingAvg { alpha } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            let y = if st.ema_set {
-                alpha * x + (1.0 - alpha) * st.ema
-            } else {
-                x
-            };
-            st.ema = y;
-            st.ema_set = true;
-            slot.set_scalar(seq, y);
-        }
         NodeKind::LowPass { cutoff_hz } | NodeKind::HighPass { cutoff_hz } => {
             let In::Vector(window) = input else {
                 return;
@@ -1373,27 +1836,6 @@ fn exec_kind<P: Sample>(
             slot.kind = SlotKind::Vector;
             slot.vec_len = n as u32;
             slot.seq = seq;
-        }
-        NodeKind::VectorMagnitude => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            let ports = spec.port_count as usize;
-            st.latest_seq[ctx.port] = seq;
-            st.latest_val[ctx.port] = x;
-            st.latest_set |= 1 << ctx.port;
-            // Emit only when every branch has produced a value from
-            // the same source samples: a stale axis must never be
-            // combined with a fresh one.
-            let all = (0..ports).all(|k| st.latest_set & (1 << k) != 0 && st.latest_seq[k] == seq);
-            if all {
-                let mut energy = 0.0;
-                for k in 0..ports {
-                    let v = st.latest_val[k];
-                    energy += v * v;
-                }
-                slot.set_scalar(seq, math::sqrt(energy));
-            }
         }
         NodeKind::Zcr => {
             let In::Vector(window) = input else {
@@ -1495,71 +1937,149 @@ fn exec_kind<P: Sample>(
                 }
             }
         }
-        NodeKind::MinThreshold { threshold } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            if x >= threshold {
-                slot.set_scalar(seq, x);
-            }
+        // Each scalar kind reaches the shared step from an arm of its
+        // own, its kind bound by value, so the step's match on the kind
+        // folds away where it inlines.
+        k @ NodeKind::MovingAvg { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::ExpMovingAvg { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::VectorMagnitude => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::MinThreshold { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::MaxThreshold { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::BandThreshold { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::OutsideThreshold { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::Sustained { .. } => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::AllOf => feed_scalar(ctx, k, ports, st, slot, f, input),
+        k @ NodeKind::AnyOf => feed_scalar(ctx, k, ports, st, slot, f, input),
+    }
+}
+
+/// One pass's feed of a scalar node: [`step_scalar`] on the input, its
+/// emission written to the node's slot.
+#[inline(always)]
+fn feed_scalar<P: Sample>(
+    ctx: FeedCtx,
+    kind: NodeKind,
+    ports: usize,
+    st: &mut NodeState,
+    slot: &mut Slot,
+    f: &mut [f64],
+    input: In<'_, P>,
+) {
+    let In::Scalar(x) = input else {
+        return;
+    };
+    let y = match kind {
+        NodeKind::MovingAvg { window } => {
+            moving_average(st, &mut f[st.aux_f.range(window as usize)], x)
         }
-        NodeKind::MaxThreshold { threshold } => {
-            let In::Scalar(x) = input else {
-                return;
+        _ => step_scalar(kind, ports, st, &mut [], ctx.port, ctx.seq, x),
+    };
+    if let Some(y) = y {
+        slot.set_scalar(ctx.seq, y);
+    }
+}
+
+/// Feeds `x` to a moving average whose ring is `ring`, returning the
+/// mean of the last `ring.len()` inputs once it has seen that many: their
+/// sum from zero, oldest to newest, over the window length.
+#[inline(always)]
+fn moving_average(st: &mut NodeState, ring: &mut [f64], x: f64) -> Option<f64> {
+    let w = ring.len();
+    if st.fill as usize == w {
+        st.head = next_index(st.head as usize, w) as u32;
+        st.fill -= 1;
+    }
+    ring[ring_index(st.head as usize, st.fill as usize, w)] = x;
+    st.fill += 1;
+    if (st.fill as usize) < w {
+        return None;
+    }
+    // The ring from `head` on is the oldest run, the prefix before it
+    // the newest.
+    let (newer, older) = ring.split_at(st.head as usize);
+    Some(oldest_first_mean(older, newer))
+}
+
+/// Whether a node of `kind` emits from the one input it is fed alone,
+/// keeping no state between inputs.
+fn stateless(kind: NodeKind) -> bool {
+    matches!(
+        kind,
+        NodeKind::MinThreshold { .. }
+            | NodeKind::MaxThreshold { .. }
+            | NodeKind::BandThreshold { .. }
+            | NodeKind::OutsideThreshold { .. }
+            | NodeKind::AnyOf
+    )
+}
+
+/// Feeds scalar `x` at `port` to a node of `kind` with `ports` ports
+/// that takes scalars and emits them, returning its emission, if any.
+/// `ring` is a moving average's `aux_f` span. The per-sample pass and
+/// the block path run every scalar kind through here (a moving average
+/// through [`moving_average`]), so they share its arithmetic bit for bit.
+#[inline(always)]
+fn step_scalar(
+    kind: NodeKind,
+    ports: usize,
+    st: &mut NodeState,
+    ring: &mut [f64],
+    port: usize,
+    seq: u64,
+    x: f64,
+) -> Option<f64> {
+    match kind {
+        NodeKind::MovingAvg { window } => moving_average(st, &mut ring[..window as usize], x),
+        NodeKind::ExpMovingAvg { alpha } => {
+            let y = if st.ema_set {
+                alpha * x + (1.0 - alpha) * st.ema
+            } else {
+                x
             };
-            if x <= threshold {
-                slot.set_scalar(seq, x);
-            }
+            st.ema = y;
+            st.ema_set = true;
+            Some(y)
         }
-        NodeKind::BandThreshold { lo, hi } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            if x >= lo && x <= hi {
-                slot.set_scalar(seq, x);
-            }
+        NodeKind::VectorMagnitude => {
+            st.latest_seq[port] = seq;
+            st.latest_val[port] = x;
+            st.latest_set |= 1 << port;
+            // Emit only when every branch has produced a value from the
+            // same source samples: a stale axis must never be combined
+            // with a fresh one.
+            let all = (0..ports).all(|k| st.latest_set & (1 << k) != 0 && st.latest_seq[k] == seq);
+            all.then(|| {
+                let mut energy = 0.0;
+                for k in 0..ports {
+                    let v = st.latest_val[k];
+                    energy += v * v;
+                }
+                math::sqrt(energy)
+            })
         }
-        NodeKind::OutsideThreshold { lo, hi } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            if x < lo || x > hi {
-                slot.set_scalar(seq, x);
-            }
-        }
+        NodeKind::MinThreshold { threshold } => (x >= threshold).then_some(x),
+        NodeKind::MaxThreshold { threshold } => (x <= threshold).then_some(x),
+        NodeKind::BandThreshold { lo, hi } => (x >= lo && x <= hi).then_some(x),
+        NodeKind::OutsideThreshold { lo, hi } => (x < lo || x > hi).then_some(x),
         NodeKind::Sustained { count, max_gap } => {
-            let In::Scalar(x) = input else {
-                return;
-            };
             let consecutive = st.has_last && seq.saturating_sub(st.last_seq) <= max_gap;
             st.streak = if consecutive { st.streak + 1 } else { 1 };
             st.last_seq = seq;
             st.has_last = true;
-            if st.streak >= count {
-                slot.set_scalar(seq, x);
-            }
+            (st.streak >= count).then_some(x)
         }
         NodeKind::AllOf => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            let ports = spec.port_count as usize;
-            st.latest_seq[ctx.port] = seq;
-            st.latest_val[ctx.port] = x;
-            st.latest_set |= 1 << ctx.port;
+            st.latest_seq[port] = seq;
+            st.latest_val[port] = x;
+            st.latest_set |= 1 << port;
             // AND-join over the same window: all branches must have
             // passed their admission control for this seq.
             let all = (0..ports).all(|k| st.latest_set & (1 << k) != 0 && st.latest_seq[k] == seq);
-            if all {
-                slot.set_scalar(seq, x);
-            }
+            all.then_some(x)
         }
-        NodeKind::AnyOf => {
-            let In::Scalar(x) = input else {
-                return;
-            };
-            slot.set_scalar(seq, x);
-        }
+        NodeKind::AnyOf => Some(x),
+        // Vector and spectrum consumers never take a scalar.
+        _ => None,
     }
 }
 
@@ -1615,7 +2135,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(thr).unwrap();
-        let mut core: McuCore<f64, 64> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let samples: Vec<f64> = (1..=8).map(f64::from).collect();
         let wakes = collect_wakes(&mut core, 0, &samples);
@@ -1857,7 +2377,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(vm).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let mut wakes = Vec::new();
         core.push_sample(0, 3.0, &mut |w| wakes.push(w)).unwrap();
@@ -1891,7 +2411,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(both).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let wakes = collect_wakes(&mut core, 0, &[5.0, 20.0, -3.0, 7.0]);
         assert_eq!(
@@ -1924,7 +2444,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(sus).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let wakes = collect_wakes(&mut core, 0, &[1.0, 1.0, 0.0, 1.0, 1.0]);
         assert_eq!(
@@ -1945,7 +2465,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(ema).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let wakes = collect_wakes(&mut core, 0, &[4.0, 8.0]);
         assert_eq!(wakes[0].value, 4.0);
@@ -1963,7 +2483,7 @@ mod tests {
             )
             .unwrap();
         let image = b.finish(avg).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let samples: Vec<f64> = (1..=4).map(f64::from).collect();
         let first = collect_wakes(&mut core, 0, &samples);
@@ -2047,8 +2567,8 @@ mod tests {
             let win = b
                 .push_node(
                     NodeKind::Window {
-                        size: 64,
-                        hop: 64,
+                        size: 256,
+                        hop: 256,
                         shape: WindowShape::Rectangular,
                     },
                     &[PortSource::Channel(0)],
@@ -2076,13 +2596,13 @@ mod tests {
             b.finish(thr).unwrap()
         };
 
-        let mut fresh: McuCore<f64, 16> = McuCore::new();
+        let mut fresh: McuCore<f64, 128> = McuCore::new();
         fresh.load(&fitting).unwrap();
         let samples: Vec<f64> = (0..16).map(f64::from).collect();
         let expected = collect_wakes(&mut fresh, 0, &samples);
         assert!(!expected.is_empty());
 
-        let mut reused: McuCore<f64, 16> = McuCore::new();
+        let mut reused: McuCore<f64, 128> = McuCore::new();
         assert!(matches!(
             reused.load(&oversized).unwrap_err(),
             McuExecError::ArenaOverflow { .. }
@@ -2368,7 +2888,7 @@ mod tests {
         b.push_node(NodeKind::AnyOf, &[PortSource::Channel(0)], 50.0)
             .unwrap();
         let image = b.finish(0).unwrap();
-        let mut core: McuCore<f64, 16> = McuCore::new();
+        let mut core: McuCore<f64, 128> = McuCore::new();
         core.load(&image).unwrap();
         let err = core.push_sample(200, 1.0, &mut |_| {}).unwrap_err();
         assert_eq!(err, McuExecError::BadChannel { channel: 200 });

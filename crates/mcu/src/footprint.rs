@@ -19,8 +19,14 @@
 //! its base, while it writes its own spans above. [`image_footprint`]
 //! and [`check_fit`] read the per-arena totals the same spans sum to,
 //! so the certified occupancy is the carve itself, not a mirror of it.
+//!
+//! A scalar node that a channel reaches without crossing a window — a
+//! moving average, a threshold, a join — is a *stream node*: the block
+//! path runs it over up to [`BLOCK_ROWS`] frame rows at a time, so the
+//! walk carves it one block of output values (scalar arena) and flags
+//! (mask arena) per channel it is reached from, its *lanes*.
 
-use crate::exec::McuExecError;
+use crate::exec::{McuExecError, BLOCK_ROWS};
 use crate::fft;
 use crate::image::{McuImage, NodeKind, PortSource, MAX_NODES};
 use core::ops::Range;
@@ -30,13 +36,14 @@ use core::ops::Range;
 pub enum ArenaKind {
     /// `arena_p`: window rings, taper tables, vector payloads.
     Sample,
-    /// `arena_f`: moving-average rings, probe tables, widening scratch.
+    /// `arena_f`: moving-average rings, probe tables, widening scratch,
+    /// stream values.
     Scalar,
     /// `arena_c`: twiddle tables and spectrum payloads.
     Complex,
     /// `arena_s`: bit-reversal swap tables.
     Swap,
-    /// `arena_b`: band-filter keep masks.
+    /// `arena_b`: band-filter keep masks, stream flags.
     Mask,
 }
 
@@ -222,6 +229,14 @@ pub(crate) struct NodeLayout {
     pub(crate) vec: Span,
     /// Spectrum payload (complex arena).
     pub(crate) spec: Span,
+    /// A stream node's block of output values, [`BLOCK_ROWS`] per lane
+    /// in lane order (scalar arena).
+    pub(crate) stream: Span,
+    /// Which entries of `stream` hold an output (mask arena).
+    pub(crate) present: Span,
+    /// The channels that reach the node without crossing a window, one
+    /// bit each; nonzero exactly for stream nodes.
+    pub(crate) lanes: u8,
     /// The kind of value the node emits.
     out: ValueKind,
     /// Elements per emitted payload (0 for scalars).
@@ -245,6 +260,9 @@ impl NodeLayout {
         wide_in: Span::EMPTY,
         vec: Span::EMPTY,
         spec: Span::EMPTY,
+        stream: Span::EMPTY,
+        present: Span::EMPTY,
+        lanes: 0,
         out: ValueKind::Scalar,
         out_len: 0,
         base_p: 0,
@@ -256,10 +274,10 @@ impl NodeLayout {
         let n = |s: Span| s.cap as usize;
         match arena {
             ArenaKind::Sample => n(self.aux_p) + n(self.coeffs) + n(self.vec),
-            ArenaKind::Scalar => n(self.aux_f) + n(self.wide_in),
+            ArenaKind::Scalar => n(self.stream) + n(self.aux_f) + n(self.wide_in),
             ArenaKind::Complex => n(self.fwd) + n(self.inv) + n(self.spec),
             ArenaKind::Swap => n(self.swaps),
-            ArenaKind::Mask => n(self.mask),
+            ArenaKind::Mask => n(self.present) + n(self.mask),
         }
     }
 }
@@ -388,6 +406,20 @@ pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
             *at += n;
             span
         };
+        // A stream node's buffers come first in its scalar carve, so
+        // the block path reads its producers' streams below them and
+        // finds a moving average's ring above.
+        if maps_scalars(spec.kind) {
+            n.lanes = spec.sources[..spec.port_count as usize]
+                .iter()
+                .fold(0, |lanes, &source| match source {
+                    PortSource::Channel(c) => lanes | 1 << c,
+                    PortSource::Node(src) => lanes | done[src as usize].lanes,
+                });
+            let len = BLOCK_ROWS * n.lanes.count_ones() as usize;
+            n.stream = carve(ArenaKind::Scalar, len);
+            n.present = carve(ArenaKind::Mask, len);
+        }
 
         match spec.kind {
             NodeKind::Window { size, hop, .. } => {
@@ -485,6 +517,24 @@ pub fn image_layout(image: &McuImage) -> Result<ImageLayout, McuExecError> {
     }
     layout.footprint = tally(layout.nodes(), usize::MAX)?;
     Ok(layout)
+}
+
+/// Whether nodes of `kind` take scalars and emit scalars: the kinds that
+/// run as stream nodes when a channel reaches them.
+fn maps_scalars(kind: NodeKind) -> bool {
+    matches!(
+        kind,
+        NodeKind::MovingAvg { .. }
+            | NodeKind::ExpMovingAvg { .. }
+            | NodeKind::VectorMagnitude
+            | NodeKind::MinThreshold { .. }
+            | NodeKind::MaxThreshold { .. }
+            | NodeKind::BandThreshold { .. }
+            | NodeKind::OutsideThreshold { .. }
+            | NodeKind::Sustained { .. }
+            | NodeKind::AllOf
+            | NodeKind::AnyOf
+    )
 }
 
 /// The exact per-arena occupancy of `image`: its layout's totals.

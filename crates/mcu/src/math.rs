@@ -55,7 +55,7 @@ mod imp {
 
     /// Newton–Raphson square root from a bit-level initial guess.
     pub fn sqrt(x: f64) -> f64 {
-        if x < 0.0 || x != x {
+        if x < 0.0 || x.is_nan() {
             return f64::NAN;
         }
         if x == 0.0 || x == f64::INFINITY {
@@ -76,7 +76,7 @@ mod imp {
 
     fn floor(x: f64) -> f64 {
         // |x| >= 2^52 is already integral (or non-finite).
-        if !(super::abs(x) < 4_503_599_627_370_496.0) {
+        if x.is_nan() || super::abs(x) >= 4_503_599_627_370_496.0 {
             return x;
         }
         let t = x as i64 as f64; // truncation toward zero
@@ -90,7 +90,7 @@ mod imp {
     /// Sine via range reduction to [-pi, pi] and a 15th-order Taylor
     /// polynomial (worst case ~1e-12 absolute on the reduced range).
     pub fn sin(x: f64) -> f64 {
-        if x != x || super::abs(x) == f64::INFINITY {
+        if x.is_nan() || super::abs(x) == f64::INFINITY {
             return f64::NAN;
         }
         let mut r = x - floor(x / (2.0 * PI)) * 2.0 * PI; // [0, 2pi)

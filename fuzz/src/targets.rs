@@ -125,10 +125,15 @@ fn sample_schedule(data: &[u8], len: usize) -> Vec<f64> {
 }
 
 /// Programs reading more than one channel, for the frame differential:
-/// the two accelerometer axes the fleet's fused suite reads (the pass),
-/// and non-overlapping windows on two channels that wake often on the
-/// schedule's noise (the window fill).
-const MULTI_CHANNEL: [&str; 2] = [
+/// the two accelerometer axes the fleet's fused suite reads, and
+/// non-overlapping windows on two channels that wake often on the
+/// schedule's noise; the program fleet ingest serves for Steps,
+/// Transitions and Headbutts, verbatim (stream chains on both axes and
+/// a sliding window whose emissions end the blocks); and joins across
+/// channels — `allOf` over two, `vectorMagnitude` over three, a gapped
+/// `sustained` after an `expMovingAvg`, a `bandThreshold` and a sliding
+/// `window(16, 4)` — so a block's rows, members and ports interleave.
+const MULTI_CHANNEL: [&str; 4] = [
     "ACC_X -> movingAvg(id=1, params={3});
      ACC_Y -> movingAvg(id=2, params={5});
      1 -> outsideThreshold(id=3, params={-2, 2});
@@ -143,6 +148,28 @@ const MULTI_CHANNEL: [&str; 2] = [
      5 -> outsideThreshold(id=6, params={-1.5, 1.5});
      3,6 -> anyOf(id=7);
      7 -> OUT;",
+    "ACC_X -> movingAvg(id=1, params={5});
+     1 -> outsideThreshold(id=2, params={-2, 2});
+     ACC_Y -> window(id=3, params={64, 32, 0});
+     3 -> peakToPeak(id=4);
+     4 -> minThreshold(id=5, params={3});
+     ACC_Y -> movingAvg(id=6, params={3});
+     6 -> maxThreshold(id=7, params={-3});
+     2,5,7 -> anyOf(id=8);
+     8 -> OUT;",
+    "ACC_X -> movingAvg(id=1, params={3});
+     1 -> bandThreshold(id=2, params={-4, 4});
+     ACC_Y -> expMovingAvg(id=3, params={0.5});
+     3 -> minThreshold(id=4, params={-6});
+     4 -> sustained(id=5, params={3, 2});
+     2,5 -> allOf(id=6);
+     ACC_X,ACC_Y,ACC_Z -> vectorMagnitude(id=7);
+     7 -> minThreshold(id=8, params={9});
+     ACC_Z -> window(id=9, params={16, 4, 0});
+     9 -> mean(id=10);
+     10 -> outsideThreshold(id=11, params={-1, 1});
+     6,8,11 -> anyOf(id=12);
+     12 -> OUT;",
 ];
 
 /// Picks the program the input's first byte selects: a golden fixture
@@ -166,8 +193,8 @@ fn pick_program(data: &[u8]) -> Program {
 /// same wakes, same order, same member, same result bits — to the
 /// reference: a runtime with live counters, which runs every sample
 /// through the per-sample pass, fed one `push_sample` at a time in frame
-/// order. The fast paths (window fill, the unobserved pass) are thereby
-/// checked against the probed one.
+/// order. The block path and the unobserved pass are thereby checked
+/// against the probed one.
 pub fn ingest_differential(data: &[u8]) {
     let program = pick_program(data);
     let rates = ChannelRates::default();

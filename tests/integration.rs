@@ -502,3 +502,97 @@ fn flat_kernels_are_pinned_bit_for_bit() {
         "kernel digest drifted: {hash:#018x}"
     );
 }
+
+/// The fleet's served program: Steps, Transitions and Headbutts ingested
+/// over the wire by a fleet service, fused to one program.
+fn fleet_served_program(config: &FleetConfig) -> Program {
+    use sidewinder::apps::{HeadbuttsApp, StepsApp, TransitionsApp};
+    use sidewinder::fleet::wire::{decode_message, encode_message, MessageType};
+    use sidewinder::fleet::FleetService;
+    let mut service = FleetService::new(config.clone());
+    let apps: [Box<dyn Application>; 3] = [
+        Box::new(StepsApp::new()),
+        Box::new(TransitionsApp::new()),
+        Box::new(HeadbuttsApp::new()),
+    ];
+    for app in &apps {
+        let text = app.wake_condition().to_string();
+        let reply = service.handle(&encode_message(MessageType::SubmitProgram, text.as_bytes()));
+        let (kind, payload) = decode_message(&reply).unwrap();
+        assert_eq!(
+            kind,
+            MessageType::SubmitAck,
+            "{}: {}",
+            app.name(),
+            String::from_utf8_lossy(&payload)
+        );
+    }
+    service.served_program().expect("three conditions served")
+}
+
+#[test]
+fn fleet_served_program_takes_frames_exactly_as_samples() {
+    // The program fleet ingest serves, over eight fleet devices' AccX and
+    // AccY traces: pushed as frames cut at 1, 31, 32, 33 and whole-trace
+    // lengths, it must raise exactly the wakes of one-sample pushes under
+    // live counters (the per-sample pass), member for member and bit for
+    // bit. The digest pins that wake stream.
+    use sidewinder::hub::CounterSink;
+    let config = FleetConfig::new(0x51DE_F1EE, 8);
+    let program = fleet_served_program(&config);
+    let nodes = program.nodes().count();
+    assert_eq!(nodes, 8, "{program}");
+    let channels = [SensorChannel::AccX, SensorChannel::AccY];
+    let mut hash = Fnv1a::new();
+    let mut wakes = 0;
+    for device in 0..config.devices {
+        let trace = config.device_spec(device).trace();
+        let mut rates = ChannelRates::default();
+        let mut columns = Vec::new();
+        for channel in channels {
+            let series = trace.channel(channel).unwrap();
+            rates = rates.with_rate(channel, series.rate_hz());
+            columns.push(series.samples());
+        }
+        let rows = columns[0].len();
+        assert_eq!(columns[1].len(), rows, "device {device}");
+
+        let mut serial: HubRuntime<_> =
+            HubRuntime::load_generic(&program, &rates, CounterSink::with_nodes(nodes)).unwrap();
+        let mut expected = Vec::new();
+        for k in 0..rows {
+            for (m, (&channel, column)) in channels.iter().zip(&columns).enumerate() {
+                for w in serial.push_sample(channel, column[k]).unwrap() {
+                    expected.push((m, w.seq, w.value.to_bits()));
+                }
+            }
+        }
+        for cut in [1, 31, 32, 33, rows] {
+            let mut hub = HubRuntime::load(&program, &rates).unwrap();
+            let mut got = Vec::new();
+            for start in (0..rows).step_by(cut) {
+                let end = (start + cut).min(rows);
+                let frame = [&columns[0][start..end], &columns[1][start..end]];
+                hub.push_frames(&channels, &frame, |m, w| {
+                    got.push((m, w.seq, w.value.to_bits()))
+                })
+                .unwrap();
+            }
+            assert_eq!(got, expected, "device {device}, frames of {cut}");
+        }
+        wakes += expected.len();
+        hash.word(device);
+        hash.word(expected.len() as u64);
+        for &(m, seq, bits) in &expected {
+            hash.word(m as u64);
+            hash.word(seq);
+            hash.word(bits);
+        }
+    }
+    assert!(wakes > 0, "the fleet must wake the served program");
+    let hash = hash.finish();
+    assert_eq!(
+        hash, 0x90ce_9118_10cb_d46a,
+        "served-program wake digest drifted: {hash:#018x}"
+    );
+}
